@@ -5,38 +5,54 @@ exactly on every requested output point, no dense-output interpolant.
 The embedded fourth-order solution is used only through the difference
 weights ``_E`` for the local error estimate; the first-same-as-last
 property recycles the seventh stage as the next step's first stage.
+
+Two guards bound the work of every call.  A step size that falls below
+``1e-14`` times the span, or that is not a number at all (a non-finite
+right-hand side or tolerances below the floating-point range make the
+controller produce NaN), raises :class:`StiffnessError`; so does running
+out of the step budget ``MAX_STEPS``.  Both report the s they reached.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError, StiffnessError
 
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
+# far above the ~12k steps of the largest solve in the benchmark
+MAX_STEPS = 1_000_000
+
+_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+_A = np.array([
+    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0, 0.0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0, 0.0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0,
+     0.0],
+    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
+])
 _E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920,
                -17253 / 339200, 22 / 525, -1 / 40])
-_A_ROWS = [np.array(row) for row in _A]
 
 
 @dataclass
 class IntegrationResult:
+    """Solution at the output points and the work that produced it.
+
+    ``steps`` counts every attempted step, ``rejected`` those the error
+    control threw away; ``rhs_evals`` is ``6 * steps + 2``.
+    """
+
     s: np.ndarray
     y: np.ndarray
     steps: int
     rhs_evals: int
+    rejected: int
 
 
 def _rms(x) -> float:
@@ -64,7 +80,8 @@ def integrate(rhs, y0, s_eval, rtol: float = 1e-8, atol: float = 1e-10,
     ``s_eval`` must be strictly increasing; integration starts at
     ``s_eval[0]`` and the solution is recorded at every entry.  Raises
     :class:`StiffnessError` when the controller drives the step below
-    ``1e-14`` times the span.
+    ``1e-14`` times the span or to NaN, and when ``MAX_STEPS`` steps do
+    not reach the last point.
     """
     pts = np.asarray(s_eval, dtype=float)
     if pts.ndim != 1 or pts.size < 2:
@@ -75,57 +92,63 @@ def integrate(rhs, y0, s_eval, rtol: float = 1e-8, atol: float = 1e-10,
     if y.ndim != 1:
         raise InputError(f"state must be one-dimensional, got shape {y.shape}")
 
-    span = pts[-1] - pts[0]
+    span = float(pts[-1] - pts[0])
     h_floor = 1e-14 * span
-    t = pts[0]
-    f = rhs(t, y)
-    nfev = 2
-    h = min(_initial_step(rhs, t, y, f, 1.0, rtol, atol), max_step, span)
-
+    t = float(pts[0])
     out = np.empty((pts.size, y.size), dtype=complex)
     out[0] = y
     K = np.empty((7, y.size), dtype=complex)
+    K_heads = [K[:j] for j in range(7)]  # views: the stages before stage j
     facold = 1e-4
-    rejected = False
-    steps = 0
+    last_rejected = False
+    steps = rejected = 0
+    budget = MAX_STEPS
 
-    for i in range(1, pts.size):
-        target = pts[i]
-        while t < target - 1e-14 * span:
-            h = min(h, max_step, target - t)
-            if h < h_floor:
-                raise StiffnessError(
-                    f"step size collapsed to {h:.3e} at s = {t:.6f}",
-                    s=float(t), step=float(h))
-            with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = rhs(t, y)
+        h = min(_initial_step(rhs, t, y, f, 1.0, rtol, atol), max_step, span)
+        ay = np.abs(y)
+        for i in range(1, pts.size):
+            target = float(pts[i])
+            while t < target - 1e-14 * span:
+                h = min(h, max_step, target - t)
+                if not h >= h_floor:
+                    raise StiffnessError(
+                        f"step size collapsed to {h:.3e} at s = {t:.6f}",
+                        s=t, step=float(h))
+                if steps >= budget:
+                    raise StiffnessError(
+                        f"step budget of {budget} exhausted at "
+                        f"s = {t:.6f}", s=t, steps=steps)
+                hA = h * _A
                 K[0] = f
                 for j in range(1, 7):
-                    yj = y + h * (_A_ROWS[j] @ K[:j])
-                    K[j] = rhs(t + _C[j] * h, yj)
-                nfev += 6
-                ynew = yj  # the 7th stage node is b-weighted: FSAL
-                err_vec = h * (_E @ K)
-                scale = atol + rtol * np.maximum(np.abs(y), np.abs(ynew))
-                err = _rms(err_vec / scale)
-            if not np.isfinite(err):
-                err = np.inf
-            steps += 1
-            if err <= 1.0:
-                t = t + h
-                y = ynew
-                f = K[6]
-                if err == 0.0:
-                    factor = 10.0
+                    ynew = y + hA[j, :j] @ K_heads[j]
+                    K[j] = rhs(t + _C[j] * h, ynew)
+                # the 7th stage node is b-weighted (FSAL): ynew is the step
+                ay_new = np.abs(ynew)
+                x = ((h * _E) @ K) / (atol + rtol * np.maximum(ay, ay_new))
+                err = math.sqrt(np.vdot(x, x).real / x.size)
+                if not err < math.inf:
+                    err = math.inf
+                steps += 1
+                if err <= 1.0:
+                    t = t + h
+                    y, ay, f = ynew, ay_new, K[6]
+                    if err == 0.0:
+                        factor = 10.0
+                    else:
+                        factor = min(10.0, max(0.2, 0.9 * facold ** 0.04
+                                               * err ** -0.17))
+                    if last_rejected:
+                        factor = min(1.0, factor)
+                    facold = max(err, 1e-4)
+                    h = h * factor
+                    last_rejected = False
                 else:
-                    factor = min(10.0, max(0.2, 0.9 * facold ** 0.04 * err ** -0.17))
-                if rejected:
-                    factor = min(1.0, factor)
-                facold = max(err, 1e-4)
-                h = h * factor
-                rejected = False
-            else:
-                h = h * max(0.2, 0.9 * err ** -0.2)
-                rejected = True
-        out[i] = y
-        t = target
-    return IntegrationResult(pts, out, steps, nfev)
+                    h = h * max(0.2, 0.9 * err ** -0.2)
+                    rejected += 1
+                    last_rejected = True
+            out[i] = y
+            t = target
+    return IntegrationResult(pts, out, steps, 6 * steps + 2, rejected)

@@ -18,6 +18,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -116,6 +117,25 @@ def _field(data, name, expected, where):
             else expected.__name__
         raise InputError(f"{where}.{name} must be a {kinds}", field=name)
     return value
+
+
+def _positive_number(value, label, field):
+    """``value`` as a float if it is a finite positive number.
+
+    Anything else -- a string, NaN, an infinity, an integer too large for
+    a float, zero or a negative number -- raises :class:`InputError`
+    naming ``field``.
+    """
+    number = math.nan
+    if isinstance(value, (int, float)):
+        try:
+            number = float(value)
+        except OverflowError:
+            number = math.inf
+    if not (math.isfinite(number) and number > 0):
+        raise InputError(f"{label} must be a finite positive number, "
+                         f"got {value!r}", field=field)
+    return number
 
 
 def _coerce_model_params(params):
@@ -232,21 +252,19 @@ def parse_scenario(data, where: str = "scenario") -> Scenario:
 
     total_time = None
     if "total_time" in data:
-        total_time = float(_field(data, "total_time", (int, float), where))
-        if not total_time > 0:
-            raise InputError(f"{where}.total_time must be positive",
-                             field="total_time")
+        total_time = _positive_number(data["total_time"],
+                                      f"{where}.total_time", "total_time")
     T_grid = None
     if "T_grid" in data:
         values = _field(data, "T_grid", list, where)
-        if not values or any(not isinstance(v, (int, float)) or v <= 0
-                             for v in values):
+        if not values:
             raise InputError(f"{where}.T_grid must hold positive numbers",
                              field="T_grid")
-        if list(values) != sorted(values):
+        T_grid = tuple(_positive_number(v, f"{where}.T_grid[{k}]", "T_grid")
+                       for k, v in enumerate(values))
+        if list(T_grid) != sorted(T_grid):
             raise InputError(f"{where}.T_grid must be ascending",
                              field="T_grid")
-        T_grid = tuple(float(v) for v in values)
 
     grid_points = data.get("grid_points", 201)
     if not isinstance(grid_points, int) or grid_points < 2:
@@ -257,11 +275,10 @@ def parse_scenario(data, where: str = "scenario") -> Scenario:
     if not isinstance(tol, dict) or set(tol) - {"rtol", "atol"}:
         raise InputError(f"{where}.tolerances allows only rtol and atol",
                          field="tolerances")
-    rtol = float(tol.get("rtol", 1e-8))
-    atol = float(tol.get("atol", 1e-10))
-    if rtol <= 0 or atol <= 0:
-        raise InputError(f"{where}.tolerances must be positive",
-                         field="tolerances")
+    rtol = _positive_number(tol.get("rtol", 1e-8), f"{where}.tolerances.rtol",
+                            "tolerances")
+    atol = _positive_number(tol.get("atol", 1e-10),
+                            f"{where}.tolerances.atol", "tolerances")
 
     out = data.get("output", {})
     if not isinstance(out, dict) or set(out) - {"path", "format"}:
@@ -585,11 +602,15 @@ def sweep_total_time(path, T_min, T_max, points, spacing: str = "log",
     if spacing not in ("linear", "log"):
         raise InputError(f"spacing must be linear or log, got {spacing!r}",
                          field="spacing")
-    if not (T_min > 0 and T_max > T_min):
+    T_min = _positive_number(T_min, "T_min", "T_min")
+    T_max = _positive_number(T_max, "T_max", "T_max")
+    if not T_max > T_min:
         raise InputError("need 0 < T_min < T_max", field="T_min")
     if points < 2:
         raise InputError(f"points must be >= 2, got {points}",
                          field="points")
+    if jobs is not None and jobs < 1:
+        raise InputError(f"jobs must be >= 1, got {jobs}", field="jobs")
     with open(path) as fh:
         doc = json.load(fh)
     sc = parse_scenario(doc)
@@ -601,7 +622,7 @@ def sweep_total_time(path, T_min, T_max, points, spacing: str = "log",
         T_values = np.linspace(T_min, T_max, points)
     payloads = [(doc, float(T), sc.grid_points, sc.rtol, sc.atol)
                 for T in T_values]
-    jobs = jobs if jobs else os.cpu_count() or 1
+    jobs = jobs or os.cpu_count() or 1
     if jobs == 1 or points == 1:
         rows = [_sweep_point(p) for p in payloads]
     else:
@@ -638,6 +659,8 @@ def _execute(path, pipeline, args, grid_points=None):
     except json.JSONDecodeError as exc:
         raise InputError(f"scenario is not valid JSON: {exc}") from exc
     sc = parse_scenario(doc)
+    if args.T is not None:
+        args.T = _positive_number(args.T, "--T", "T")
     if grid_points is not None:
         if grid_points < 2:
             raise InputError(f"--grid must be >= 2, got {grid_points}",

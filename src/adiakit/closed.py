@@ -28,13 +28,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import CubicSpline, PPoly
 from scipy.optimize import linear_sum_assignment
 
 from . import _rk45
 from .errors import (ConfigError, DegeneracyError, DomainError, InputError,
                      NumericalError, ResolutionError)
-from .schedules import GeneratorSpec, eval_generator, eval_generator_derivative
+from .schedules import (GeneratorSpec, eval_generator,
+                        eval_generator_derivative, linear_flow)
 
 __all__ = [
     "SpectralTrack", "track_spectrum",
@@ -156,7 +157,9 @@ class Trajectory:
     """States on a grid plus the integrator bookkeeping that produced them.
 
     ``states[i]`` is the state vector at ``grid[i]`` (a coherence vector in
-    the open-system case); ``times = total_time * grid``.
+    the open-system case); ``times = total_time * grid``.  ``steps``
+    counts every attempted Runge-Kutta step, ``rejected`` those of them
+    the error control threw away.
     """
 
     grid: np.ndarray
@@ -166,6 +169,7 @@ class Trajectory:
     atol: float
     steps: int
     rhs_evals: int
+    rejected: int = 0
 
     @property
     def times(self) -> np.ndarray:
@@ -194,16 +198,18 @@ def integrate_schrodinger(spec: GeneratorSpec, T: float, psi0, grid=None,
     if abs(np.linalg.norm(psi0) - 1.0) > 1e-6:
         raise InputError("initial state must be normalized")
     rtol, atol = float(tol[0]), float(tol[1])
-    terms = spec.hamiltonian_terms
+    res = _rk45.integrate(_schrodinger_rhs(spec, T), psi0, g, rtol=rtol,
+                          atol=atol)
+    return Trajectory(g, res.y, float(T), rtol, atol, res.steps, res.rhs_evals,
+                      res.rejected)
 
-    def rhs(s, y):
-        acc = np.zeros_like(y)
-        for M, env in terms:
-            acc += env.value(s) * (M @ y)
-        return -1j * T * acc
 
-    res = _rk45.integrate(rhs, psi0, g, rtol=rtol, atol=atol)
-    return Trajectory(g, res.y, float(T), rtol, atol, res.steps, res.rhs_evals)
+def _schrodinger_rhs(spec: GeneratorSpec, T: float):
+    """psi -> -i T H(s) psi, with -i T folded into the envelope weights."""
+    terms, D = spec.hamiltonian_terms, spec.dimension
+    return linear_flow([env.scalar() for _, env in terms],
+                       np.array([M for M, _ in terms]).reshape(-1, D, D),
+                       -1j * T)
 
 
 def _melements(track: SpectralTrack, spec: GeneratorSpec) -> np.ndarray:
@@ -473,21 +479,40 @@ def coefficient_dynamics(spec: GeneratorSpec, T: float, a0, grid=None,
             if n != k:
                 offdiag[:, k, n] = mel[:, k, n] / track.gap(n, k)
 
-    energy_spline = CubicSpline(g, track.energies, axis=0)
-    conn_spline = CubicSpline(g, conn, axis=0)
-    coupling_spline = CubicSpline(g, offdiag, axis=0)
-
-    def rhs(s, y):
-        a, phi = y[:D], y[D:]
-        phases = np.exp(-1j * T * phi)
-        coupled = (coupling_spline(s) * phases[None, :] / phases[:, None]) @ a
-        da = -conn_spline(s) * a - coupled
-        return np.concatenate([da, energy_spline(s).astype(complex)])
-
+    rhs = _coefficient_rhs(g, track.energies, conn, offdiag, T)
     y0 = np.concatenate([a0, np.zeros(D, dtype=complex)])
     res = _rk45.integrate(rhs, y0, g, rtol=float(tol[0]), atol=float(tol[1]))
     return CoefficientTrajectory(g, res.y[:, :D], res.y[:, D:].real, frames,
                                  float(T), res.steps)
+
+
+def _coefficient_rhs(grid, energies, conn, offdiag, T):
+    """(a, Phi) -> (da/ds, E) from one spline over the sampled flow data.
+
+    ``energies[i, n]``, ``conn[i, n]`` and ``offdiag[i, k, n]`` sample the
+    levels, the (purely imaginary) connection and the gap-divided
+    couplings on ``grid``.  One piecewise cubic holds them all as real
+    columns: the energies, the connection's imaginary part and the
+    couplings' real and imaginary parts, interleaved so its value views
+    back as complex numbers without a copy.  Each group is fitted as its
+    own cubic spline, which keeps the fit's scratch memory at the size of
+    one group, and the coefficients are joined.
+    """
+    N, D = energies.shape
+    columns = (energies, conn.imag, offdiag.reshape(N, D * D).view(float))
+    spline = PPoly(np.concatenate([CubicSpline(grid, c, axis=0).c
+                                   for c in columns], axis=2), grid)
+    minus_iT = -1j * T
+
+    def rhs(s, y):
+        v = spline(s)
+        a = y[:D]
+        phases = np.exp(minus_iT * y[D:])
+        couplings = v[2 * D:].view(complex).reshape(D, D)
+        coupled = (couplings @ (phases * a)) / phases
+        return np.concatenate([-1j * v[D:2 * D] * a - coupled, v[:D]])
+
+    return rhs
 
 
 @dataclass(frozen=True)

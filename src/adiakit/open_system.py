@@ -36,7 +36,7 @@ from .numkit import (
     jordan_decompose,
     jordan_matrix_from_blocks,
 )
-from .schedules import GeneratorSpec
+from .schedules import GeneratorSpec, linear_flow
 
 __all__ = [
     "build_supermatrix",
@@ -105,10 +105,20 @@ class SuperAssembler:
             raise ConfigError("supermatrix assembly needs an open-kind spec")
         self.spec = spec
         self.dim = spec.dimension ** 2
-        self._hparts = [(env, _coherent_part(M))
-                        for M, env in spec.hamiltonian_terms]
-        self._jparts = [(env, _jump_part(M))
-                        for M, env in spec.lindblad_terms]
+        hterms, jterms = spec.hamiltonian_terms, spec.lindblad_terms
+        # one stack, filled part by part so no second copy is ever held:
+        # matrix() and derivative() read views of it, flow() applies it
+        # in a single product
+        self._parts = np.empty((len(hterms) + len(jterms), self.dim,
+                                self.dim), dtype=complex)
+        for k, (M, _) in enumerate(hterms):
+            self._parts[k] = _coherent_part(M)
+        for k, (M, _) in enumerate(jterms, len(hterms)):
+            self._parts[k] = _jump_part(M)
+        self._hparts = [(env, self._parts[k])
+                        for k, (_, env) in enumerate(hterms)]
+        self._jparts = [(env, self._parts[k])
+                        for k, (_, env) in enumerate(jterms, len(hterms))]
 
     def _env_derivative(self, env, s):
         if self.spec.derivative_mode == "analytic":
@@ -124,6 +134,17 @@ class SuperAssembler:
         for env, part in self._jparts:
             L += env.value(s) ** 2 * part
         return L
+
+    def flow(self, T: float):
+        """The right-hand side y -> T L(s) y, without assembling L(s).
+
+        Coherent parts are weighted by their envelope, jump parts by its
+        square, exactly as in :meth:`matrix`; T rides on the weights.
+        """
+        scalars = [env.scalar() for env, _ in self._hparts]
+        scalars += [lambda s, f=env.scalar(): f(s) ** 2
+                    for env, _ in self._jparts]
+        return linear_flow(scalars, self._parts, T)
 
     def derivative(self, s: float) -> np.ndarray:
         dL = np.zeros((self.dim, self.dim), dtype=complex)
@@ -160,13 +181,9 @@ def integrate_master(spec: GeneratorSpec, T: float, rho0, grid=None,
 
     g = np.linspace(0.0, 1.0, 201) if grid is None else _validate_grid(grid)
     rtol, atol = tol
-
-    def rhs(s, y):
-        return T * (asm.matrix(s) @ y)
-
-    res = integrate(rhs, rho0.reshape(-1), g, rtol=rtol, atol=atol)
+    res = integrate(asm.flow(T), rho0.reshape(-1), g, rtol=rtol, atol=atol)
     return Trajectory(g, res.y, float(T), rtol, atol, res.steps,
-                      res.rhs_evals)
+                      res.rhs_evals, res.rejected)
 
 
 def unitary_embedding_jordan(spec: GeneratorSpec):

@@ -1,0 +1,239 @@
+"""The integrator hot path against the slow forms it replaces.
+
+The right-hand sides handed to the Runge-Kutta stepper evaluate the
+generator from precompiled parts: scalar envelope closures, term matrices
+scaled once, the supermatrix parts applied without assembling L(s), and
+one spline over all the coefficient-flow data.  Each is checked here
+against the direct form -- ``Envelope.value``, ``SuperAssembler.matrix``,
+three separate splines -- and the stepper's work counters are pinned for
+a fixed workload.
+"""
+
+import json
+import pathlib
+
+import numpy as np
+import pytest
+from scipy.interpolate import CubicSpline
+
+from adiakit import _rk45
+from adiakit.cli import parse_scenario
+from adiakit.closed import (_coefficient_rhs, _schrodinger_rhs,
+                            integrate_schrodinger, track_spectrum)
+from adiakit.errors import StiffnessError
+from adiakit.open_system import SuperAssembler, integrate_master
+from adiakit.schedules import (GeneratorSpec, constant, cosine_ramp, linear,
+                               make_model, polynomial, sinusoid)
+
+SCENARIO_DIR = pathlib.Path(__file__).parent.parent / "scripts" / "scenarios"
+
+
+def bundled_spec(name):
+    with open(SCENARIO_DIR / f"{name}.json") as fh:
+        return parse_scenario(json.load(fh)).spec
+
+
+def random_hermitian(rng, D):
+    A = rng.normal(size=(D, D)) + 1j * rng.normal(size=(D, D))
+    return 0.5 * (A + A.conj().T)
+
+
+def open4_spec():
+    """A D=4 open generator with every envelope kind among its terms."""
+    rng = np.random.default_rng(4)
+    D = 4
+    ladder = np.diag(np.sqrt([0.3, 0.5, 0.7]), 1).astype(complex)
+    return GeneratorSpec(D, "open", [
+        (np.diag([0.0, 1.0, 4.0, 6.0]).astype(complex), constant(1.0)),
+        (random_hermitian(rng, D), linear(-0.2, 0.3)),
+        (random_hermitian(rng, D), sinusoid(0.1, 1.5, 0.3, 0.05)),
+    ], [
+        (ladder, cosine_ramp(0.4, 0.9)),
+        (rng.normal(size=(D, D)) + 1j * rng.normal(size=(D, D)),
+         polynomial([0.05, 0.1, -0.08])),
+    ])
+
+
+def random_states(rng, n, count=20):
+    return [(float(rng.uniform(0.0, 1.0)),
+             rng.normal(size=n) + 1j * rng.normal(size=n))
+            for _ in range(count)]
+
+
+def relative(new, old):
+    return np.linalg.norm(new - old) / np.linalg.norm(old)
+
+
+# ------------------------------------------------------------- envelopes
+
+ENVELOPES = [
+    constant(0.7), constant(-2.5),
+    linear(-1.3, 2.1), linear(0.0, 1.0),
+    polynomial([0.3, -1.2, 2.5, -0.7]), polynomial([4.0]),
+    cosine_ramp(-0.4, 1.9), cosine_ramp(3.0, 0.0),
+    sinusoid(1.7, 2.3, 0.4, -0.2), sinusoid(1.0, 1.0, np.pi / 2),
+]
+
+
+@pytest.mark.parametrize("env", ENVELOPES, ids=lambda e: e.kind)
+def test_scalar_envelope_matches_value(env):
+    f = env.scalar()
+    grid = np.linspace(0.0, 1.0, 20001)
+    fast = np.array([f(float(s)) for s in grid])
+    slow = np.array([env.value(s) for s in grid])
+    ulps = np.abs(fast - slow) / np.spacing(np.maximum(np.abs(fast),
+                                                       np.abs(slow)))
+    assert np.max(ulps) <= 4
+
+
+def test_scalar_envelopes_cover_every_kind():
+    assert {env.kind for env in ENVELOPES} == {
+        "constant", "linear", "polynomial", "cosine_ramp", "sinusoid"}
+
+
+# ------------------------------------------------------ right-hand sides
+
+@pytest.mark.parametrize("name", ["landau_zener", "rotating_field"])
+@pytest.mark.parametrize("T", [8.0, 1024.0])
+def test_schrodinger_rhs_matches_term_sum(name, T):
+    spec = bundled_spec(name)
+    rhs = _schrodinger_rhs(spec, T)
+    rng = np.random.default_rng(1)
+    for s, y in random_states(rng, spec.dimension):
+        old = np.zeros_like(y)
+        for M, env in spec.hamiltonian_terms:
+            old += env.value(s) * (M @ y)
+        old = -1j * T * old
+        assert relative(rhs(s, y), old) <= 1e-13
+
+
+@pytest.mark.parametrize("spec", [bundled_spec("dephasing_qubit"),
+                                  open4_spec()], ids=["dephasing", "open4"])
+@pytest.mark.parametrize("T", [8.0, 1024.0])
+def test_master_rhs_matches_supermatrix(spec, T):
+    asm = SuperAssembler(spec)
+    rhs = asm.flow(T)
+    rng = np.random.default_rng(2)
+    for s, y in random_states(rng, asm.dim):
+        assert relative(rhs(s, y), T * (asm.matrix(s) @ y)) <= 1e-13
+
+
+def three_spline_flow(grid, energies, conn, offdiag, T):
+    """The coefficient flow with one spline per sampled quantity."""
+    D = energies.shape[1]
+    energy_spline = CubicSpline(grid, energies, axis=0)
+    conn_spline = CubicSpline(grid, conn, axis=0)
+    coupling_spline = CubicSpline(grid, offdiag, axis=0)
+
+    def rhs(s, y):
+        a, phi = y[:D], y[D:]
+        phases = np.exp(-1j * T * phi)
+        coupled = (coupling_spline(s) * phases[None, :]
+                   / phases[:, None]) @ a
+        da = -conn_spline(s) * a - coupled
+        return np.concatenate([da, energy_spline(s).astype(complex)])
+
+    return rhs
+
+
+@pytest.mark.parametrize("D", [2, 4])
+@pytest.mark.parametrize("T", [8.0, 1024.0])
+def test_coefficient_rhs_matches_three_splines(D, T):
+    rng = np.random.default_rng(D)
+    grid = np.linspace(0.0, 1.0, 41)
+    waves = np.sin(np.outer(grid, rng.uniform(1.0, 3.0, size=D * D)))
+    energies = np.cumsum(rng.uniform(0.5, 1.5, size=D)) + waves[:, :D]
+    conn = 1j * waves[:, D:2 * D]
+    offdiag = (waves + 1j * waves ** 2).reshape(-1, D, D)
+    offdiag[:, np.arange(D), np.arange(D)] = 0.0
+    new = _coefficient_rhs(grid, energies, conn, offdiag, T)
+    old = three_spline_flow(grid, energies, conn, offdiag, T)
+    for s in rng.uniform(0.0, 1.0, size=20):
+        y = np.concatenate([rng.normal(size=D) + 1j * rng.normal(size=D),
+                            rng.uniform(0.0, 2.0, size=D)])
+        assert relative(new(s, y), old(s, y)) <= 1e-13
+
+
+def test_flows_without_terms_are_zero():
+    y = np.array([0.5, 0.1j, -0.1j, 0.5])
+    open_rhs = SuperAssembler(GeneratorSpec(2, "open", [])).flow(3.0)
+    assert np.array_equal(open_rhs(0.4, y), np.zeros(4))
+    closed_rhs = _schrodinger_rhs(GeneratorSpec(4, "closed", []), 3.0)
+    assert np.array_equal(closed_rhs(0.4, y), np.zeros(4))
+
+
+# ------------------------------------------------------- stepper counters
+
+# steps of the Landau-Zener scenario from its ground state on 201 output
+# points, as the stepper took them before the hot path was rewritten; the
+# lean loop must not need more than 1% extra
+LZ_STEPS = {8.0: 201, 1024.0: 6859}
+
+
+@pytest.mark.parametrize("T", sorted(LZ_STEPS))
+def test_lz_step_counts(T):
+    spec = make_model("landau_zener", a=1.0, delta=0.25)
+    grid = np.linspace(0.0, 1.0, 201)
+    psi0 = track_spectrum(spec, grid).vectors[0, :, 0]
+    traj = integrate_schrodinger(spec, T, psi0, grid)
+    assert traj.rhs_evals == 6 * traj.steps + 2
+    assert traj.steps <= LZ_STEPS[T] * 1.01
+    assert 0 <= traj.rejected < traj.steps
+    assert traj.norm_drift() < 1e-6
+
+
+def test_rejected_steps_counted():
+    # a kink at s = 0.5 after a flat stretch: the controller has grown
+    # the step and must throw some away to get past it
+    def rhs(s, y):
+        return np.array([0.0 if s < 0.5 else 40.0 * (s - 0.5) ** 0.5],
+                        dtype=complex) * np.ones_like(y)
+
+    res = _rk45.integrate(rhs, np.array([1.0 + 0j]), [0.0, 1.0])
+    assert res.rejected > 0
+    assert res.steps > res.rejected
+    assert res.rhs_evals == 6 * res.steps + 2
+    assert abs(res.y[-1, 0] - (1.0 + 40.0 / 1.5 * 0.5 ** 1.5)) < 1e-6
+
+
+def test_master_trajectory_carries_rejected():
+    spec = bundled_spec("dephasing_qubit")
+    rho0 = np.array([[0.6, 0.25 + 0.1j], [0.25 - 0.1j, 0.4]])
+    traj = integrate_master(spec, 10.0, rho0)
+    assert 0 <= traj.rejected < traj.steps
+    assert traj.rhs_evals == 6 * traj.steps + 2
+
+
+# ------------------------------------------------------------ the guards
+
+def test_nan_step_raises():
+    def rhs(s, y):
+        return np.full_like(y, np.nan)
+
+    with pytest.raises(StiffnessError) as info:
+        _rk45.integrate(rhs, np.array([1.0 + 0j]), [0.0, 1.0])
+    assert info.value.details["s"] == 0.0
+
+
+def test_tolerances_below_float_range_raise():
+    def rhs(s, y):
+        return -1j * y
+
+    with pytest.raises(StiffnessError):
+        _rk45.integrate(rhs, np.array([1.0 + 0j]), [0.0, 1.0],
+                        rtol=1e-300, atol=1e-300)
+
+
+def test_step_budget_raises_with_position(monkeypatch):
+    def rhs(s, y):
+        return -1j * 1e4 * y
+
+    monkeypatch.setattr(_rk45, "MAX_STEPS", 50)
+    with pytest.raises(StiffnessError) as info:
+        _rk45.integrate(rhs, np.array([1.0 + 0j]), [0.0, 0.5, 1.0])
+    assert info.value.details["steps"] == 50
+    assert 0.0 < info.value.details["s"] < 1.0
+
+
+def test_default_budget_far_above_largest_solve():
+    assert _rk45.MAX_STEPS >= 50 * 12000
