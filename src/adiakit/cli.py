@@ -18,7 +18,6 @@ import argparse
 import dataclasses
 import hashlib
 import json
-import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -48,6 +47,7 @@ from .errors import (
 from .numkit import is_hermitian, matrix_from_json, matrix_to_json
 from .open_system import (
     classify_regime,
+    coupling_tensor,
     expand_jordan_coefficients,
     integrate_master,
     jordan_track,
@@ -58,6 +58,7 @@ from .open_system import (
 from .schedules import (
     MODEL_NAMES,
     GeneratorSpec,
+    _finite_number,
     envelope_from_json,
     make_model,
 )
@@ -119,34 +120,16 @@ def _field(data, name, expected, where):
     return value
 
 
-def _positive_number(value, label, field):
-    """``value`` as a float if it is a finite positive number.
-
-    Anything else -- a string, NaN, an infinity, an integer too large for
-    a float, zero or a negative number -- raises :class:`InputError`
-    naming ``field``.
-    """
-    number = math.nan
-    if isinstance(value, (int, float)):
-        try:
-            number = float(value)
-        except OverflowError:
-            number = math.inf
-    if not (math.isfinite(number) and number > 0):
-        raise InputError(f"{label} must be a finite positive number, "
-                         f"got {value!r}", field=field)
-    return number
-
-
-def _coerce_model_params(params):
+def _coerce_model_params(params, where):
     out = {}
     for key, value in params.items():
+        label, field = f"{where}.model.params.{key}", f"model.params.{key}"
         if key.endswith("_envelope"):
-            out[key] = envelope_from_json(value, f"params.{key}")
+            out[key] = envelope_from_json(value, label, field)
         elif isinstance(value, list):
-            out[key] = matrix_from_json(value, f"params.{key}")
+            out[key] = matrix_from_json(value, label)
         else:
-            out[key] = value
+            out[key] = _finite_number(value, label, field)
     return out
 
 
@@ -161,7 +144,8 @@ def _parse_terms(data, name, where):
                 field=name)
         terms.append((matrix_from_json(item["matrix"], f"{label}.matrix"),
                       envelope_from_json(item["envelope"],
-                                         f"{label}.envelope")))
+                                         f"{label}.envelope",
+                                         f"{name}[{k}].envelope")))
     return tuple(terms)
 
 
@@ -221,7 +205,7 @@ def parse_scenario(data, where: str = "scenario") -> Scenario:
         if not isinstance(params, dict):
             raise InputError(f"{where}.model.params must be an object",
                              field="model")
-        spec = make_model(block["name"], **_coerce_model_params(params))
+        spec = make_model(block["name"], **_coerce_model_params(params, where))
         model = {"name": block["name"], "params": params}
     else:
         for required in ("kind", "dimension", "hamiltonian_terms"):
@@ -252,15 +236,16 @@ def parse_scenario(data, where: str = "scenario") -> Scenario:
 
     total_time = None
     if "total_time" in data:
-        total_time = _positive_number(data["total_time"],
-                                      f"{where}.total_time", "total_time")
+        total_time = _finite_number(data["total_time"], f"{where}.total_time",
+                                    "total_time", positive=True)
     T_grid = None
     if "T_grid" in data:
         values = _field(data, "T_grid", list, where)
         if not values:
             raise InputError(f"{where}.T_grid must hold positive numbers",
                              field="T_grid")
-        T_grid = tuple(_positive_number(v, f"{where}.T_grid[{k}]", "T_grid")
+        T_grid = tuple(_finite_number(v, f"{where}.T_grid[{k}]", "T_grid",
+                                      positive=True)
                        for k, v in enumerate(values))
         if list(T_grid) != sorted(T_grid):
             raise InputError(f"{where}.T_grid must be ascending",
@@ -275,10 +260,10 @@ def parse_scenario(data, where: str = "scenario") -> Scenario:
     if not isinstance(tol, dict) or set(tol) - {"rtol", "atol"}:
         raise InputError(f"{where}.tolerances allows only rtol and atol",
                          field="tolerances")
-    rtol = _positive_number(tol.get("rtol", 1e-8), f"{where}.tolerances.rtol",
-                            "tolerances")
-    atol = _positive_number(tol.get("atol", 1e-10),
-                            f"{where}.tolerances.atol", "tolerances")
+    rtol = _finite_number(tol.get("rtol", 1e-8), f"{where}.tolerances.rtol",
+                          "tolerances", positive=True)
+    atol = _finite_number(tol.get("atol", 1e-10), f"{where}.tolerances.atol",
+                          "tolerances", positive=True)
 
     out = data.get("output", {})
     if not isinstance(out, dict) or set(out) - {"path", "format"}:
@@ -460,7 +445,8 @@ def _pipe_check(sc, args):
         }
         return None, None, results
     track = _open_track(sc, grid)
-    cond = open_condition_metric(track, sc.spec)
+    couplings = coupling_tensor(track, sc.spec)
+    cond = open_condition_metric(track, sc.spec, couplings=couplings)
     results = {
         "block_sizes": list(track.sizes),
         "max_metric": cond.max_metric,
@@ -472,12 +458,17 @@ def _pipe_check(sc, args):
     if args.T is not None:
         T_values = (float(args.T),)
     if sc.initial_state is not None and T_values:
-        def coeffs_at(T):
-            traj = integrate_master(sc.spec, T, sc.initial_state, grid,
-                                    (sc.rtol, sc.atol))
-            return expand_jordan_coefficients(traj, track, T)
+        coeffs = {}
 
-        tcond = open_time_condition(track, sc.spec, coeffs_at, T_values)
+        def coeffs_at(T):
+            if T not in coeffs:
+                traj = integrate_master(sc.spec, T, sc.initial_state, grid,
+                                        (sc.rtol, sc.atol))
+                coeffs[T] = expand_jordan_coefficients(traj, track, T)
+            return coeffs[T]
+
+        tcond = open_time_condition(track, sc.spec, coeffs_at, T_values,
+                                    couplings=couplings)
         results["time_condition"] = {
             "T_grid": list(tcond.T_grid),
             "satisfied_all": list(tcond.satisfied_all),
@@ -486,7 +477,8 @@ def _pipe_check(sc, args):
             "bounds": {f"{a},{i}": list(v)
                        for (a, i), v in tcond.bounds.items()},
         }
-        labels = classify_regime(track, coeffs_at(T_values[-1]), sc.spec)
+        labels = classify_regime(track, coeffs_at(T_values[-1]), sc.spec,
+                                 couplings=couplings)
         results["regimes"] = {f"{a},{b}": lab
                               for (a, b), lab in labels.items()}
     return None, None, results
@@ -559,14 +551,15 @@ _PIPELINE_FUNCS = {
 
 # --------------------------------------------------------------------- sweep
 
-def _sweep_point(payload):
-    """One sweep row; module level so worker processes can import it."""
-    doc, T, grid_points, rtol, atol = payload
-    sc = parse_scenario(doc)
-    grid = np.linspace(0.0, 1.0, grid_points)
-    tol = (rtol, atol)
+def _sweep_point(context, T):
+    """One sweep row.
+
+    ``context`` holds what every T shares: the parsed scenario, its grid
+    and track, and for an open scenario the coupling tensor.
+    """
+    sc, grid, track, couplings = context
+    tol = (sc.rtol, sc.atol)
     if sc.kind == "closed":
-        track = track_spectrum(sc.spec, grid)
         traj = integrate_schrodinger(sc.spec, T, track.vectors[0, :, 0],
                                      grid, tol)
         reference = adiabatic_state(track, T, 1.0, 0)
@@ -574,7 +567,6 @@ def _sweep_point(payload):
             reference, traj.states[-1] / np.linalg.norm(traj.states[-1]))
         ratio = adiabatic_condition_ratio(track, sc.spec, T).max_ratio
         return T, infidelity, ratio, bool(ratio < 1.0)
-    track = _open_track(sc, grid)
     traj = integrate_master(sc.spec, T, _default_state(sc), grid, tol)
     coeffs = expand_jordan_coefficients(traj, track, T)
     drift = 0.0
@@ -584,10 +576,27 @@ def _sweep_point(payload):
         if finite.size:
             drift = max(drift, float(np.max(np.abs(finite - finite[0]))))
             scale = max(scale, float(np.max(np.abs(finite))))
-    tcond = open_time_condition(track, sc.spec, coeffs, (T,))
+    tcond = open_time_condition(track, sc.spec, coeffs, (T,),
+                                couplings=couplings)
     bound = max(v[0] for v in tcond.bounds.values())
     ratio = bound / T if np.isfinite(bound) else np.inf
     return T, drift / scale, ratio, bool(tcond.satisfied_all[0])
+
+
+# The sweep context inside a pool worker.  Only the pool initializer sets
+# it, so it lives exactly as long as the worker, which exits before
+# sweep_total_time returns; a worker started by fork inherits the context
+# instead of receiving a pickled copy with every T.
+_worker_context = None
+
+
+def _init_sweep_worker(context):
+    global _worker_context
+    _worker_context = context
+
+
+def _pooled_sweep_point(T):
+    return _sweep_point(_worker_context, T)
 
 
 def sweep_total_time(path, T_min, T_max, points, spacing: str = "log",
@@ -602,8 +611,8 @@ def sweep_total_time(path, T_min, T_max, points, spacing: str = "log",
     if spacing not in ("linear", "log"):
         raise InputError(f"spacing must be linear or log, got {spacing!r}",
                          field="spacing")
-    T_min = _positive_number(T_min, "T_min", "T_min")
-    T_max = _positive_number(T_max, "T_max", "T_max")
+    T_min = _finite_number(T_min, "T_min", "T_min", positive=True)
+    T_max = _finite_number(T_max, "T_max", "T_max", positive=True)
     if not T_max > T_min:
         raise InputError("need 0 < T_min < T_max", field="T_min")
     if points < 2:
@@ -614,20 +623,26 @@ def sweep_total_time(path, T_min, T_max, points, spacing: str = "log",
     with open(path) as fh:
         doc = json.load(fh)
     sc = parse_scenario(doc)
-    if sc.kind == "open":
+    grid = sc.grid()
+    if sc.kind == "closed":
+        context = (sc, grid, track_spectrum(sc.spec, grid), None)
+    else:
         _default_state(sc)
+        track = _open_track(sc, grid)
+        context = (sc, grid, track, coupling_tensor(track, sc.spec))
     if spacing == "log":
         T_values = np.geomspace(T_min, T_max, points)
     else:
         T_values = np.linspace(T_min, T_max, points)
-    payloads = [(doc, float(T), sc.grid_points, sc.rtol, sc.atol)
-                for T in T_values]
+    T_values = [float(T) for T in T_values]
     jobs = jobs or os.cpu_count() or 1
     if jobs == 1 or points == 1:
-        rows = [_sweep_point(p) for p in payloads]
+        rows = [_sweep_point(context, T) for T in T_values]
     else:
-        with ProcessPoolExecutor(max_workers=min(jobs, points)) as pool:
-            rows = list(pool.map(_sweep_point, payloads))
+        with ProcessPoolExecutor(max_workers=min(jobs, points),
+                                 initializer=_init_sweep_worker,
+                                 initargs=(context,)) as pool:
+            rows = list(pool.map(_pooled_sweep_point, T_values))
     if out is not None:
         _write_csv(out, ["T", "infidelity", "condition_ratio",
                          "bound_satisfied"], rows)
@@ -660,7 +675,7 @@ def _execute(path, pipeline, args, grid_points=None):
         raise InputError(f"scenario is not valid JSON: {exc}") from exc
     sc = parse_scenario(doc)
     if args.T is not None:
-        args.T = _positive_number(args.T, "--T", "T")
+        args.T = _finite_number(args.T, "--T", "T", positive=True)
     if grid_points is not None:
         if grid_points < 2:
             raise InputError(f"--grid must be >= 2, got {grid_points}",

@@ -22,7 +22,7 @@ positive largest-magnitude component.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
@@ -175,17 +175,25 @@ class JordanForm:
     residual:
         Upper bound on max-entry deviations of ``S^-1 M S - J`` and of the
         three relations checked by :func:`verify_jordan_basis`.
+    offsets:
+        Derived: the first column of every block, then the dimension, so
+        block ``alpha`` spans ``offsets[alpha]:offsets[alpha + 1]``.
     """
 
     blocks: tuple
     similarity: np.ndarray
     similarity_inv: np.ndarray
     residual: float
+    offsets: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        n = sum(size for _, size in self.blocks)
+        offsets = (0,)
+        for _, size in self.blocks:
+            offsets += (offsets[-1] + size,)
+        n = offsets[-1]
         if self.similarity.shape != (n, n) or self.similarity_inv.shape != (n, n):
             raise ShapeError("similarity shape does not match total block size")
+        object.__setattr__(self, "offsets", offsets)
 
     @property
     def dim(self) -> int:
@@ -204,8 +212,7 @@ class JordanForm:
         return np.array([lam for lam, _ in self.blocks], dtype=complex)
 
     def block_slice(self, alpha: int) -> slice:
-        start = sum(size for _, size in self.blocks[:alpha])
-        return slice(start, start + self.blocks[alpha][1])
+        return slice(self.offsets[alpha], self.offsets[alpha + 1])
 
     def right_vectors(self, alpha: int) -> np.ndarray:
         """Columns ``D^(0) ... D^(n_alpha - 1)`` of block ``alpha``."""
@@ -217,9 +224,6 @@ class JordanForm:
 
     def jordan_matrix(self) -> np.ndarray:
         return jordan_matrix_from_blocks(self.blocks)
-
-    def condition_number(self) -> float:
-        return float(np.linalg.cond(self.similarity, 2))
 
 
 def jordan_matrix_from_blocks(blocks) -> np.ndarray:
@@ -263,10 +267,14 @@ def verify_jordan_basis(jf: JordanForm, M) -> JordanBasisResiduals:
     return JordanBasisResiduals(orth, right, left)
 
 
-def _cluster_eigenvalues(eigs: np.ndarray, tol: float):
-    """Transitive-closure clustering; returns a list of index arrays."""
-    n = len(eigs)
-    parent = list(range(n))
+def _cluster_labels(values, tol: float) -> tuple:
+    """Transitive-closure grouping of values within ``tol`` of each other.
+
+    Returns one label per value; labels are numbered in order of first
+    occurrence, so the first value always carries label 0.
+    """
+    v = np.asarray(values)
+    parent = list(range(v.size))
 
     def find(i):
         while parent[i] != i:
@@ -274,16 +282,13 @@ def _cluster_eigenvalues(eigs: np.ndarray, tol: float):
             i = parent[i]
         return i
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(eigs[i] - eigs[j]) <= tol:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-    groups = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return [np.array(idx) for idx in groups.values()]
+    close = np.abs(v[:, None] - v[None, :]) <= tol
+    for i, j in zip(*np.nonzero(np.triu(close, 1))):
+        ri, rj = find(int(i)), find(int(j))
+        if ri != rj:
+            parent[max(ri, rj)] = min(ri, rj)
+    roots = {}
+    return tuple(roots.setdefault(find(i), len(roots)) for i in range(v.size))
 
 
 def _cluster_subspace(M: np.ndarray, center: complex, members: np.ndarray,
@@ -386,36 +391,29 @@ def _nilpotent_chains(A: np.ndarray, rank_tol: float):
     return out
 
 
-def jordan_decompose(M, cluster_tol: float = 1e-7, rank_tol: float = 1e-9,
-                     cond_cap: float = 1e12) -> JordanForm:
-    """Numerical Jordan canonical form of a square complex matrix.
+def _cluster_chains(A: np.ndarray, eigs: np.ndarray, idx: np.ndarray,
+                    rank_tol: float):
+    """Jordan chains of the eigenvalue cluster ``eigs[idx]`` of ``A``.
 
-    Eigenvalues closer than ``cluster_tol`` (by transitive closure) are
-    treated as one eigenvalue; block sizes come from the nullity chain of the
-    cluster restriction with singular values below ``rank_tol`` treated as
-    zero.  A similarity with 2-norm condition above ``cond_cap`` raises
-    :class:`ConditioningError` carrying the best-effort decomposition.
+    A sorted complex Schur form isolates the cluster's invariant subspace;
+    the nilpotent part of ``A`` restricted to it yields the chains.
+    Returns ``(lam, length, columns)`` entries with the eigenvector first
+    in each chain and ``lam`` the cluster mean.
     """
-    A = as_square_matrix(M)
+    members = eigs[idx]
+    lam = complex(np.mean(members))
+    Q = _cluster_subspace(A, lam, members, np.delete(eigs, idx))
+    m = Q.shape[1]
+    if m == 1:
+        return [(lam, 1, Q.copy())]
+    restricted = Q.conj().T @ A @ Q - lam * np.eye(m)
+    return [(lam, length, Q @ cols)
+            for length, cols in _nilpotent_chains(restricted, rank_tol)]
+
+
+def _assemble_form(A: np.ndarray, entries, cond_cap: float) -> JordanForm:
+    """Normalize, order and verify ``(lam, length, columns)`` chains."""
     n = A.shape[0]
-    eigs = np.linalg.eigvals(A)
-    clusters = _cluster_eigenvalues(eigs, cluster_tol)
-
-    entries = []  # (lam, size, full-space columns)
-    for idx in clusters:
-        members = eigs[idx]
-        lam = complex(np.mean(members))
-        mask = np.ones(len(eigs), dtype=bool)
-        mask[idx] = False
-        Q = _cluster_subspace(A, lam, members, eigs[mask])
-        m = Q.shape[1]
-        if m == 1:
-            entries.append((lam, 1, Q.copy()))
-            continue
-        restricted = Q.conj().T @ A @ Q - lam * np.eye(m)
-        for length, cols in _nilpotent_chains(restricted, rank_tol):
-            entries.append((lam, length, Q @ cols))
-
     # deterministic chain normalization: unit eigenvector with a real
     # positive largest-magnitude component
     normalized = []
@@ -447,3 +445,36 @@ def jordan_decompose(M, cluster_tol: float = 1e-7, rank_tol: float = 1e-9,
             f"similarity condition {cond:.3e} exceeds cap {cond_cap:.3e}",
             result=jf, condition=cond)
     return jf
+
+
+def jordan_decompose(M, cluster_tol: float = 1e-7, rank_tol: float = 1e-9,
+                     cond_cap: float = 1e12) -> JordanForm:
+    """Numerical Jordan canonical form of a square complex matrix.
+
+    Eigenvalues closer than ``cluster_tol`` (by transitive closure) are
+    treated as one eigenvalue; block sizes come from the nullity chain of the
+    cluster restriction with singular values below ``rank_tol`` treated as
+    zero.  A similarity with 2-norm condition above ``cond_cap`` raises
+    :class:`ConditioningError` carrying the best-effort decomposition.
+
+    One ``np.linalg.eig`` call supplies the eigenvalues and, for every
+    cluster that holds a single eigenvalue, its eigenvector: such a
+    cluster is a 1x1 block and needs nothing more.  Every cluster of two
+    or more eigenvalues falls back to a sorted complex Schur form of its
+    own and the nilpotent chain analysis, because eigenvectors of nearly
+    coincident eigenvalues are ill determined and a defective cluster has
+    too few of them (Golub & Wilkinson, SIAM Rev. 18, 1976).  Both paths
+    share the normalization, the dual basis from the inverse, the residual
+    checks and the condition cap.
+    """
+    A = as_square_matrix(M)
+    eigs, vecs = np.linalg.eig(A)
+    labels = np.array(_cluster_labels(eigs, cluster_tol), dtype=int)
+    entries = []  # (lam, size, full-space columns)
+    for k in range(labels.max(initial=-1) + 1):
+        idx = np.flatnonzero(labels == k)
+        if idx.size == 1:
+            entries.append((complex(eigs[idx[0]]), 1, vecs[:, idx]))
+        else:
+            entries.extend(_cluster_chains(A, eigs, idx, rank_tol))
+    return _assemble_form(A, entries, cond_cap)

@@ -32,6 +32,7 @@ from .errors import (
 )
 from .numkit import (
     JordanForm,
+    _cluster_labels,
     is_hermitian,
     jordan_decompose,
     jordan_matrix_from_blocks,
@@ -47,6 +48,7 @@ __all__ = [
     "jordan_track",
     "JordanCoefficients",
     "expand_jordan_coefficients",
+    "coupling_tensor",
     "OpenCondition",
     "open_condition_metric",
     "condition_term_count",
@@ -221,31 +223,6 @@ def unitary_embedding_jordan(spec: GeneratorSpec):
     return factory
 
 
-def _cluster_labels(lams, tol):
-    """Transitive-closure grouping of eigenvalues within tol of each other."""
-    n = len(lams)
-    parent = list(range(n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for a in range(n):
-        for b in range(a + 1, n):
-            if abs(lams[a] - lams[b]) <= tol:
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    parent[rb] = ra
-    roots = {}
-    labels = []
-    for a in range(n):
-        r = find(a)
-        labels.append(roots.setdefault(r, len(roots)))
-    return tuple(labels)
-
-
 @dataclass(frozen=True)
 class JordanTrack:
     """Jordan structure of L(s) stitched into continuous curves.
@@ -255,6 +232,10 @@ class JordanTrack:
     ``lamint`` accumulates the eigenvalue integrals over s.  ``clusters``
     groups blocks that share an eigenvalue everywhere; adiabaticity
     statements only compare blocks from different groups.
+
+    Derived from those: ``similarity`` and ``similarity_inv`` stack S and
+    S^-1 of every point, shape (N, n, n), and block b spans the columns
+    ``offsets[b]:offsets[b + 1]`` of S (rows of S^-1) at every point.
     """
 
     grid: np.ndarray
@@ -264,6 +245,17 @@ class JordanTrack:
     clusters: tuple
     lamint: np.ndarray
     residual_max: float
+    similarity: np.ndarray = field(init=False, repr=False, compare=False)
+    similarity_inv: np.ndarray = field(init=False, repr=False,
+                                       compare=False)
+    offsets: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "similarity",
+                           np.array([jf.similarity for jf in self.forms]))
+        object.__setattr__(self, "similarity_inv",
+                           np.array([jf.similarity_inv for jf in self.forms]))
+        object.__setattr__(self, "offsets", self.forms[0].offsets)
 
     @property
     def nblocks(self) -> int:
@@ -276,6 +268,9 @@ class JordanTrack:
     @property
     def signature(self) -> tuple:
         return tuple(sorted(self.sizes, reverse=True))
+
+    def block_slice(self, b: int) -> slice:
+        return slice(self.offsets[b], self.offsets[b + 1])
 
     def omega(self, b: int, a: int) -> np.ndarray:
         """Eigenvalue difference curve lambda_b(s) - lambda_a(s)."""
@@ -305,34 +300,66 @@ class JordanTrack:
         return {"signature": list(self.signature), "points": points}
 
 
-def _permute_form(jf: JordanForm, order) -> JordanForm:
-    slices = [jf.block_slice(b) for b in order]
-    cols = np.concatenate([np.arange(sl.start, sl.stop) for sl in slices])
+def _partition(labels):
+    groups = {}
+    for b, lab in enumerate(labels):
+        groups.setdefault(lab, set()).add(b)
+    return {frozenset(members) for members in groups.values()}
+
+
+def _align(prev: JordanForm, jf: JordanForm) -> JordanForm:
+    """Reorder and rephase the blocks of ``jf`` to continue ``prev``.
+
+    Blocks are matched by eigenvalue distance, a large penalty for a size
+    mismatch, and the overlap of leading vectors; each matched chain is
+    then multiplied by the unit phase z / |z| of the overlap z of its
+    leading vector with the previous one.
+    """
+    lead_prev = prev.similarity[:, prev.offsets[:-1]]
+    lead = jf.similarity[:, jf.offsets[:-1]]
+    sizes_prev = np.array(prev.sizes)
+    sizes = np.array(jf.sizes)
+    cost = (np.abs(prev.eigenvalues[:, None] - jf.eigenvalues[None, :])
+            + np.where(sizes_prev[:, None] == sizes[None, :], 0.0, 1e6)
+            + 1e-2 * (1.0 - np.abs(lead_prev.conj().T @ lead)))
+    rows, cols = linear_sum_assignment(cost)
+    order = cols[np.argsort(rows)]
+    z = np.einsum("ij,ij->j", lead_prev.conj(), lead[:, order])
+    phase = np.ones(order.size, dtype=complex)
+    keep = np.abs(z) > 1e-12
+    phase[keep] = z[keep] / np.abs(z[keep])
     blocks = tuple(jf.blocks[b] for b in order)
-    return JordanForm(blocks, jf.similarity[:, cols],
-                      jf.similarity_inv[cols, :], jf.residual)
+    columns = np.concatenate([np.arange(jf.offsets[b], jf.offsets[b + 1])
+                              for b in order])
+    colphase = np.repeat(phase, sizes[order])
+    return JordanForm(blocks, jf.similarity[:, columns] * colphase,
+                      jf.similarity_inv[columns, :] / colphase[:, None],
+                      jf.residual)
 
 
-def _phase_align(jf: JordanForm, anchors) -> JordanForm:
-    S = jf.similarity.copy()
-    Sinv = jf.similarity_inv.copy()
-    for b in range(jf.block_count):
-        sl = jf.block_slice(b)
-        z = np.vdot(anchors[b], S[:, sl.start])
-        if abs(z) > 1e-12:
-            phase = z / abs(z)
-            S[:, sl] *= phase
-            Sinv[sl, :] /= phase
-    return JordanForm(jf.blocks, S, Sinv, jf.residual)
+def _first_collision(lambdas, pairs, tol):
+    """First (pair, interval) where two eigenvalue curves come within tol.
 
-
-def _segment_collision(fa, fb, ga, gb, tol):
-    """Closest approach of two eigenvalue curves over one grid interval."""
-    f0, df = fa - fb, (ga - gb) - (fa - fb)
-    denom = abs(df) ** 2
-    t = 0.0 if denom == 0.0 else min(1.0, max(0.0, -(f0 * df.conjugate()).real
-                                              / denom))
-    return abs(f0 + t * df), t
+    Each curve is linear on a grid interval, so the closest approach of a
+    pair over interval i sits at the clamped minimiser t of
+    |f0 + t df|.  Pairs are scanned in the given order and intervals in
+    grid order; returns (pair index, interval, t, distance) or None.
+    """
+    a, b = np.array(pairs, dtype=int).reshape(-1, 2).T
+    f = (lambdas[:, a] - lambdas[:, b]).T          # (pairs, points)
+    f0 = f[:, :-1]
+    df = f[:, 1:] - f0
+    denom = np.abs(df) ** 2
+    with np.errstate(invalid="ignore", divide="ignore"):
+        t = np.where(denom == 0.0, 0.0,
+                     np.clip(-(f0 * df.conj()).real / denom, 0.0, 1.0))
+    dist = np.abs(f0 + t * df)
+    hits = dist < tol
+    if not hits.any():
+        return None
+    p = int(np.argmax(hits.any(axis=1)))
+    i = int(np.argmax(hits[p]))
+    return p, i, float(t[p, i]), float(dist[p, i])
 
 
 def jordan_track(spec: GeneratorSpec, grid, cluster_tol: float = 1e-7,
@@ -365,14 +392,7 @@ def jordan_track(spec: GeneratorSpec, grid, cluster_tol: float = 1e-7,
     sizes = forms[0].sizes
     nb = len(sizes)
     clusters = _cluster_labels(forms[0].eigenvalues, cluster_tol)
-
-    def partition(labels):
-        groups = {}
-        for b, lab in enumerate(labels):
-            groups.setdefault(lab, set()).add(b)
-        return {frozenset(members) for members in groups.values()}
-
-    base_partition = partition(clusters)
+    base_partition = _partition(clusters)
 
     for i in range(1, g.size):
         jf = factory(g[i])
@@ -380,48 +400,30 @@ def jordan_track(spec: GeneratorSpec, grid, cluster_tol: float = 1e-7,
             raise CrossingError(
                 f"block count changed from {nb} to {jf.block_count} at "
                 f"s = {g[i]:.6f}", s=float(g[i]))
-        prev = forms[-1]
-        cost = np.empty((nb, nb))
-        for a in range(nb):
-            la = prev.blocks[a][0]
-            va = prev.similarity[:, prev.block_slice(a).start]
-            for b in range(nb):
-                lb = jf.blocks[b][0]
-                vb = jf.similarity[:, jf.block_slice(b).start]
-                mismatch = 0.0 if prev.blocks[a][1] == jf.blocks[b][1] else 1e6
-                cost[a, b] = (abs(la - lb) + mismatch
-                              + 1e-2 * (1.0 - abs(np.vdot(va, vb))))
-        rows, cols = linear_sum_assignment(cost)
-        order = [int(cols[np.nonzero(rows == a)[0][0]]) for a in range(nb)]
-        jf = _permute_form(jf, order)
+        jf = _align(forms[-1], jf)
         if jf.sizes != sizes:
             raise CrossingError(
                 f"block signature changed from {sizes} to {jf.sizes} at "
                 f"s = {g[i]:.6f}", s=float(g[i]), signature=jf.sizes)
         labels = _cluster_labels(jf.eigenvalues, cluster_tol)
-        if partition(labels) != base_partition:
+        if _partition(labels) != base_partition:
             raise CrossingError(
                 f"eigenvalue grouping changed at s = {g[i]:.6f}",
                 s=float(g[i]))
-        anchors = [prev.similarity[:, prev.block_slice(b).start]
-                   for b in range(nb)]
-        forms.append(_phase_align(jf, anchors))
+        forms.append(jf)
 
     lambdas = np.array([jf.eigenvalues for jf in forms])
-    for a in range(nb):
-        for b in range(a + 1, nb):
-            if clusters[a] == clusters[b]:
-                continue
-            for i in range(g.size - 1):
-                dist, t = _segment_collision(lambdas[i, a], lambdas[i, b],
-                                             lambdas[i + 1, a],
-                                             lambdas[i + 1, b], collision_tol)
-                if dist < collision_tol:
-                    s_hit = float(g[i] + t * (g[i + 1] - g[i]))
-                    raise CrossingError(
-                        f"eigenvalue curves of blocks {a} and {b} approach "
-                        f"within {dist:.2e} near s = {s_hit:.6f}",
-                        s=s_hit, pair=(a, b), distance=float(dist))
+    pairs = [(a, b) for a in range(nb) for b in range(a + 1, nb)
+             if clusters[a] != clusters[b]]
+    hit = _first_collision(lambdas, pairs, collision_tol)
+    if hit is not None:
+        p, i, t, dist = hit
+        a, b = pairs[p]
+        s_hit = float(g[i] + t * (g[i + 1] - g[i]))
+        raise CrossingError(
+            f"eigenvalue curves of blocks {a} and {b} approach "
+            f"within {dist:.2e} near s = {s_hit:.6f}",
+            s=s_hit, pair=(a, b), distance=dist)
 
     lamint = cumulative_trapezoid(lambdas, g, axis=0, initial=0.0)
     residual = float(max(jf.residual for jf in forms))
@@ -447,12 +449,11 @@ class JordanCoefficients:
     track: JordanTrack = field(repr=False)
 
     def reconstruct(self) -> np.ndarray:
-        out = np.zeros((self.grid.size, self.track.dim), dtype=complex)
+        off = self.track.offsets
+        coeffs = np.zeros((self.grid.size, self.track.dim), dtype=complex)
         for (b, j), proj in self.raw.items():
-            for i in range(self.grid.size):
-                col = self.track.forms[i].right_vectors(b)[:, j]
-                out[i] += proj[i] * col
-        return out
+            coeffs[:, off[b] + j] = proj
+        return np.einsum("ikc,ic->ik", self.track.similarity, coeffs)
 
 
 def expand_jordan_coefficients(rho_traj: Trajectory, jtrack: JordanTrack,
@@ -460,19 +461,30 @@ def expand_jordan_coefficients(rho_traj: Trajectory, jtrack: JordanTrack,
     """Project a trajectory onto the left chains and strip the exponentials."""
     if not np.array_equal(rho_traj.grid, jtrack.grid):
         raise InputError("trajectory and track grids differ")
+    proj = np.einsum("ick,ik->ic", jtrack.similarity_inv, rho_traj.states)
     raw, p = {}, {}
     for b in range(jtrack.nblocks):
         expo = -T * jtrack.lamint[:, b]
+        grow = np.where(expo.real > _EXP_CAP, np.inf + 0j,
+                        np.exp(np.where(expo.real > _EXP_CAP, 0, expo)))
         for j in range(jtrack.sizes[b]):
-            proj = np.array([
-                jtrack.forms[i].left_vectors(b)[j] @ rho_traj.states[i]
-                for i in range(jtrack.grid.size)
-            ])
-            raw[(b, j)] = proj
-            grow = np.where(expo.real > _EXP_CAP, np.inf + 0j,
-                            np.exp(np.where(expo.real > _EXP_CAP, 0, expo)))
-            p[(b, j)] = 2.0 * grow * proj
+            raw[(b, j)] = proj[:, jtrack.offsets[b] + j]
+            p[(b, j)] = 2.0 * grow * raw[(b, j)]
     return JordanCoefficients(jtrack.grid, float(T), p, raw, jtrack)
+
+
+def coupling_tensor(jtrack: JordanTrack, spec: GeneratorSpec) -> np.ndarray:
+    """S^-1 dL/ds S at every track point, shape (N, n, n).
+
+    The ``(a, b)`` block ``[:, jtrack.block_slice(a), jtrack.block_slice(b)]``
+    pairs the left chains of block a with the right chains of block b
+    through dL/ds.  Every condition and regime routine reads its
+    couplings from this one tensor; build it once per track and hand it
+    to each of them.
+    """
+    asm = SuperAssembler(spec)
+    dLs = np.array([asm.derivative(s) for s in jtrack.grid])
+    return jtrack.similarity_inv @ dLs @ jtrack.similarity
 
 
 def condition_term_count(n_alpha: int, i: int, j: int) -> int:
@@ -490,15 +502,6 @@ def time_term_count(n_alpha: int, n_beta: int, i: int, Lambda: int) -> int:
             f"invalid indices n_alpha={n_alpha}, n_beta={n_beta}, i={i}")
     return Lambda * (math.comb(n_alpha + n_beta - i + 1, n_beta)
                      - n_beta - 1)
-
-
-def _pair_elements(jtrack, dLs, a, b):
-    """B[i][r, c] = (left chain r of block a) dL/ds (right chain c of b)."""
-    out = []
-    for i in range(jtrack.grid.size):
-        jf = jtrack.forms[i]
-        out.append(jf.left_vectors(a) @ dLs[i] @ jf.right_vectors(b))
-    return np.array(out)
 
 
 def _metric_sum(B, omega, na, ii, jj):
@@ -578,26 +581,27 @@ class OpenCondition:
 
 
 def open_condition_metric(jtrack: JordanTrack, spec: GeneratorSpec,
-                          grid=None) -> OpenCondition:
+                          grid=None, couplings=None) -> OpenCondition:
     """Evaluate the block-to-block adiabaticity metric on the track grid.
 
     For source block beta and target chain position i of block alpha, each
     summand couples a left chain vector of alpha to a right chain vector of
     beta through dL/ds and divides by a power of the eigenvalue difference;
     the metric is the worst absolute value of the signed sum over the grid.
+    ``couplings`` is :func:`coupling_tensor` of the track, built here when
+    not given.
     """
     g = jtrack.grid if grid is None else _validate_grid(grid)
     if not np.array_equal(g, jtrack.grid):
         raise InputError("metric grid must match the track grid")
-    asm = SuperAssembler(spec)
-    dLs = [asm.derivative(s) for s in g]
+    C = coupling_tensor(jtrack, spec) if couplings is None else couplings
 
     metrics, simplified, counts = {}, {}, {}
     worst, worst_key = 0.0, None
     for a, b in jtrack.pairs():
         omega = jtrack.omega(b, a)
         _require_separated(omega, a, b, g)
-        B = _pair_elements(jtrack, dLs, a, b)
+        B = C[:, jtrack.block_slice(a), jtrack.block_slice(b)]
         na, nb_ = jtrack.sizes[a], jtrack.sizes[b]
         for ii in range(na):
             for jj in range(nb_):
@@ -636,26 +640,27 @@ class OpenTimeCondition:
 
 
 def open_time_condition(jtrack: JordanTrack, spec: GeneratorSpec, coeffs,
-                        T_grid, eta: float = 10.0) -> OpenTimeCondition:
+                        T_grid, eta: float = 10.0,
+                        couplings=None) -> OpenTimeCondition:
     """Evaluate the time condition for every coefficient over T_grid.
 
     ``coeffs`` is either one :class:`JordanCoefficients` used for every T
     or a callable T -> JordanCoefficients for self-consistent evaluation.
     A real part of the accumulated exponent beyond the overflow cap makes
-    the bound infinite rather than raising.
+    the bound infinite rather than raising.  ``couplings`` is
+    :func:`coupling_tensor` of the track, built here when not given.
     """
     T_vals = tuple(float(T) for T in T_grid)
     if not T_vals or any(T <= 0 for T in T_vals):
         raise InputError("T_grid must hold positive total times")
     g = jtrack.grid
-    asm = SuperAssembler(spec)
-    dLs = [asm.derivative(s) for s in g]
+    C = coupling_tensor(jtrack, spec) if couplings is None else couplings
 
     pair_B, pair_omega = {}, {}
     for a, b in jtrack.pairs():
         omega = jtrack.omega(b, a)
         _require_separated(omega, a, b, g)
-        pair_B[(a, b)] = _pair_elements(jtrack, dLs, a, b)
+        pair_B[(a, b)] = C[:, jtrack.block_slice(a), jtrack.block_slice(b)]
         pair_omega[(a, b)] = omega
 
     bounds, integrals, simplified, satisfied = {}, {}, {}, {}
@@ -720,8 +725,8 @@ def open_time_condition(jtrack: JordanTrack, spec: GeneratorSpec, coeffs,
 
 def classify_regime(jtrack: JordanTrack, coeffs: JordanCoefficients,
                     spec: GeneratorSpec, re_tol: float = 1e-9,
-                    v_tol: float = 1e-12,
-                    comp_factor: float = 10.0) -> dict:
+                    v_tol: float = 1e-12, comp_factor: float = 10.0,
+                    couplings=None) -> dict:
     """Label each unordered block pair by the fate of its time condition.
 
     oscillatory-RL   purely imaginary exponent, nonvanishing frequency:
@@ -733,16 +738,18 @@ def classify_regime(jtrack: JordanTrack, coeffs: JordanCoefficients,
                      only below some crossover time
     guaranteed       no coupling at all between the blocks
     model-dependent  none of the clean shapes applies
+
+    ``couplings`` is :func:`coupling_tensor` of the track, built here when
+    not given.
     """
-    asm = SuperAssembler(spec)
     g = jtrack.grid
-    dLs = [asm.derivative(s) for s in g]
+    C = coupling_tensor(jtrack, spec) if couplings is None else couplings
     T = coeffs.total_time
 
     def orientation(a, b):
         """Growth, coupling weight, and compensation for source block b."""
         rew = jtrack.omega_integral(b, a).real
-        B = _pair_elements(jtrack, dLs, a, b)
+        B = C[:, jtrack.block_slice(a), jtrack.block_slice(b)]
         vmax = 0.0
         for jj in range(jtrack.sizes[b]):
             pmag = np.abs(coeffs.p[(b, jj)])

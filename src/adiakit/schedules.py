@@ -174,7 +174,35 @@ def sinusoid(amplitude, frequency=1.0, phase=0.0, offset=0.0) -> Envelope:
                      phase=phase, offset=offset)
 
 
-def envelope_from_json(data, name: str = "envelope") -> Envelope:
+def _finite_number(value, label: str, field: str,
+                   positive: bool = False) -> float:
+    """``value`` as a float if it is a finite number (and positive, if asked).
+
+    Anything else -- a string, a boolean, NaN, an infinity, an integer too
+    large for a float, or with ``positive`` zero or a negative number --
+    raises :class:`InputError` naming ``field``.
+    """
+    number = math.nan
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:
+            number = math.inf
+    if not (math.isfinite(number) and (number > 0 or not positive)):
+        kind = "finite positive number" if positive else "finite number"
+        raise InputError(f"{label} must be a {kind}, got {value!r}",
+                         field=field)
+    return number
+
+
+def envelope_from_json(data, name: str = "envelope",
+                       field: str = None) -> Envelope:
+    """Parse ``{"kind": ..., <parameters>}`` into an :class:`Envelope`.
+
+    Every parameter must be a finite number (``coeffs`` a non-empty list
+    of them); an error names ``<field>.<parameter>``, with ``field``
+    defaulting to ``name``.
+    """
     if not isinstance(data, dict) or "kind" not in data:
         raise InputError(f"{name}: expected an object with a 'kind' field")
     kind = data["kind"]
@@ -185,10 +213,19 @@ def envelope_from_json(data, name: str = "envelope") -> Envelope:
     if set(params) != set(_ENVELOPE_PARAMS[kind]):
         raise InputError(f"{name}: envelope {kind!r} expects "
                          f"{sorted(_ENVELOPE_PARAMS[kind])}, got {sorted(params)}")
-    try:
-        return _envelope(kind, **params)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"{name}: bad envelope parameters ({exc})") from exc
+    prefix = field or name
+    for key, value in params.items():
+        if key == "coeffs":
+            if not isinstance(value, list) or not value:
+                raise InputError(f"{name}.coeffs must be a non-empty list",
+                                 field=f"{prefix}.coeffs")
+            params[key] = [_finite_number(v, f"{name}.coeffs[{k}]",
+                                          f"{prefix}.coeffs")
+                           for k, v in enumerate(value)]
+        else:
+            params[key] = _finite_number(value, f"{name}.{key}",
+                                         f"{prefix}.{key}")
+    return _envelope(kind, **params)
 
 
 def _normalize_terms(terms, dim, label, hermitian):

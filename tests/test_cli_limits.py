@@ -132,3 +132,46 @@ def test_tolerances_below_float_range_terminate(tmp_path):
     err = json.loads(proc.stderr)
     assert err["error"] == "StiffnessError"
     assert err["details"]["s"] == 0.0
+
+
+def explicit_doc(envelope):
+    """A 1x1 closed scenario with explicit terms and the given envelope."""
+    return {"schema": 1, "kind": "closed", "dimension": 1,
+            "hamiltonian_terms": [{"matrix": [[[1.0, 0.0]]],
+                                   "envelope": envelope}],
+            "initial_state": [[1.0, 0.0]], "total_time": 1.0,
+            "grid_points": 5}
+
+
+def with_params(doc, **params):
+    model = dict(doc["model"], params=dict(doc["model"]["params"], **params))
+    return dict(doc, model=model)
+
+
+@pytest.mark.parametrize("doc, field", [
+    (with_params(LZ_DOC, a=math.nan), "model.params.a"),
+    (with_params(LZ_DOC, a="x"), "model.params.a"),
+    (with_params(LZ_DOC, delta=math.inf), "model.params.delta"),
+    (with_params(LZ_DOC, delta=True), "model.params.delta"),
+    (with_params(LZ_DOC, a=10 ** 400), "model.params.a"),
+    (explicit_doc({"kind": "constant", "value": math.nan}),
+     "hamiltonian_terms[0].envelope.value"),
+    (explicit_doc({"kind": "linear", "start": 0.0, "end": -math.inf}),
+     "hamiltonian_terms[0].envelope.end"),
+    (explicit_doc({"kind": "polynomial", "coeffs": [0.0, math.nan]}),
+     "hamiltonian_terms[0].envelope.coeffs"),
+    (explicit_doc({"kind": "sinusoid", "amplitude": 1.0, "frequency": "2",
+                   "phase": 0.0, "offset": 0.0}),
+     "hamiltonian_terms[0].envelope.frequency"),
+    (with_params(DEPHASING_DOC, gamma_envelope={"kind": "constant",
+                                                "value": math.inf}),
+     "model.params.gamma_envelope.value"),
+], ids=["param-nan", "param-string", "param-inf", "param-bool",
+        "param-huge-int", "envelope-nan", "envelope-inf",
+        "envelope-coeff-nan", "envelope-string", "model-envelope-inf"])
+def test_bad_model_or_envelope_parameter_exit_two(tmp_path, capsys, doc,
+                                                  field):
+    path = write_doc(tmp_path, doc)
+    verb = "check" if doc["kind"] == "open" else "evolve"
+    assert main([verb, path, "--out", str(tmp_path / "out")]) == 2
+    assert field_of(capsys.readouterr().err) == field

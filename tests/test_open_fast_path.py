@@ -1,0 +1,382 @@
+"""The vectorised open-system path against the slow forms it replaced.
+
+* ``jordan_decompose`` takes singleton clusters from one ``eig`` call; the
+  sorted-Schur cluster routine it keeps for larger clusters is the oracle.
+* The coupling tensor S^-1 dL/ds S is checked slice by slice against the
+  per-pair, per-point products it replaced.
+* Coefficient projection, reconstruction, block stitching, the collision
+  scan and the clustering routine are checked against loop forms.
+* The open commands build each T-independent object once: counted by
+  wrapping the functions the command line calls.
+"""
+
+import importlib.util
+import json
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+from scipy.optimize import linear_sum_assignment
+
+from adiakit import cli
+from adiakit import numkit as nk
+from adiakit import open_system as osys
+from adiakit.errors import ConditioningError, NumericalError
+
+from test_jordan import planted
+
+ROOT = Path(__file__).resolve().parents[1]
+DEPHASING = ROOT / "scripts" / "scenarios" / "dephasing_qubit.json"
+
+
+def schur_path(M, cluster_tol=1e-7, rank_tol=1e-9):
+    """The decomposition with every cluster, singletons included, taken
+    through the sorted-Schur cluster routine."""
+    A = np.asarray(M, dtype=complex)
+    eigs = np.linalg.eigvals(A)
+    labels = np.array(nk._cluster_labels(eigs, cluster_tol))
+    entries = []
+    for k in range(labels.max() + 1):
+        entries += nk._cluster_chains(A, eigs, np.flatnonzero(labels == k),
+                                      rank_tol)
+    return nk._assemble_form(A, entries, cond_cap=math.inf)
+
+
+def assert_same_form(fast, slow, eig_rel=1e-12, vec_tol=1e-10):
+    assert fast.sizes == slow.sizes
+    scale = max(1.0, float(np.max(np.abs(slow.eigenvalues))))
+    assert np.max(np.abs(fast.eigenvalues - slow.eigenvalues)) \
+        <= eig_rel * scale
+    assert np.max(np.abs(fast.similarity - slow.similarity)) <= vec_tol
+
+
+def singleton_matrix(rng, n):
+    """Random diagonalisable matrix with a well separated spectrum."""
+    lams = rng.normal(size=n) + 1j * rng.normal(size=n)
+    while np.min(np.abs(lams[:, None] - lams[None, :])
+                 + np.eye(n)) < 0.05:
+        lams = rng.normal(size=n) + 1j * rng.normal(size=n)
+    # eigenvector matrix of condition number 4
+    Qa, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    Qb, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    V = Qa @ np.diag(np.linspace(1.0, 4.0, n)) @ Qb
+    return V @ np.diag(lams) @ np.linalg.inv(V)
+
+
+class TestSingletonFastPath:
+    def test_agrees_with_schur_path_on_singleton_spectra(self):
+        rng = np.random.default_rng(2024)
+        for n in range(4, 17):
+            for _ in range(3):
+                M = singleton_matrix(rng, n)
+                fast = nk.jordan_decompose(M)
+                slow = schur_path(M)
+                assert fast.sizes == (1,) * n
+                assert_same_form(fast, slow)
+                assert fast.residual < 1e-12 and slow.residual < 1e-12
+
+    def test_agrees_with_schur_path_on_planted_ensemble(self):
+        """The ensemble of ``test_jordan``: defective clusters go through
+        the same Schur routine, singletons through ``eig``."""
+        rng = np.random.default_rng(42)
+        lam_pool = [1.0, 0.5 + 0.4j, -0.2, -0.9 - 0.3j]
+        for _ in range(25):
+            dim_target = int(rng.integers(2, 8))
+            blocks, total = [], 0
+            while total < dim_target:
+                size = int(min(rng.integers(1, 4), dim_target - total))
+                blocks.append((lam_pool[rng.integers(0, 4)], size))
+                total += size
+            cond = float(np.exp(rng.uniform(np.log(2.0), np.log(60.0))))
+            M = planted(blocks, cond, rng)
+            fast = nk.jordan_decompose(M, cluster_tol=5e-4, rank_tol=1e-7)
+            slow = schur_path(M, cluster_tol=5e-4, rank_tol=1e-7)
+            assert_same_form(fast, slow)
+            assert fast.residual < 1e-8
+
+    def test_generated_open4_supermatrices(self):
+        spec = cli.parse_scenario(generated("open4", 3)).spec
+        asm = osys.SuperAssembler(spec)
+        for s in (0.0, 0.35, 1.0):
+            L = asm.matrix(s)
+            fast, slow = nk.jordan_decompose(L), schur_path(L)
+            assert fast.sizes == (1,) * 16
+            assert_same_form(fast, slow)
+            assert fast.residual < 1e-12
+
+    def test_ill_conditioned_singletons_raise_with_result(self):
+        M = np.array([[0.5, 1e13], [0.0, 0.5 + 1e-3]])
+        with pytest.raises(ConditioningError) as exc:
+            nk.jordan_decompose(M)
+        assert exc.value.result.sizes == (1, 1)
+        assert exc.value.details["condition"] > 1e12
+
+    def test_overlapping_cluster_raises(self):
+        # a chain of eigenvalues 0.99 apart closes into one cluster at
+        # tol = 1 whose spread (1.98) exceeds the distance (1.5) from its
+        # centre to an eigenvalue outside it
+        M = np.diag([0.0, 0.99, 1.98, 2.97, 3.96, 1.98 + 1.5j])
+        with pytest.raises(NumericalError, match="overlap"):
+            nk.jordan_decompose(M, cluster_tol=1.0)
+
+
+class TestClusterLabels:
+    @staticmethod
+    def pairwise_labels(values, tol):
+        """Transitive closure by repeated merging, labels by first
+        occurrence."""
+        groups = [{i} for i in range(len(values))]
+        merged = True
+        while merged:
+            merged = False
+            for x in range(len(groups)):
+                for y in range(x + 1, len(groups)):
+                    if any(abs(values[i] - values[j]) <= tol
+                           for i in groups[x] for j in groups[y]):
+                        groups[x] |= groups.pop(y)
+                        merged = True
+                        break
+                if merged:
+                    break
+        owner = {i: min(g) for g in groups for i in g}
+        firsts = sorted(set(owner.values()))
+        return tuple(firsts.index(owner[i]) for i in range(len(values)))
+
+    def test_matches_pairwise_closure(self):
+        rng = np.random.default_rng(5)
+        for _ in range(40):
+            n = int(rng.integers(1, 12))
+            values = rng.integers(0, 6, n) * 0.1 + 1j * rng.integers(0, 3, n)
+            values = values + 1e-9 * rng.normal(size=n)
+            assert nk._cluster_labels(values, 0.15) == \
+                self.pairwise_labels(list(values), 0.15)
+
+    def test_first_occurrence_order(self):
+        assert nk._cluster_labels([5.0, 1.0, 5.0 + 1e-9, 1.0, 3.0],
+                                  1e-6) == (0, 1, 0, 1, 2)
+        assert nk._cluster_labels([], 1.0) == ()
+
+
+def generated(family, seed):
+    """A document from the benchmark's seeded scenario generator."""
+    path = ROOT / "perfbench" / "gen.py"
+    if not path.exists():
+        pytest.skip("the scenario generator is not in this checkout")
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen.generate(family, seed)
+
+
+def pair_elements(jtrack, dLs, a, b):
+    """B[i][r, c] = (left chain r of block a) dL/ds (right chain c of b)."""
+    out = []
+    for i in range(jtrack.grid.size):
+        jf = jtrack.forms[i]
+        out.append(jf.left_vectors(a) @ dLs[i] @ jf.right_vectors(b))
+    return np.array(out)
+
+
+@pytest.fixture(scope="module", params=["dephasing", "open4"])
+def open_case(request):
+    if request.param == "dephasing":
+        sc = cli.parse_scenario(json.loads(DEPHASING.read_text()))
+    else:
+        sc = cli.parse_scenario(generated("open4", 3))
+    track = osys.jordan_track(sc.spec, sc.grid())
+    return sc, track
+
+
+class TestBlockAlgebra:
+    def test_coupling_tensor_matches_pair_products(self, open_case):
+        sc, track = open_case
+        asm = osys.SuperAssembler(sc.spec)
+        dLs = [asm.derivative(s) for s in track.grid]
+        C = osys.coupling_tensor(track, sc.spec)
+        assert C.shape == (track.grid.size, track.dim, track.dim)
+        scale = float(np.max(np.abs(C)))
+        for a in range(track.nblocks):
+            for b in range(track.nblocks):
+                want = pair_elements(track, dLs, a, b)
+                got = C[:, track.block_slice(a), track.block_slice(b)]
+                assert np.max(np.abs(got - want)) <= 1e-13 * scale
+
+    def test_stacks_and_offsets_match_forms(self, open_case):
+        _, track = open_case
+        for i, jf in enumerate(track.forms):
+            assert np.array_equal(track.similarity[i], jf.similarity)
+            assert np.array_equal(track.similarity_inv[i],
+                                  jf.similarity_inv)
+            for b in range(track.nblocks):
+                assert jf.block_slice(b) == track.block_slice(b)
+                start = sum(track.sizes[:b])
+                assert track.block_slice(b) == slice(start,
+                                                     start + track.sizes[b])
+
+    def test_expansion_and_reconstruction_match_loops(self, open_case):
+        sc, track = open_case
+        T = 5.0
+        traj = osys.integrate_master(sc.spec, T, sc.initial_state,
+                                     track.grid)
+        co = osys.expand_jordan_coefficients(traj, track, T)
+        scale = float(np.max(np.abs(traj.states)))
+        for b in range(track.nblocks):
+            for j in range(track.sizes[b]):
+                loop = np.array([track.forms[i].left_vectors(b)[j]
+                                 @ traj.states[i]
+                                 for i in range(track.grid.size)])
+                assert np.max(np.abs(co.raw[(b, j)] - loop)) \
+                    <= 1e-13 * scale
+        rebuilt = np.zeros_like(traj.states)
+        for (b, j), proj in co.raw.items():
+            for i in range(track.grid.size):
+                rebuilt[i] += proj[i] * track.forms[i].right_vectors(b)[:, j]
+        assert np.max(np.abs(co.reconstruct() - rebuilt)) <= 1e-13 * scale
+        assert np.max(np.abs(co.reconstruct() - traj.states)) < 1e-10
+
+    def test_explicit_couplings_change_nothing(self, open_case):
+        sc, track = open_case
+        C = osys.coupling_tensor(track, sc.spec)
+        traj = osys.integrate_master(sc.spec, 5.0, sc.initial_state,
+                                     track.grid)
+        co = osys.expand_jordan_coefficients(traj, track, 5.0)
+        assert osys.open_condition_metric(track, sc.spec, couplings=C) \
+            == osys.open_condition_metric(track, sc.spec)
+        assert osys.open_time_condition(track, sc.spec, co, (5.0,),
+                                        couplings=C) \
+            == osys.open_time_condition(track, sc.spec, co, (5.0,))
+        assert osys.classify_regime(track, co, sc.spec, couplings=C) \
+            == osys.classify_regime(track, co, sc.spec)
+
+
+def segment_scan(lambdas, pairs, tol):
+    """The per-pair, per-interval closest-approach loop."""
+    for p, (a, b) in enumerate(pairs):
+        for i in range(lambdas.shape[0] - 1):
+            fa, fb = lambdas[i, a], lambdas[i, b]
+            ga, gb = lambdas[i + 1, a], lambdas[i + 1, b]
+            f0, df = fa - fb, (ga - gb) - (fa - fb)
+            denom = abs(df) ** 2
+            t = 0.0 if denom == 0.0 else min(
+                1.0, max(0.0, -(f0 * df.conjugate()).real / denom))
+            dist = abs(f0 + t * df)
+            if dist < tol:
+                return p, i, t, dist
+    return None
+
+
+class TestStitching:
+    def test_collision_scan_matches_segment_loop(self):
+        rng = np.random.default_rng(8)
+        for _ in range(30):
+            n, npts = int(rng.integers(2, 6)), int(rng.integers(2, 9))
+            lambdas = rng.normal(size=(npts, n)) + 1j * rng.normal(
+                size=(npts, n))
+            lambdas[:, 0] = lambdas[:, -1]      # an exact meeting
+            pairs = [(a, b) for a in range(n) for b in range(a + 1, n)
+                     if rng.uniform() < 0.8]
+            tol = float(rng.uniform(0.05, 0.8))
+            got = osys._first_collision(lambdas, pairs, tol)
+            want = segment_scan(lambdas, pairs, tol)
+            assert (got is None) == (want is None)
+            if want is not None:
+                # same pair and interval; t and the distance agree to
+                # rounding (numpy and Python complex arithmetic may round
+                # differently in the last bit)
+                assert got[:2] == want[:2]
+                assert got[2:] == pytest.approx(want[2:], rel=1e-12,
+                                                abs=1e-15)
+
+    def test_alignment_matches_loop_form(self, open_case):
+        sc, track = open_case
+        asm = osys.SuperAssembler(sc.spec)
+        rng = np.random.default_rng(3)
+        for i in range(1, track.grid.size, 7):
+            prev = track.forms[i - 1]
+            jf = nk.jordan_decompose(asm.matrix(track.grid[i]))
+            jf = permuted(jf, rng.permutation(jf.block_count))
+            got, want = osys._align(prev, jf), align_loop(prev, jf)
+            assert got.blocks == want.blocks
+            assert np.max(np.abs(got.similarity - want.similarity)) < 1e-14
+            assert np.max(np.abs(got.similarity_inv
+                                 - want.similarity_inv)) < 1e-12
+
+
+def permuted(jf, order):
+    cols = np.concatenate([np.arange(jf.offsets[b], jf.offsets[b + 1])
+                           for b in order])
+    return nk.JordanForm(tuple(jf.blocks[b] for b in order),
+                         jf.similarity[:, cols], jf.similarity_inv[cols, :],
+                         jf.residual)
+
+
+def align_loop(prev, jf):
+    """Block matching by a per-entry cost loop, then per-block rephasing."""
+    nb = jf.block_count
+    cost = np.empty((nb, nb))
+    for a in range(nb):
+        va = prev.similarity[:, prev.block_slice(a).start]
+        for b in range(nb):
+            vb = jf.similarity[:, jf.block_slice(b).start]
+            mismatch = 0.0 if prev.blocks[a][1] == jf.blocks[b][1] else 1e6
+            cost[a, b] = (abs(prev.blocks[a][0] - jf.blocks[b][0]) + mismatch
+                          + 1e-2 * (1.0 - abs(np.vdot(va, vb))))
+    rows, cols = linear_sum_assignment(cost)
+    jf = permuted(jf, [int(cols[np.nonzero(rows == a)[0][0]])
+                       for a in range(nb)])
+    S, Sinv = jf.similarity.copy(), jf.similarity_inv.copy()
+    for b in range(nb):
+        sl = jf.block_slice(b)
+        z = np.vdot(prev.similarity[:, prev.block_slice(b).start],
+                    S[:, sl.start])
+        if abs(z) > 1e-12:
+            S[:, sl] *= z / abs(z)
+            Sinv[sl, :] /= z / abs(z)
+    return nk.JordanForm(jf.blocks, S, Sinv, jf.residual)
+
+
+def count_calls(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+class TestComputeOnce:
+    def test_check_builds_each_object_once(self, monkeypatch, tmp_path):
+        tracks = count_calls(monkeypatch, cli, "jordan_track")
+        solves = count_calls(monkeypatch, cli, "integrate_master")
+        derivs = count_calls(monkeypatch, osys.SuperAssembler, "derivative")
+        doc = json.loads(DEPHASING.read_text())
+        assert cli.main(["check", str(DEPHASING),
+                         "--out", str(tmp_path / "check.json")]) == 0
+        assert len(tracks) == 1
+        assert len(solves) == len(doc["T_grid"])
+        assert len(derivs) <= doc["grid_points"]
+
+    @pytest.mark.parametrize("points", [2, 5])
+    def test_serial_sweep_builds_one_track(self, monkeypatch, tmp_path,
+                                           points):
+        tracks = count_calls(monkeypatch, cli, "jordan_track")
+        derivs = count_calls(monkeypatch, osys.SuperAssembler, "derivative")
+        grid_points = json.loads(DEPHASING.read_text())["grid_points"]
+        assert cli.main(["sweep", str(DEPHASING), "--T-min", "1",
+                         "--T-max", "50", "--points", str(points),
+                         "--jobs", "1",
+                         "--out", str(tmp_path / "sweep.csv")]) == 0
+        assert len(tracks) == 1
+        assert len(derivs) <= grid_points
+
+    def test_pooled_sweep_matches_serial(self, tmp_path):
+        rows = {}
+        for jobs in (1, 2):
+            rows[jobs] = cli.sweep_total_time(str(DEPHASING), 1.0, 50.0, 3,
+                                              jobs=jobs)
+        assert rows[1] == rows[2]
+
