@@ -27,10 +27,10 @@ import numpy as np
 
 from . import __version__
 from .closed import (
+    _track_propagator,
     adiabatic_condition_ratio,
     adiabatic_state,
     fidelity,
-    instantaneous_propagator,
     integrate_schrodinger,
     min_time_estimate,
     track_spectrum,
@@ -44,7 +44,7 @@ from .errors import (
     InputError,
     ShapeError,
 )
-from .numkit import is_hermitian, matrix_from_json, matrix_to_json
+from .numkit import _finite_number, is_hermitian, matrix_from_json
 from .open_system import (
     classify_regime,
     coupling_tensor,
@@ -58,7 +58,6 @@ from .open_system import (
 from .schedules import (
     MODEL_NAMES,
     GeneratorSpec,
-    _finite_number,
     envelope_from_json,
     make_model,
 )
@@ -66,7 +65,6 @@ from .schedules import (
 __all__ = [
     "Scenario",
     "parse_scenario",
-    "serialize_scenario",
     "run_scenario",
     "sweep_total_time",
     "emit_report",
@@ -93,7 +91,6 @@ class Scenario:
 
     spec: GeneratorSpec
     pipeline: str
-    model: dict
     initial_state: np.ndarray
     total_time: float
     T_grid: tuple
@@ -114,9 +111,8 @@ class Scenario:
 def _field(data, name, expected, where):
     value = data[name]
     if not isinstance(value, expected):
-        kinds = expected[0].__name__ if isinstance(expected, tuple) \
-            else expected.__name__
-        raise InputError(f"{where}.{name} must be a {kinds}", field=name)
+        raise InputError(f"{where}.{name} must be a {expected.__name__}",
+                         field=name)
     return value
 
 
@@ -126,8 +122,13 @@ def _coerce_model_params(params, where):
         label, field = f"{where}.model.params.{key}", f"model.params.{key}"
         if key.endswith("_envelope"):
             out[key] = envelope_from_json(value, label, field)
-        elif isinstance(value, list):
-            out[key] = matrix_from_json(value, label)
+        elif key in ("h0", "h1"):
+            matrix = matrix_from_json(value, field)
+            if not (matrix.shape[0] == matrix.shape[1]
+                    and is_hermitian(matrix, 1e-12)):
+                raise InputError(f"{label} must be a Hermitian matrix",
+                                 field=field)
+            out[key] = matrix
         else:
             out[key] = _finite_number(value, label, field)
     return out
@@ -142,17 +143,17 @@ def _parse_terms(data, name, where):
             raise InputError(
                 f"{label} must be an object with 'matrix' and 'envelope'",
                 field=name)
-        terms.append((matrix_from_json(item["matrix"], f"{label}.matrix"),
+        field = f"{name}[{k}]"
+        terms.append((matrix_from_json(item["matrix"], f"{field}.matrix"),
                       envelope_from_json(item["envelope"],
                                          f"{label}.envelope",
-                                         f"{name}[{k}].envelope")))
+                                         f"{field}.envelope")))
     return tuple(terms)
 
 
 def _parse_initial_state(data, spec, where):
     if spec.kind == "closed":
-        vec = np.asarray(matrix_from_json([data], f"{where}.initial_state")
-                         ).reshape(-1)
+        vec = matrix_from_json([data], "initial_state").reshape(-1)
         if vec.size != spec.dimension:
             raise InputError(
                 f"{where}.initial_state needs {spec.dimension} components, "
@@ -161,7 +162,7 @@ def _parse_initial_state(data, spec, where):
             raise InputError(f"{where}.initial_state is not normalized",
                              field="initial_state")
         return vec
-    rho = matrix_from_json(data, f"{where}.initial_state")
+    rho = matrix_from_json(data, "initial_state")
     D = spec.dimension
     if rho.shape != (D, D):
         raise InputError(f"{where}.initial_state must be {D}x{D}",
@@ -191,7 +192,6 @@ def parse_scenario(data, where: str = "scenario") -> Scenario:
             f"{where}.schema must be {SCHEMA_VERSION}, "
             f"got {data.get('schema')!r}", field="schema")
 
-    model = None
     if "model" in data:
         block = _field(data, "model", dict, where)
         if set(block) - {"name", "params"} or "name" not in block:
@@ -206,7 +206,6 @@ def parse_scenario(data, where: str = "scenario") -> Scenario:
             raise InputError(f"{where}.model.params must be an object",
                              field="model")
         spec = make_model(block["name"], **_coerce_model_params(params, where))
-        model = {"name": block["name"], "params": params}
     else:
         for required in ("kind", "dimension", "hamiltonian_terms"):
             if required not in data:
@@ -218,7 +217,8 @@ def parse_scenario(data, where: str = "scenario") -> Scenario:
             _field(data, "kind", str, where),
             _parse_terms(_field(data, "hamiltonian_terms", list, where),
                          "hamiltonian_terms", where),
-            _parse_terms(data.get("lindblad_terms", []),
+            _parse_terms(_field(data, "lindblad_terms", list, where)
+                         if "lindblad_terms" in data else [],
                          "lindblad_terms", where))
     if "kind" in data and data["kind"] != spec.kind:
         raise InputError(
@@ -274,44 +274,8 @@ def parse_scenario(data, where: str = "scenario") -> Scenario:
         raise InputError(f"{where}.output.format must be csv or json",
                          field="output")
 
-    return Scenario(spec, pipeline, model, initial, total_time, T_grid,
+    return Scenario(spec, pipeline, initial, total_time, T_grid,
                     grid_points, rtol, atol, out.get("path"), fmt)
-
-
-def serialize_scenario(sc: Scenario) -> dict:
-    """Normalized document form; parse -> serialize -> parse is stable."""
-    doc = {"schema": SCHEMA_VERSION, "kind": sc.kind}
-    if sc.pipeline is not None:
-        doc["pipeline"] = sc.pipeline
-    if sc.model is not None:
-        doc["model"] = {"name": sc.model["name"],
-                        "params": sc.model["params"]}
-    else:
-        doc["dimension"] = sc.spec.dimension
-        doc["hamiltonian_terms"] = [
-            {"matrix": matrix_to_json(M), "envelope": env.to_json()}
-            for M, env in sc.spec.hamiltonian_terms]
-        if sc.spec.lindblad_terms:
-            doc["lindblad_terms"] = [
-                {"matrix": matrix_to_json(M), "envelope": env.to_json()}
-                for M, env in sc.spec.lindblad_terms]
-    if sc.initial_state is not None:
-        if sc.kind == "closed":
-            doc["initial_state"] = matrix_to_json(
-                sc.initial_state[None, :])[0]
-        else:
-            doc["initial_state"] = matrix_to_json(sc.initial_state)
-    if sc.total_time is not None:
-        doc["total_time"] = sc.total_time
-    if sc.T_grid is not None:
-        doc["T_grid"] = list(sc.T_grid)
-    doc["grid_points"] = sc.grid_points
-    doc["tolerances"] = {"rtol": sc.rtol, "atol": sc.atol}
-    output = {"format": sc.out_format}
-    if sc.out_path is not None:
-        output["path"] = sc.out_path
-    doc["output"] = output
-    return doc
 
 
 def emit_report(results, scenario_bytes=None, tolerances=None) -> str:
@@ -488,13 +452,13 @@ def _pipe_wu(sc, args):
     if sc.kind != "closed":
         raise ConfigError("the expansion pipeline needs a closed system")
     order = args.order if args.order is not None else 2
-    if order < 0:
-        raise InputError(f"order must be nonnegative, got {order}",
+    if not 0 <= order <= 3:
+        raise InputError(f"order must be in 0..3, got {order}",
                          field="order")
     T = _require_time(sc, args.T)
     grid = sc.grid()
     expansion = wu_expansion(sc.spec, T, order, grid)
-    exact = instantaneous_propagator(sc.spec, T, grid)
+    exact = _track_propagator(sc.spec, T, expansion.track)
     errors = []
     for m in range(order + 1):
         diff = expansion.partial_sum(m)[-1] - exact[-1]
@@ -620,9 +584,7 @@ def sweep_total_time(path, T_min, T_max, points, spacing: str = "log",
                          field="points")
     if jobs is not None and jobs < 1:
         raise InputError(f"jobs must be >= 1, got {jobs}", field="jobs")
-    with open(path) as fh:
-        doc = json.load(fh)
-    sc = parse_scenario(doc)
+    _, sc = _load_scenario(path)
     grid = sc.grid()
     if sc.kind == "closed":
         context = (sc, grid, track_spectrum(sc.spec, grid), None)
@@ -636,7 +598,7 @@ def sweep_total_time(path, T_min, T_max, points, spacing: str = "log",
         T_values = np.linspace(T_min, T_max, points)
     T_values = [float(T) for T in T_values]
     jobs = jobs or os.cpu_count() or 1
-    if jobs == 1 or points == 1:
+    if jobs == 1:
         rows = [_sweep_point(context, T) for T in T_values]
     else:
         with ProcessPoolExecutor(max_workers=min(jobs, points),
@@ -651,29 +613,47 @@ def sweep_total_time(path, T_min, T_max, points, spacing: str = "log",
 
 # ----------------------------------------------------------------- dispatch
 
-def _resolve_out(sc, pipeline, out_flag, fmt):
-    if out_flag:
-        return out_flag
-    if sc.out_path:
-        return sc.out_path
-    base = os.environ.get("ADIAKIT_OUTPUT_DIR", ".")
-    return os.path.join(base, f"{pipeline}.{fmt}")
+def _resolve_out(out_flag, scenario_path, name):
+    """--out, else the scenario's output path, else ``name`` in the
+    ADIAKIT_OUTPUT_DIR directory (default: the working directory)."""
+    return out_flag or scenario_path or os.path.join(
+        os.environ.get("ADIAKIT_OUTPUT_DIR", "."), name)
 
 
-def _error_json(exc):
-    details = dict(getattr(exc, "details", {}) or {})
-    return json.dumps({"error": type(exc).__name__, "message": str(exc),
-                       "details": details}, sort_keys=True, default=str)
+def _exit_code(run) -> int:
+    """Call ``run`` and map its outcome to the process exit code.
+
+    0 on success; 2 for schema and input errors and unreadable files; 3
+    when a numerical routine refuses.  A failure is also written to stderr
+    as one JSON object with the error name, message and details.
+    """
+    try:
+        run()
+        return 0
+    except (*_SCHEMA_ERRORS, OSError) as exc:
+        code, error = 2, exc
+    except AdiakitError as exc:
+        code, error = 3, exc
+    details = dict(getattr(error, "details", {}) or {})
+    print(json.dumps({"error": type(error).__name__, "message": str(error),
+                      "details": details}, sort_keys=True, default=str),
+          file=sys.stderr)
+    return code
 
 
-def _execute(path, pipeline, args, grid_points=None):
+def _load_scenario(path):
+    """The raw bytes of a scenario file and the parsed :class:`Scenario`."""
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
         doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise InputError(f"scenario is not valid JSON: {exc}") from exc
-    sc = parse_scenario(doc)
+    return raw, parse_scenario(doc)
+
+
+def _execute(path, pipeline, args, grid_points=None):
+    raw, sc = _load_scenario(path)
     if args.T is not None:
         args.T = _finite_number(args.T, "--T", "T", positive=True)
     if grid_points is not None:
@@ -691,17 +671,15 @@ def _execute(path, pipeline, args, grid_points=None):
     fmt = args.format or sc.out_format
     args.format_resolved = fmt
     columns, rows, results = _PIPELINE_FUNCS[verb](sc, args)
-    out = _resolve_out(sc, verb, args.out, fmt)
-    if results is not None:
-        text = emit_report(results, raw, {"rtol": sc.rtol, "atol": sc.atol})
-        _write_text(out, text)
-    elif fmt == "json":
-        payload = {"columns": columns,
+    out = _resolve_out(args.out, sc.out_path, f"{verb}.{fmt}")
+    if results is None and fmt == "json":
+        results = {"columns": columns,
                    "rows": [[float(x) for x in row] for row in rows]}
-        _write_text(out, emit_report(payload, raw,
-                                     {"rtol": sc.rtol, "atol": sc.atol}))
-    else:
+    if results is None:
         _write_csv(out, columns, rows)
+    else:
+        _write_text(out, emit_report(results, raw,
+                                     {"rtol": sc.rtol, "atol": sc.atol}))
     return out
 
 
@@ -711,18 +689,7 @@ def run_scenario(path, pipeline: str = None, T: float = None,
     """Execute one scenario end to end; returns the process exit code."""
     args = argparse.Namespace(T=T, order=order, out=out, format=fmt,
                               format_resolved=None)
-    try:
-        _execute(path, pipeline, args, grid)
-        return 0
-    except _SCHEMA_ERRORS as exc:
-        print(_error_json(exc), file=sys.stderr)
-        return 2
-    except AdiakitError as exc:
-        print(_error_json(exc), file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(_error_json(exc), file=sys.stderr)
-        return 2
+    return _exit_code(lambda: _execute(path, pipeline, args, grid))
 
 
 def main(argv=None) -> int:
@@ -759,31 +726,13 @@ def main(argv=None) -> int:
     sweep.add_argument("--out", default=None)
 
     ns = parser.parse_args(argv)
-    try:
-        if ns.command == "sweep":
-            out = ns.out or _sweep_default_out(ns.scenario)
-            sweep_total_time(ns.scenario, ns.T_min, ns.T_max, ns.points,
-                             ns.spacing, ns.jobs, out)
-            return 0
-        args = argparse.Namespace(T=ns.T, order=getattr(ns, "order", None),
-                                  out=ns.out, format=ns.format,
-                                  format_resolved=None)
-        _execute(ns.scenario, ns.command, args, ns.grid)
-        return 0
-    except _SCHEMA_ERRORS as exc:
-        print(_error_json(exc), file=sys.stderr)
-        return 2
-    except AdiakitError as exc:
-        print(_error_json(exc), file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(_error_json(exc), file=sys.stderr)
-        return 2
-
-
-def _sweep_default_out(scenario_path):
-    base = os.environ.get("ADIAKIT_OUTPUT_DIR", ".")
-    return os.path.join(base, "sweep.csv")
+    if ns.command == "sweep":
+        out = _resolve_out(ns.out, None, "sweep.csv")
+        return _exit_code(lambda: sweep_total_time(
+            ns.scenario, ns.T_min, ns.T_max, ns.points, ns.spacing, ns.jobs,
+            out))
+    return run_scenario(ns.scenario, ns.command, ns.T, ns.grid,
+                        getattr(ns, "order", None), ns.out, ns.format)
 
 
 if __name__ == "__main__":

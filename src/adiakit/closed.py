@@ -339,6 +339,20 @@ def _reference_frame(track: SpectralTrack, level: int) -> np.ndarray:
     return vs * np.conj(phases)[:, None] * phases[0]
 
 
+def _frames(track: SpectralTrack):
+    """Reference frames of every level and their dynamical phases.
+
+    ``frames[i, :, n]`` is level n at ``grid[i]`` in the gauge of
+    :func:`_reference_frame`; ``phi[i, n]`` is the trapezoid integral of
+    E_n from the first grid point to ``grid[i]``.
+    """
+    frames = np.stack([_reference_frame(track, n) for n in range(track.dim)],
+                      axis=2)
+    phi = cumulative_trapezoid(track.energies, track.grid, axis=0,
+                               initial=0.0)
+    return frames, phi
+
+
 def _grid_derivative(values: np.ndarray, grid: np.ndarray) -> np.ndarray:
     """Central differences along axis 0, one-sided at the ends."""
     out = np.empty_like(values)
@@ -464,7 +478,7 @@ def coefficient_dynamics(spec: GeneratorSpec, T: float, a0, grid=None,
     track = track_spectrum(spec, g, gap_floor)
     D = track.dim
 
-    frames = np.stack([_reference_frame(track, n) for n in range(D)], axis=2)
+    frames, _ = _frames(track)
     dframes = _grid_derivative(frames, g)
     # <k|dk/ds> is purely imaginary for unit-norm vectors; the real part
     # produced by finite differencing is an O(h^2) artifact and would leak
@@ -573,10 +587,9 @@ def wu_expansion(spec: GeneratorSpec, T: float, order: int, grid,
                     f"per grid step near s = {g[j]:.4f}; refine the grid",
                     pair=(n, k), s=float(g[j]))
 
-    frames = np.stack([_reference_frame(track, n) for n in range(D)], axis=2)
+    frames, phi = _frames(track)
     dframes = _grid_derivative(frames, g)
     conn = np.einsum("ijm,ijn->imn", frames.conj(), dframes)
-    phi = cumulative_trapezoid(track.energies, track.grid, axis=0, initial=0.0)
     osc = np.exp(1j * T * (phi[:, :, None] - phi[:, None, :]))
     K = -conn * osc
     # the diagonal connection is purely imaginary for unit-norm vectors;
@@ -609,14 +622,18 @@ def instantaneous_propagator(spec: GeneratorSpec, T: float, grid,
     phase stripped off, giving the same object the expansion approximates
     but through an entirely different route.
     """
-    g = _validate_grid(grid)
-    track = track_spectrum(spec, g, gap_floor)
-    D = track.dim
-    frames = np.stack([_reference_frame(track, n) for n in range(D)], axis=2)
-    phi = cumulative_trapezoid(track.energies, g, axis=0, initial=0.0)
-    U = np.empty((g.size, D, D), dtype=complex)
-    for m in range(D):
-        traj = integrate_schrodinger(spec, T, frames[0][:, m], g, tol)
+    track = track_spectrum(spec, _validate_grid(grid), gap_floor)
+    return _track_propagator(spec, T, track, tol)
+
+
+def _track_propagator(spec: GeneratorSpec, T: float, track: SpectralTrack,
+                      tol=(1e-10, 1e-12)) -> np.ndarray:
+    """:func:`instantaneous_propagator` on the grid of an existing track."""
+    frames, phi = _frames(track)
+    U = np.empty((track.npoints, track.dim, track.dim), dtype=complex)
+    for m in range(track.dim):
+        traj = integrate_schrodinger(spec, T, frames[0][:, m], track.grid,
+                                     tol)
         U[:, :, m] = np.exp(1j * T * phi) * np.einsum(
             "ijn,ij->in", frames.conj(), traj.states)
     return U

@@ -1,9 +1,10 @@
 """Dense complex linear algebra underpinning the rest of the package.
 
-Provides the Hilbert-Schmidt inner product, row-stacking vectorization
-(``vec(A rho B) = kron(A, B.T) vec(rho)``), a scaling-and-squaring matrix
-exponential used as an independent oracle for the integrators, and a
-numerical Jordan canonical form with explicit dual left/right bases.
+Provides square-matrix coercion, the finite-number check and the
+nested ``[re, im]`` matrix parser used at the scenario boundary, a
+scaling-and-squaring matrix exponential kept as an independent oracle
+for the integrators, and a numerical Jordan canonical form with explicit
+dual left/right bases.
 
 Conventions for :class:`JordanForm`:
 
@@ -22,6 +23,7 @@ positive largest-magnitude component.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,11 +34,7 @@ from .errors import ConditioningError, InputError, NumericalError, ShapeError
 __all__ = [
     "as_square_matrix",
     "is_hermitian",
-    "hs_inner",
-    "vectorize",
-    "devectorize",
     "expm",
-    "matrix_to_json",
     "matrix_from_json",
     "JordanForm",
     "JordanBasisResiduals",
@@ -58,39 +56,6 @@ def as_square_matrix(M, name: str = "matrix") -> np.ndarray:
 def is_hermitian(M, tol: float = 1e-12) -> bool:
     A = as_square_matrix(M)
     return float(np.max(np.abs(A - A.conj().T))) <= tol
-
-
-def hs_inner(u, v, norm_factor: float = 1.0) -> complex:
-    """Hilbert-Schmidt inner product ``Tr(u^dag v) / norm_factor``.
-
-    The normalization is supplied by the caller and defaults to 1.
-    """
-    a = as_square_matrix(u, "u")
-    b = as_square_matrix(v, "v")
-    if a.shape != b.shape:
-        raise ShapeError(f"operands must share a shape, got {a.shape} and {b.shape}")
-    if not norm_factor > 0:
-        raise InputError(f"norm_factor must be positive, got {norm_factor}")
-    # vdot flattens and conjugates its first argument, which is exactly Tr(u^dag v)
-    return complex(np.vdot(a, b) / norm_factor)
-
-
-def vectorize(rho) -> np.ndarray:
-    """Row-stack a D x D matrix into a length D^2 coherence vector."""
-    A = as_square_matrix(rho, "rho")
-    return A.reshape(-1).copy()
-
-
-def devectorize(v, dim: int) -> np.ndarray:
-    """Inverse of :func:`vectorize` for a given matrix dimension."""
-    w = np.asarray(v, dtype=complex)
-    if w.ndim != 1:
-        raise ShapeError(f"coherence vector must be one-dimensional, got shape {w.shape}")
-    if w.size != dim * dim:
-        raise ShapeError(
-            f"coherence vector of length {w.size} does not match dimension {dim}",
-            length=int(w.size), dim=int(dim))
-    return w.reshape(dim, dim).copy()
 
 
 # Pade-13 numerator coefficients for the scaling-and-squaring exponential.
@@ -126,33 +91,55 @@ def expm(M) -> np.ndarray:
     return X
 
 
-def matrix_to_json(M) -> list:
-    """Serialize a matrix as nested row-major lists of [re, im] pairs."""
-    A = np.asarray(M, dtype=complex)
-    if A.ndim != 2:
-        raise ShapeError(f"expected a matrix, got shape {A.shape}")
-    return [[[float(z.real), float(z.imag)] for z in row] for row in A]
+def _finite_number(value, label: str, field: str,
+                   positive: bool = False) -> float:
+    """``value`` as a float if it is a finite number (and positive, if asked).
+
+    Anything else -- a string, a boolean, NaN, an infinity, an integer too
+    large for a float, or with ``positive`` zero or a negative number --
+    raises :class:`InputError` naming ``field``.
+    """
+    number = math.nan
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:
+            number = math.inf
+    if not (math.isfinite(number) and (number > 0 or not positive)):
+        kind = "finite positive number" if positive else "finite number"
+        raise InputError(f"{label} must be a {kind}, got {value!r}",
+                         field=field)
+    return number
 
 
 def matrix_from_json(data, name: str = "matrix") -> np.ndarray:
-    """Parse the nested [re, im] format produced by :func:`matrix_to_json`."""
+    """Parse a matrix given as nested row-major lists of [re, im] pairs.
+
+    Rows must be non-empty and of equal length and every part a finite
+    number; an :class:`InputError` names ``name`` as its field.
+    """
     if not isinstance(data, list) or not data:
-        raise InputError(f"{name}: expected a non-empty list of rows")
+        raise InputError(f"{name}: expected a non-empty list of rows",
+                         field=name)
     ncols = None
     rows = []
     for r, row in enumerate(data):
         if not isinstance(row, list) or not row:
-            raise InputError(f"{name}: row {r} is not a non-empty list")
+            raise InputError(f"{name}: row {r} is not a non-empty list",
+                             field=name)
         if ncols is None:
             ncols = len(row)
         elif len(row) != ncols:
-            raise InputError(f"{name}: ragged rows ({len(row)} vs {ncols})")
+            raise InputError(f"{name}: ragged rows ({len(row)} vs {ncols})",
+                             field=name)
         out = []
         for c, entry in enumerate(row):
-            if (not isinstance(entry, list) or len(entry) != 2
-                    or not all(isinstance(x, (int, float)) for x in entry)):
-                raise InputError(f"{name}: entry ({r},{c}) is not an [re, im] pair")
-            out.append(complex(entry[0], entry[1]))
+            if not isinstance(entry, list) or len(entry) != 2:
+                raise InputError(f"{name}: entry ({r},{c}) is not an "
+                                 "[re, im] pair", field=name)
+            real, imag = (_finite_number(x, f"{name} entry ({r},{c})", name)
+                          for x in entry)
+            out.append(complex(real, imag))
         rows.append(out)
     return np.array(rows, dtype=complex)
 

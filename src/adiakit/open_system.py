@@ -37,7 +37,7 @@ from .numkit import (
     jordan_decompose,
     jordan_matrix_from_blocks,
 )
-from .schedules import GeneratorSpec, linear_flow
+from .schedules import GeneratorSpec, eval_generator, linear_flow
 
 __all__ = [
     "build_supermatrix",
@@ -105,7 +105,6 @@ class SuperAssembler:
     def __init__(self, spec: GeneratorSpec):
         if spec.kind != "open":
             raise ConfigError("supermatrix assembly needs an open-kind spec")
-        self.spec = spec
         self.dim = spec.dimension ** 2
         hterms, jterms = spec.hamiltonian_terms, spec.lindblad_terms
         # one stack, filled part by part so no second copy is ever held:
@@ -121,13 +120,6 @@ class SuperAssembler:
                         for k, (_, env) in enumerate(hterms)]
         self._jparts = [(env, self._parts[k])
                         for k, (_, env) in enumerate(jterms, len(hterms))]
-
-    def _env_derivative(self, env, s):
-        if self.spec.derivative_mode == "analytic":
-            return env.derivative(s)
-        h = self.spec.fd_step
-        lo, hi = max(0.0, s - h), min(1.0, s + h)
-        return (env.value(hi) - env.value(lo)) / (hi - lo)
 
     def matrix(self, s: float) -> np.ndarray:
         L = np.zeros((self.dim, self.dim), dtype=complex)
@@ -151,9 +143,9 @@ class SuperAssembler:
     def derivative(self, s: float) -> np.ndarray:
         dL = np.zeros((self.dim, self.dim), dtype=complex)
         for env, part in self._hparts:
-            dL += self._env_derivative(env, s) * part
+            dL += env.derivative(s) * part
         for env, part in self._jparts:
-            dL += 2.0 * env.value(s) * self._env_derivative(env, s) * part
+            dL += 2.0 * env.value(s) * env.derivative(s) * part
         return dL
 
 
@@ -203,10 +195,7 @@ def unitary_embedding_jordan(spec: GeneratorSpec):
     D = spec.dimension
 
     def factory(s: float) -> JordanForm:
-        H = np.zeros((D, D), dtype=complex)
-        for M, env in spec.hamiltonian_terms:
-            H += env.value(s) * M
-        energies, vecs = np.linalg.eigh(H)
+        energies, vecs = np.linalg.eigh(eval_generator(spec, s)[0])
         entries = []
         for n in range(D):
             for k in range(D):
@@ -312,8 +301,9 @@ def _align(prev: JordanForm, jf: JordanForm) -> JordanForm:
 
     Blocks are matched by eigenvalue distance, a large penalty for a size
     mismatch, and the overlap of leading vectors; each matched chain is
-    then multiplied by the unit phase z / |z| of the overlap z of its
-    leading vector with the previous one.
+    then multiplied by conj(z) / |z|, where z is the overlap of its leading
+    vector with the previous one, so the new overlap |z| is real and
+    positive.
     """
     lead_prev = prev.similarity[:, prev.offsets[:-1]]
     lead = jf.similarity[:, jf.offsets[:-1]]
@@ -327,7 +317,7 @@ def _align(prev: JordanForm, jf: JordanForm) -> JordanForm:
     z = np.einsum("ij,ij->j", lead_prev.conj(), lead[:, order])
     phase = np.ones(order.size, dtype=complex)
     keep = np.abs(z) > 1e-12
-    phase[keep] = z[keep] / np.abs(z[keep])
+    phase[keep] = np.conj(z[keep]) / np.abs(z[keep])
     blocks = tuple(jf.blocks[b] for b in order)
     columns = np.concatenate([np.arange(jf.offsets[b], jf.offsets[b + 1])
                               for b in order])
@@ -576,12 +566,9 @@ class OpenCondition:
     max_metric: float
     max_key: tuple
 
-    def metric(self, a, b, i, j) -> float:
-        return self.metrics[(a, b, i, j)]
-
 
 def open_condition_metric(jtrack: JordanTrack, spec: GeneratorSpec,
-                          grid=None, couplings=None) -> OpenCondition:
+                          couplings=None) -> OpenCondition:
     """Evaluate the block-to-block adiabaticity metric on the track grid.
 
     For source block beta and target chain position i of block alpha, each
@@ -591,9 +578,7 @@ def open_condition_metric(jtrack: JordanTrack, spec: GeneratorSpec,
     ``couplings`` is :func:`coupling_tensor` of the track, built here when
     not given.
     """
-    g = jtrack.grid if grid is None else _validate_grid(grid)
-    if not np.array_equal(g, jtrack.grid):
-        raise InputError("metric grid must match the track grid")
+    g = jtrack.grid
     C = coupling_tensor(jtrack, spec) if couplings is None else couplings
 
     metrics, simplified, counts = {}, {}, {}

@@ -3,25 +3,27 @@
 A :class:`GeneratorSpec` is a declarative description of either a closed
 system (a Hamiltonian built from constant matrices times scalar envelopes)
 or an open one (the same plus a list of jump operators, one per term).
-Envelopes come from a closed vocabulary so specs serialize to JSON and
-pickle cleanly for process pools.
+Envelopes come from a closed vocabulary with closed-form derivatives, so
+dH/ds and dL/ds are always analytic, and specs pickle cleanly for process
+pools.  :func:`envelope_from_json` reads the scenario-file form of an
+envelope.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DomainError, InputError, ShapeError
-from .numkit import as_square_matrix, is_hermitian, matrix_from_json, matrix_to_json
+from .numkit import _finite_number, as_square_matrix, is_hermitian
 
 __all__ = [
     "SIGMA_X", "SIGMA_Y", "SIGMA_Z", "IDENTITY2",
     "Envelope", "constant", "linear", "polynomial", "cosine_ramp", "sinusoid",
     "envelope_from_json",
-    "GeneratorSpec", "Schedule",
+    "GeneratorSpec",
     "eval_generator", "eval_generator_derivative",
     "make_model", "MODEL_NAMES",
 ]
@@ -45,7 +47,7 @@ class Envelope:
     """One scalar function of s from the closed vocabulary.
 
     Parameters are held as a sorted tuple of (name, value) pairs so
-    instances are hashable and stable under serialization round trips.
+    instances are hashable and compare equal when their parameters do.
     """
 
     kind: str
@@ -60,9 +62,6 @@ class Envelope:
             raise ConfigError(
                 f"envelope {self.kind!r} expects parameters "
                 f"{sorted(_ENVELOPE_PARAMS[self.kind])}, got {list(names)}")
-
-    def _get(self, name):
-        return dict(self.params)[name]
 
     def value(self, s):
         arr = np.asarray(s, dtype=float)
@@ -129,12 +128,6 @@ class Envelope:
             out = p["amplitude"] * w * np.cos(w * arr + p["phase"])
         return float(out) if arr.ndim == 0 else out
 
-    def to_json(self) -> dict:
-        out = {"kind": self.kind}
-        for name, value in self.params:
-            out[name] = list(value) if isinstance(value, tuple) else value
-        return out
-
 
 def _envelope(kind: str, **params) -> Envelope:
     items = []
@@ -174,27 +167,6 @@ def sinusoid(amplitude, frequency=1.0, phase=0.0, offset=0.0) -> Envelope:
                      phase=phase, offset=offset)
 
 
-def _finite_number(value, label: str, field: str,
-                   positive: bool = False) -> float:
-    """``value`` as a float if it is a finite number (and positive, if asked).
-
-    Anything else -- a string, a boolean, NaN, an infinity, an integer too
-    large for a float, or with ``positive`` zero or a negative number --
-    raises :class:`InputError` naming ``field``.
-    """
-    number = math.nan
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            number = float(value)
-        except OverflowError:
-            number = math.inf
-    if not (math.isfinite(number) and (number > 0 or not positive)):
-        kind = "finite positive number" if positive else "finite number"
-        raise InputError(f"{label} must be a {kind}, got {value!r}",
-                         field=field)
-    return number
-
-
 def envelope_from_json(data, name: str = "envelope",
                        field: str = None) -> Envelope:
     """Parse ``{"kind": ..., <parameters>}`` into an :class:`Envelope`.
@@ -203,17 +175,19 @@ def envelope_from_json(data, name: str = "envelope",
     of them); an error names ``<field>.<parameter>``, with ``field``
     defaulting to ``name``.
     """
+    prefix = field or name
     if not isinstance(data, dict) or "kind" not in data:
-        raise InputError(f"{name}: expected an object with a 'kind' field")
+        raise InputError(f"{name}: expected an object with a 'kind' field",
+                         field=prefix)
     kind = data["kind"]
-    if kind not in _ENVELOPE_PARAMS:
+    if not (isinstance(kind, str) and kind in _ENVELOPE_PARAMS):
         raise InputError(f"{name}: unknown envelope kind {kind!r}",
-                         known=sorted(_ENVELOPE_PARAMS))
+                         known=sorted(_ENVELOPE_PARAMS), field=prefix)
     params = {k: v for k, v in data.items() if k != "kind"}
     if set(params) != set(_ENVELOPE_PARAMS[kind]):
         raise InputError(f"{name}: envelope {kind!r} expects "
-                         f"{sorted(_ENVELOPE_PARAMS[kind])}, got {sorted(params)}")
-    prefix = field or name
+                         f"{sorted(_ENVELOPE_PARAMS[kind])}, got {sorted(params)}",
+                         field=prefix)
     for key, value in params.items():
         if key == "coeffs":
             if not isinstance(value, list) or not value:
@@ -231,12 +205,14 @@ def envelope_from_json(data, name: str = "envelope",
 def _normalize_terms(terms, dim, label, hermitian):
     out = []
     for k, (matrix, env) in enumerate(terms):
-        M = as_square_matrix(matrix, f"{label} term {k}")
-        if M.shape[0] != dim:
-            raise ShapeError(f"{label} term {k} is {M.shape[0]}x{M.shape[0]}, "
-                             f"spec dimension is {dim}")
+        field = f"{label}_terms[{k}].matrix"
+        M = np.asarray(matrix, dtype=complex)
+        if M.shape != (dim, dim):
+            raise ShapeError(f"{label} term {k} has shape {M.shape}, "
+                             f"spec dimension is {dim}", field=field)
         if hermitian and not is_hermitian(M, 1e-12):
-            raise InputError(f"{label} term {k} matrix is not Hermitian")
+            raise InputError(f"{label} term {k} matrix is not Hermitian",
+                             field=field)
         if not isinstance(env, Envelope):
             raise InputError(f"{label} term {k} envelope must be an Envelope")
         M.setflags(write=False)
@@ -259,50 +235,18 @@ class GeneratorSpec:
     kind: str
     hamiltonian_terms: tuple
     lindblad_terms: tuple = ()
-    derivative_mode: str = "analytic"
-    fd_step: float = 1e-5
 
     def __post_init__(self):
         if not (isinstance(self.dimension, int) and self.dimension > 0):
             raise ConfigError(f"dimension must be a positive integer, got {self.dimension}")
         if self.kind not in ("closed", "open"):
             raise ConfigError(f"kind must be 'closed' or 'open', got {self.kind!r}")
-        if self.derivative_mode not in ("analytic", "finite_difference"):
-            raise ConfigError("derivative_mode must be 'analytic' or "
-                              f"'finite_difference', got {self.derivative_mode!r}")
-        if not self.fd_step > 0:
-            raise ConfigError(f"fd_step must be positive, got {self.fd_step}")
         if self.kind == "closed" and self.lindblad_terms:
             raise ConfigError("closed spec cannot carry Lindblad terms")
         object.__setattr__(self, "hamiltonian_terms", _normalize_terms(
             self.hamiltonian_terms, self.dimension, "hamiltonian", hermitian=True))
         object.__setattr__(self, "lindblad_terms", _normalize_terms(
             self.lindblad_terms, self.dimension, "lindblad", hermitian=False))
-
-
-@dataclass(frozen=True)
-class Schedule:
-    """A total evolution time T and an s-grid on [0,1] including endpoints."""
-
-    total_time: float
-    grid: np.ndarray = field(default_factory=lambda: np.linspace(0.0, 1.0, 201))
-
-    def __post_init__(self):
-        if not self.total_time > 0:
-            raise ConfigError(f"total_time must be positive, got {self.total_time}")
-        g = np.asarray(self.grid, dtype=float)
-        if g.ndim != 1 or g.size < 2:
-            raise ConfigError("grid needs at least two points")
-        if not (g[0] == 0.0 and g[-1] == 1.0):
-            raise ConfigError("grid must start at 0 and end at 1")
-        if np.any(np.diff(g) <= 0):
-            raise ConfigError("grid must be strictly increasing")
-        g.setflags(write=False)
-        object.__setattr__(self, "grid", g)
-
-    @classmethod
-    def uniform(cls, total_time: float, points: int = 201) -> "Schedule":
-        return cls(float(total_time), np.linspace(0.0, 1.0, points))
 
 
 def _check_s(s):
@@ -352,30 +296,13 @@ def linear_flow(scalars, parts, factor):
     return rhs
 
 
-def _fd_points(s: float, h: float):
-    """Central difference stencil, falling back to one-sided at the ends."""
-    if s - h >= 0.0 and s + h <= 1.0:
-        return (s + h, s - h, 2.0 * h)
-    if s - h < 0.0:
-        return (s + h, s, h)
-    return (s, s - h, h)
-
-
 def eval_generator_derivative(spec: GeneratorSpec, s):
     """dH/ds (and the list of dGamma_i/ds for an open spec)."""
     s = _check_s(s)
-    if spec.derivative_mode == "analytic":
-        dH = _sum_hamiltonian(spec, s, deriv=True)
-        if spec.kind == "closed":
-            return dH
-        return dH, _jump_operators(spec, s, deriv=True)
-    hi, lo, width = _fd_points(s, spec.fd_step)
-    dH = (_sum_hamiltonian(spec, hi, False) - _sum_hamiltonian(spec, lo, False)) / width
+    dH = _sum_hamiltonian(spec, s, deriv=True)
     if spec.kind == "closed":
         return dH
-    dG = [(a - b) / width for a, b in
-          zip(_jump_operators(spec, hi, False), _jump_operators(spec, lo, False))]
-    return dH, dG
+    return dH, _jump_operators(spec, s, deriv=True)
 
 
 def _require(params: dict, name: str, model: str) -> float:
@@ -384,7 +311,7 @@ def _require(params: dict, name: str, model: str) -> float:
     return params[name]
 
 
-def make_model(name: str, **params) -> GeneratorSpec:
+def make_model(name: str, /, **params) -> GeneratorSpec:
     """Build one of the named benchmark generators.
 
     landau_zener(a, delta)
@@ -422,7 +349,8 @@ def make_model(name: str, **params) -> GeneratorSpec:
         H0 = as_square_matrix(_require(params, "h0", name), "h0")
         H1 = as_square_matrix(_require(params, "h1", name), "h1")
         if H0.shape != H1.shape:
-            raise ConfigError("h0 and h1 must share a dimension")
+            raise ConfigError("h0 and h1 must share a dimension",
+                              field="model.params.h1")
         return GeneratorSpec(H0.shape[0], "closed", [
             (H0, linear(1.0, 0.0)),
             (H1, linear(0.0, 1.0)),

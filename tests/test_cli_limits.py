@@ -1,11 +1,11 @@
 """The command line contract under non-finite and out-of-range numbers.
 
 Every number that reaches an integrator must be finite: the scenario's
-``total_time``, each ``T_grid`` entry, both tolerances, the ``--T`` flag.
-Each is refused at the parse boundary with exit 2 and a stderr JSON that
-names the field.  Inputs that pass the boundary but leave the stepper
-nothing to work with end in exit 3, within a bounded time, instead of
-spinning forever.
+``total_time``, each ``T_grid`` entry, both tolerances, the ``--T`` flag,
+model and envelope parameters, and every matrix entry.  Each is refused at
+the parse boundary with exit 2 and a stderr JSON that names the field.
+Inputs that pass the boundary but leave the stepper nothing to work with
+end in exit 3, within a bounded time, instead of spinning forever.
 """
 
 import json
@@ -166,12 +166,102 @@ def with_params(doc, **params):
     (with_params(DEPHASING_DOC, gamma_envelope={"kind": "constant",
                                                 "value": math.inf}),
      "model.params.gamma_envelope.value"),
+    (with_params(LZ_DOC, a=[[[1.0, 0.0]]]), "model.params.a"),
+    (explicit_doc({"kind": []}), "hamiltonian_terms[0].envelope"),
+    (explicit_doc({"kind": "linear", "start": 0.0}),
+     "hamiltonian_terms[0].envelope"),
+    (with_params(DEPHASING_DOC, omega_envelope=5),
+     "model.params.omega_envelope"),
 ], ids=["param-nan", "param-string", "param-inf", "param-bool",
         "param-huge-int", "envelope-nan", "envelope-inf",
-        "envelope-coeff-nan", "envelope-string", "model-envelope-inf"])
+        "envelope-coeff-nan", "envelope-string", "model-envelope-inf",
+        "param-matrix", "envelope-kind-list", "envelope-missing-param",
+        "model-envelope-number"])
 def test_bad_model_or_envelope_parameter_exit_two(tmp_path, capsys, doc,
                                                   field):
     path = write_doc(tmp_path, doc)
     verb = "check" if doc["kind"] == "open" else "evolve"
     assert main([verb, path, "--out", str(tmp_path / "out")]) == 2
     assert field_of(capsys.readouterr().err) == field
+
+
+SIGMA_Z = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]]
+ONE = {"kind": "constant", "value": 1.0}
+OPEN_TERMS_DOC = {
+    "schema": 1, "kind": "open", "dimension": 2,
+    "hamiltonian_terms": [{"matrix": SIGMA_Z, "envelope": ONE}],
+    "lindblad_terms": [{"matrix": SIGMA_Z, "envelope": ONE}],
+    "initial_state": DEPHASING_DOC["initial_state"],
+    "total_time": 1.0, "grid_points": 5,
+}
+INTERP_DOC = {
+    "schema": 1, "kind": "closed",
+    "model": {"name": "linear_interp",
+              "params": {"h0": SIGMA_Z,
+                         "h1": [[[0.0, 0.0], [1.0, 0.0]],
+                                [[1.0, 0.0], [0.0, 0.0]]]}},
+    "total_time": 1.0, "grid_points": 5,
+}
+
+
+def with_entry(matrix, row, col, value):
+    """A copy of an [re, im] matrix with the real part of one entry set."""
+    out = [[list(pair) for pair in r] for r in matrix]
+    out[row][col][0] = value
+    return out
+
+
+def with_term_matrix(doc, name, matrix):
+    return dict(doc, **{name: [dict(doc[name][0], matrix=matrix)]})
+
+
+@pytest.mark.parametrize("doc, field", [
+    (with_term_matrix(OPEN_TERMS_DOC, "lindblad_terms",
+                      with_entry(SIGMA_Z, 0, 1, math.nan)),
+     "lindblad_terms[0].matrix"),
+    (with_term_matrix(OPEN_TERMS_DOC, "hamiltonian_terms",
+                      with_entry(SIGMA_Z, 1, 1, math.inf)),
+     "hamiltonian_terms[0].matrix"),
+    (with_term_matrix(OPEN_TERMS_DOC, "hamiltonian_terms",
+                      with_entry(SIGMA_Z, 0, 0, True)),
+     "hamiltonian_terms[0].matrix"),
+    (with_term_matrix(OPEN_TERMS_DOC, "hamiltonian_terms",
+                      with_entry(SIGMA_Z, 0, 1, 1.0)),
+     "hamiltonian_terms[0].matrix"),
+    (with_term_matrix(OPEN_TERMS_DOC, "lindblad_terms", [[[1.0, 0.0]]]),
+     "lindblad_terms[0].matrix"),
+    (dict(OPEN_TERMS_DOC, initial_state=with_entry(
+        DEPHASING_DOC["initial_state"], 0, 0, -math.inf)), "initial_state"),
+    (dict(LZ_DOC, initial_state=[[True, 0.0], [0.0, 0.0]]), "initial_state"),
+    (with_params(INTERP_DOC, h0=with_entry(SIGMA_Z, 0, 0, math.nan)),
+     "model.params.h0"),
+    (with_params(INTERP_DOC, h0=with_entry(SIGMA_Z, 0, 1, 1.0)),
+     "model.params.h0"),
+    (with_params(INTERP_DOC, h0=5.0), "model.params.h0"),
+    (with_params(INTERP_DOC, h1=[[[1.0, 0.0]]]), "model.params.h1"),
+    (dict(OPEN_TERMS_DOC, lindblad_terms=5), "lindblad_terms"),
+], ids=["lindblad-nan", "hamiltonian-inf", "hamiltonian-bool",
+        "hamiltonian-not-hermitian", "lindblad-wrong-dimension",
+        "open-state-inf", "closed-state-bool", "h0-nan",
+        "h0-not-hermitian", "h0-number", "h1-wrong-dimension",
+        "lindblad-terms-not-a-list"])
+def test_bad_matrix_or_term_list_exit_two(tmp_path, capsys, doc, field):
+    path = write_doc(tmp_path, doc)
+    verb = "jordan" if doc["kind"] == "open" else "spectrum"
+    assert main([verb, path, "--out", str(tmp_path / "out")]) == 2
+    assert field_of(capsys.readouterr().err) == field
+
+
+def test_model_parameter_named_name_is_ignored(tmp_path):
+    """Unknown model parameters are ignored, a key called ``name``
+    included: it does not collide with the model name."""
+    path = write_doc(tmp_path, with_params(LZ_DOC, name=0))
+    assert main(["evolve", path, "--out", str(tmp_path / "out.csv")]) == 0
+
+
+@pytest.mark.parametrize("order", ["-1", "4"])
+def test_bad_wu_order_exit_two(tmp_path, capsys, order):
+    path = write_doc(tmp_path, LZ_DOC)
+    assert main(["wu", path, "--order", order,
+                 "--out", str(tmp_path / "wu.json")]) == 2
+    assert field_of(capsys.readouterr().err) == "order"

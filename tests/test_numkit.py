@@ -1,4 +1,4 @@
-"""Inner products, vectorization, matrix exponential, JSON matrix format."""
+"""Matrix exponential and the JSON matrix format."""
 
 import numpy as np
 import pytest
@@ -6,65 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adiakit import numkit as nk
-from adiakit.errors import InputError, ShapeError
+from adiakit.errors import InputError
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 
 
 def random_matrix(rng, n, scale=1.0):
     return scale * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-
-
-class TestHSInner:
-    def test_identity_against_density_matrix_gives_trace(self):
-        rho = np.diag([0.7, 0.3])
-        assert nk.hs_inner(np.eye(2), rho) == pytest.approx(1.0)
-
-    def test_norm_factor_divides(self):
-        rho = np.diag([0.7, 0.3])
-        assert nk.hs_inner(np.eye(2), rho, norm_factor=2.0) == pytest.approx(0.5)
-
-    def test_first_argument_is_conjugated(self):
-        u = np.array([[1j, 0], [0, 0]])
-        v = np.array([[2.0, 0], [0, 0]])
-        # Tr(u^dag v) = -1j * 2
-        assert nk.hs_inner(u, v) == pytest.approx(-2j)
-
-    def test_rejects_nonpositive_norm_factor(self):
-        with pytest.raises(InputError):
-            nk.hs_inner(np.eye(2), np.eye(2), norm_factor=0.0)
-
-    def test_rejects_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            nk.hs_inner(np.eye(2), np.eye(3))
-
-
-class TestVectorize:
-    def test_row_major_order(self):
-        rho = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(nk.vectorize(rho), [1.0, 2.0, 3.0, 4.0])
-
-    def test_sandwich_identity(self):
-        # the convention anchor: vec(A rho B) = kron(A, B.T) vec(rho)
-        rng = np.random.default_rng(3)
-        A, rho, B = (random_matrix(rng, 3) for _ in range(3))
-        lhs = nk.vectorize(A @ rho @ B)
-        rhs = np.kron(A, B.T) @ nk.vectorize(rho)
-        assert np.allclose(lhs, rhs, atol=1e-13)
-
-    @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=2**32 - 1))
-    @settings(max_examples=40, deadline=None)
-    def test_roundtrip(self, dim, seed):
-        rho = random_matrix(np.random.default_rng(seed), dim)
-        assert np.array_equal(nk.devectorize(nk.vectorize(rho), dim), rho)
-
-    def test_devectorize_rejects_bad_length(self):
-        with pytest.raises(ShapeError):
-            nk.devectorize(np.zeros(5), 2)
-
-    def test_rejects_nonsquare(self):
-        with pytest.raises(ShapeError):
-            nk.vectorize(np.zeros((2, 3)))
 
 
 class TestExpm:
@@ -101,15 +49,20 @@ class TestExpm:
         assert np.allclose(U.conj().T @ U, np.eye(4), atol=1e-12)
 
 
+def matrix_json(A):
+    """Nested row-major lists of [re, im] pairs, the scenario-file form."""
+    return [[[float(z.real), float(z.imag)] for z in row] for row in A]
+
+
 class TestMatrixJSON:
     def test_roundtrip(self):
         rng = np.random.default_rng(5)
         A = random_matrix(rng, 3)
-        assert np.array_equal(nk.matrix_from_json(nk.matrix_to_json(A)), A)
+        assert np.array_equal(nk.matrix_from_json(matrix_json(A)), A)
 
     def test_known_encoding(self):
-        data = nk.matrix_to_json(np.array([[1 + 2j]]))
-        assert data == [[[1.0, 2.0]]]
+        assert np.array_equal(nk.matrix_from_json([[[1.0, 2.0]]]),
+                              np.array([[1 + 2j]]))
 
     @pytest.mark.parametrize("bad", [
         [],
@@ -117,10 +70,14 @@ class TestMatrixJSON:
         [[[1.0, 2.0]], [[1.0, 2.0], [0.0, 0.0]]],
         [[[1.0, 2.0, 3.0]]],
         [[["a", "b"]]],
+        [[[float("nan"), 0.0]]],
+        [[[0.0, float("-inf")]]],
+        [[[True, 0.0]]],
     ])
     def test_rejects_malformed(self, bad):
-        with pytest.raises(InputError):
-            nk.matrix_from_json(bad)
+        with pytest.raises(InputError) as err:
+            nk.matrix_from_json(bad, "h")
+        assert err.value.details["field"] == "h"
 
 
 def test_is_hermitian():

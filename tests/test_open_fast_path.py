@@ -303,6 +303,28 @@ class TestStitching:
                                  - want.similarity_inv)) < 1e-12
 
 
+    def test_alignment_removes_the_overlap_phase(self):
+        """Chains rephased by planted phases, then shuffled, come back with
+        every leading-vector overlap real and positive: the alignment
+        removes the overlap phase instead of doubling it."""
+        rng = np.random.default_rng(12)
+        for blocks in ([(0.0, 1), (-1.0, 1), (-0.5 + 1j, 1), (-0.5 - 1j, 1)],
+                       [(0.0, 1), (-1.0, 2), (-2.0 + 1j, 1)]):
+            prev = nk.jordan_decompose(planted(blocks, 5.0, rng))
+            phases = np.exp(1j * np.linspace(0.3, 2.8, prev.block_count))
+            colphase = np.repeat(phases, prev.sizes)
+            rephased = nk.JordanForm(prev.blocks, prev.similarity * colphase,
+                                     prev.similarity_inv / colphase[:, None],
+                                     prev.residual)
+            got = osys._align(prev, permuted(
+                rephased, rng.permutation(prev.block_count)))
+            z = np.einsum("ij,ij->j",
+                          prev.similarity[:, prev.offsets[:-1]].conj(),
+                          got.similarity[:, got.offsets[:-1]])
+            assert np.max(np.abs(z.imag)) < 1e-12
+            assert np.all(z.real > 0)
+
+
 def permuted(jf, order):
     cols = np.concatenate([np.arange(jf.offsets[b], jf.offsets[b + 1])
                            for b in order])
@@ -331,8 +353,8 @@ def align_loop(prev, jf):
         z = np.vdot(prev.similarity[:, prev.block_slice(b).start],
                     S[:, sl.start])
         if abs(z) > 1e-12:
-            S[:, sl] *= z / abs(z)
-            Sinv[sl, :] /= z / abs(z)
+            S[:, sl] *= np.conj(z) / abs(z)
+            Sinv[sl, :] /= np.conj(z) / abs(z)
     return nk.JordanForm(jf.blocks, S, Sinv, jf.residual)
 
 

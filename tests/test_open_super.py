@@ -8,7 +8,6 @@ rescaled damped qubit supplies a defective generator whose Jordan signature
 stays (2, 1, 1) along the whole schedule.
 """
 
-import dataclasses
 
 import numpy as np
 import pytest
@@ -150,15 +149,6 @@ class TestSuperAssembler:
         for s in (0.2, 0.7):
             fd = (asm.matrix(s + h) - asm.matrix(s - h)) / (2.0 * h)
             assert np.max(np.abs(asm.derivative(s) - fd)) < 1e-7
-
-    def test_finite_difference_mode(self):
-        spec = dataclasses.replace(driven_dephasing(),
-                                   derivative_mode="finite_difference",
-                                   fd_step=1e-6)
-        analytic = SuperAssembler(driven_dephasing())
-        asm = SuperAssembler(spec)
-        assert np.max(np.abs(asm.derivative(0.4)
-                             - analytic.derivative(0.4))) < 1e-7
 
     def test_rejects_closed_spec(self):
         with pytest.raises(ConfigError):

@@ -5,10 +5,13 @@ every ingredient of U^(1) is elementary, so the matrix element can be
 recomputed by adaptive quadrature without touching the expansion code.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from adiakit import cli, closed
 from adiakit.closed import (
     berry_phase,
     coefficient_dynamics,
@@ -25,6 +28,8 @@ from adiakit.schedules import (
     make_model,
 )
 
+LZ_SCENARIO = (Path(__file__).resolve().parents[1] / "scripts" / "scenarios"
+               / "landau_zener.json")
 A, DELTA, T_REF = 1.0, 0.25, 20.0
 GRID = np.linspace(0.0, 1.0, 8001)
 
@@ -161,3 +166,26 @@ class TestExactPropagator:
         assert np.max(np.abs(U[:, :, 0] - coeff.coefficients)) < 5e-6
         pops = np.abs(U[:, :, 0]) ** 2
         assert np.max(np.abs(pops - coeff.populations())) < 1e-9
+
+    def test_from_track_equals_public_route(self):
+        spec = lz()
+        grid = np.linspace(0.0, 1.0, 401)
+        track = track_spectrum(spec, grid)
+        assert np.array_equal(closed._track_propagator(spec, 4.0, track),
+                              instantaneous_propagator(spec, 4.0, grid))
+
+    def test_wu_command_tracks_the_spectrum_once(self, monkeypatch,
+                                                 tmp_path):
+        """The command takes the exact propagator from the expansion's
+        track instead of building a second one."""
+        calls = []
+        original = closed.track_spectrum
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(closed, "track_spectrum", counted)
+        assert cli.main(["wu", str(LZ_SCENARIO),
+                         "--out", str(tmp_path / "wu.json")]) == 0
+        assert len(calls) == 1
