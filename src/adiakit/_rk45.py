@@ -46,6 +46,10 @@ class IntegrationResult:
 
     ``steps`` counts every attempted step, ``rejected`` those the error
     control threw away; ``rhs_evals`` is ``6 * steps + 2``.
+    ``min_step`` is the smallest accepted step and ``s_at_min_step`` the s
+    it started from.  The last step, cut short to land on the end point,
+    says nothing about the controller and is left out, unless it is the
+    only step.
     """
 
     s: np.ndarray
@@ -53,6 +57,8 @@ class IntegrationResult:
     steps: int
     rhs_evals: int
     rejected: int
+    min_step: float
+    s_at_min_step: float
 
 
 def _rms(x) -> float:
@@ -103,6 +109,10 @@ def integrate(rhs, y0, s_eval, rtol: float = 1e-8, atol: float = 1e-10,
     last_rejected = False
     steps = rejected = 0
     budget = MAX_STEPS
+    # the latest accepted step joins the minimum only once another one
+    # follows it, so the final step never does
+    min_step, s_at_min_step = math.inf, math.nan
+    last_h = last_s = math.nan
 
     with np.errstate(over="ignore", invalid="ignore"):
         f = rhs(t, y)
@@ -133,6 +143,9 @@ def integrate(rhs, y0, s_eval, rtol: float = 1e-8, atol: float = 1e-10,
                     err = math.inf
                 steps += 1
                 if err <= 1.0:
+                    if last_h < min_step:
+                        min_step, s_at_min_step = last_h, last_s
+                    last_h, last_s = h, t
                     t = t + h
                     y, ay, f = ynew, ay_new, K[6]
                     if err == 0.0:
@@ -151,4 +164,7 @@ def integrate(rhs, y0, s_eval, rtol: float = 1e-8, atol: float = 1e-10,
                     last_rejected = True
             out[i] = y
             t = target
-    return IntegrationResult(pts, out, steps, 6 * steps + 2, rejected)
+    if min_step == math.inf:
+        min_step, s_at_min_step = last_h, last_s
+    return IntegrationResult(pts, out, steps, 6 * steps + 2, rejected,
+                             min_step, s_at_min_step)

@@ -20,7 +20,6 @@ import hashlib
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -563,6 +562,14 @@ def _pooled_sweep_point(T):
     return _sweep_point(_worker_context, T)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one, else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def sweep_total_time(path, T_min, T_max, points, spacing: str = "log",
                      jobs: int = None, out: str = None):
     """Run the same scenario at many total times and tabulate the outcome.
@@ -570,7 +577,9 @@ def sweep_total_time(path, T_min, T_max, points, spacing: str = "log",
     Returns rows (T, infidelity, condition ratio, bound satisfied) sorted
     by T; for open systems the infidelity column reports the worst
     relative drift of the stripped block coefficients, the quantity the
-    adiabatic statement actually bounds.
+    adiabatic statement actually bounds.  ``jobs`` worker processes share
+    the T values; by default one per CPU this process may use, and with
+    one the sweep runs in this process.
     """
     if spacing not in ("linear", "log"):
         raise InputError(f"spacing must be linear or log, got {spacing!r}",
@@ -597,10 +606,11 @@ def sweep_total_time(path, T_min, T_max, points, spacing: str = "log",
     else:
         T_values = np.linspace(T_min, T_max, points)
     T_values = [float(T) for T in T_values]
-    jobs = jobs or os.cpu_count() or 1
+    jobs = jobs or _usable_cpus()
     if jobs == 1:
         rows = [_sweep_point(context, T) for T in T_values]
     else:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=min(jobs, points),
                                  initializer=_init_sweep_worker,
                                  initargs=(context,)) as pool:

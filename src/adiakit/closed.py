@@ -24,16 +24,15 @@ integral land on the geometric phase instead of zero.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
-from scipy.interpolate import CubicSpline, PPoly
-from scipy.optimize import linear_sum_assignment
 
 from . import _rk45
 from .errors import (ConfigError, DegeneracyError, DomainError, InputError,
                      NumericalError, ResolutionError)
+from .numkit import cumulative_trapezoid, min_cost_assignment
 from .schedules import (GeneratorSpec, eval_generator,
                         eval_generator_derivative, linear_flow)
 
@@ -47,6 +46,10 @@ __all__ = [
     "WuExpansion", "wu_expansion", "instantaneous_propagator",
     "fidelity",
 ]
+
+
+# 1/sqrt(2) = 0.7071 with a margin far beyond rounding (see track_spectrum)
+_CLEAR_OVERLAP = 0.75
 
 
 def _validate_grid(grid) -> np.ndarray:
@@ -116,18 +119,24 @@ def track_spectrum(spec: GeneratorSpec, grid, gap_floor: float = 1e-9) -> Spectr
         evals, evecs = np.linalg.eigh(eval_generator(spec, s))
         if i == 0:
             order = np.argsort(evals)
+            evals, evecs = evals[order], evecs[:, order]
         else:
+            # the overlaps of two orthonormal bases are the moduli of a
+            # unitary matrix: when every level overlaps itself by more
+            # than 1/sqrt(2), eigh's order is the unique best assignment
             overlaps = np.abs(vectors[i - 1].conj().T @ evecs)
-            _, order = linear_sum_assignment(-overlaps)
-        energies[i] = evals[order]
-        V = evecs[:, order]
+            kept = overlaps.diagonal().tolist()
+            if not all(v > _CLEAR_OVERLAP for v in kept):
+                order = min_cost_assignment(-overlaps)
+                evals, evecs = evals[order], evecs[:, order]
+        energies[i] = evals
         if i == 0:
-            anchors = V[np.argmax(np.abs(V), axis=0), np.arange(D)]
-            V = V * np.conj(anchors / np.abs(anchors))
+            anchors = evecs[np.argmax(np.abs(evecs), axis=0), np.arange(D)]
+            V = evecs * np.conj(anchors / np.abs(anchors))
         else:
-            ov = np.einsum("jn,jn->n", vectors[i - 1].conj(), V)
+            ov = np.einsum("jn,jn->n", vectors[i - 1].conj(), evecs)
             phases = np.where(np.abs(ov) > 0, ov / np.abs(ov), 1.0)
-            V = V * np.conj(phases)
+            V = evecs * np.conj(phases)
         vectors[i] = V
 
     min_gap = np.inf
@@ -159,7 +168,9 @@ class Trajectory:
     ``states[i]`` is the state vector at ``grid[i]`` (a coherence vector in
     the open-system case); ``times = total_time * grid``.  ``steps``
     counts every attempted Runge-Kutta step, ``rejected`` those of them
-    the error control threw away.
+    the error control threw away; ``min_step`` is the smallest accepted
+    step in s and ``s_at_min_step`` where it began (see
+    :class:`adiakit._rk45.IntegrationResult`).
     """
 
     grid: np.ndarray
@@ -170,6 +181,8 @@ class Trajectory:
     steps: int
     rhs_evals: int
     rejected: int = 0
+    min_step: float = math.inf
+    s_at_min_step: float = math.nan
 
     @property
     def times(self) -> np.ndarray:
@@ -201,7 +214,7 @@ def integrate_schrodinger(spec: GeneratorSpec, T: float, psi0, grid=None,
     res = _rk45.integrate(_schrodinger_rhs(spec, T), psi0, g, rtol=rtol,
                           atol=atol)
     return Trajectory(g, res.y, float(T), rtol, atol, res.steps, res.rhs_evals,
-                      res.rejected)
+                      res.rejected, res.min_step, res.s_at_min_step)
 
 
 def _schrodinger_rhs(spec: GeneratorSpec, T: float):
@@ -348,8 +361,7 @@ def _frames(track: SpectralTrack):
     """
     frames = np.stack([_reference_frame(track, n) for n in range(track.dim)],
                       axis=2)
-    phi = cumulative_trapezoid(track.energies, track.grid, axis=0,
-                               initial=0.0)
+    phi = cumulative_trapezoid(track.energies, track.grid)
     return frames, phi
 
 
@@ -394,7 +406,7 @@ def berry_phase_curve(track: SpectralTrack, level: int) -> BerryCurve:
             f"gauge phase advances {local[j]:.3f} rad across one grid step "
             f"near s = {track.grid[j]:.4f}; refine the grid",
             s=float(track.grid[j]))
-    gamma = 1j * cumulative_trapezoid(conn, track.grid, initial=0.0)
+    gamma = 1j * cumulative_trapezoid(conn, track.grid)
     return BerryCurve(level, track.grid, gamma.real,
                       float(np.max(np.abs(gamma.imag))))
 
@@ -422,7 +434,7 @@ def adiabatic_state(track: SpectralTrack, T: float, s: float, n0: int) -> np.nda
         raise DomainError(f"s = {s} is not a point of the track grid")
     curve = berry_phase_curve(track, n0)
     frame = _reference_frame(track, n0)
-    dyn = cumulative_trapezoid(track.energies[:, n0], track.grid, initial=0.0)
+    dyn = cumulative_trapezoid(track.energies[:, n0], track.grid)
     return np.exp(-1j * T * dyn[i]) * np.exp(1j * curve.gamma[i]) * frame[i]
 
 
@@ -512,6 +524,8 @@ def _coefficient_rhs(grid, energies, conn, offdiag, T):
     own cubic spline, which keeps the fit's scratch memory at the size of
     one group, and the coefficients are joined.
     """
+    from scipy.interpolate import CubicSpline, PPoly
+
     N, D = energies.shape
     columns = (energies, conn.imag, offdiag.reshape(N, D * D).view(float))
     spline = PPoly(np.concatenate([CubicSpline(grid, c, axis=0).c
@@ -601,14 +615,14 @@ def wu_expansion(spec: GeneratorSpec, T: float, order: int, grid,
     for m in range(D):
         O[:, m, m] = 0.0
 
-    U0diag = np.exp(cumulative_trapezoid(diag, g, axis=0, initial=0.0))
+    U0diag = np.exp(cumulative_trapezoid(diag, g))
     U0 = np.zeros((g.size, D, D), dtype=complex)
     for m in range(D):
         U0[:, m, m] = U0diag[:, m]
     terms = [U0]
     for _ in range(order):
         integrand = (U0diag[:, :, None] * O) @ terms[-1]
-        terms.append(cumulative_trapezoid(integrand, g, axis=0, initial=0.0))
+        terms.append(cumulative_trapezoid(integrand, g))
     return WuExpansion(order, float(T), g, K, diag, O, tuple(terms), track)
 
 

@@ -21,7 +21,6 @@ actually turns, which is the quantity the shortcut silently sets to zero.
 import csv
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .closed import (
     SpectralTrack,
@@ -32,6 +31,7 @@ from .closed import (
     track_spectrum,
 )
 from .errors import DomainError, InputError
+from .numkit import cumulative_trapezoid
 from .schedules import GeneratorSpec
 
 __all__ = [
@@ -67,8 +67,7 @@ def illegal_solution(track: SpectralTrack, T: float, s: float,
     i = int(np.argmin(np.abs(track.grid - s)))
     if abs(track.grid[i] - s) > 1e-12:
         raise DomainError(f"s = {s} is not a point of the track grid")
-    dyn = cumulative_trapezoid(track.energies[:, level], track.grid,
-                               initial=0.0)
+    dyn = cumulative_trapezoid(track.energies[:, level], track.grid)
     return np.exp(-1j * T * dyn[i]) * track.vectors[0, :, level]
 
 

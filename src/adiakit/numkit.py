@@ -3,8 +3,13 @@
 Provides square-matrix coercion, the finite-number check and the
 nested ``[re, im]`` matrix parser used at the scenario boundary, a
 scaling-and-squaring matrix exponential kept as an independent oracle
-for the integrators, and a numerical Jordan canonical form with explicit
-dual left/right bases.
+for the integrators, the cumulative trapezoid and the minimum-cost
+assignment the trackers share, and a numerical Jordan canonical form
+with explicit dual left/right bases.
+
+scipy is imported only where it is needed: by an assignment that is not
+decided by strict row minima, and by the Schur form of an eigenvalue
+cluster.
 
 Conventions for :class:`JordanForm`:
 
@@ -27,7 +32,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import ConditioningError, InputError, NumericalError, ShapeError
 
@@ -35,6 +39,8 @@ __all__ = [
     "as_square_matrix",
     "is_hermitian",
     "expm",
+    "cumulative_trapezoid",
+    "min_cost_assignment",
     "matrix_from_json",
     "JordanForm",
     "JordanBasisResiduals",
@@ -89,6 +95,42 @@ def expm(M) -> np.ndarray:
     for _ in range(squarings):
         X = X @ X
     return X
+
+
+def cumulative_trapezoid(y, x) -> np.ndarray:
+    """Running trapezoid integral of ``y`` along axis 0 over the grid ``x``.
+
+    Row 0 is zero.  The arithmetic is that of
+    ``scipy.integrate.cumulative_trapezoid(y, x, axis=0, initial=0.0)``,
+    so the two agree bit for bit.
+    """
+    y = np.asarray(y)
+    d = np.diff(x).reshape((-1,) + (1,) * (y.ndim - 1))
+    steps = d * (y[1:] + y[:-1]) / 2.0
+    out = np.empty((y.shape[0],) + steps.shape[1:], dtype=steps.dtype)
+    out[0] = 0.0
+    np.cumsum(steps, axis=0, out=out[1:])
+    return out
+
+
+def min_cost_assignment(cost: np.ndarray) -> np.ndarray:
+    """Column matched to each row by a minimum-cost perfect matching.
+
+    Returns ``scipy.optimize.linear_sum_assignment(cost)[1]`` for a square
+    ``cost``.  When every row has a strict, finite minimum and those
+    minima lie in distinct columns, the row-wise choice is the unique
+    optimum and is returned directly; a tie, a shared column, a NaN or a
+    non-finite minimum is left to scipy.
+    """
+    cols = cost.argmin(axis=1)   # a NaN, if a row has one
+    n = cols.size
+    if len(set(cols.tolist())) == n:
+        lowest = cost[np.arange(n), cols]
+        if (math.isfinite(sum(lowest.tolist()))
+                and np.count_nonzero(cost <= lowest[:, None]) == n):
+            return cols
+    from scipy.optimize import linear_sum_assignment
+    return linear_sum_assignment(cost)[1]
 
 
 def _finite_number(value, label: str, field: str,
@@ -291,8 +333,9 @@ def _cluster_subspace(M: np.ndarray, center: complex, members: np.ndarray,
         radius = 0.5 * (spread + d_out)
     else:
         radius = spread + 1.0
-    T, Z, sdim = sla.schur(M, output="complex",
-                           sort=lambda x: abs(x - center) <= radius)
+    from scipy.linalg import schur
+    T, Z, sdim = schur(M, output="complex",
+                       sort=lambda x: abs(x - center) <= radius)
     if sdim != len(members):
         raise NumericalError(
             "Schur reordering selected an unexpected cluster size",

@@ -19,8 +19,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
-from scipy.optimize import linear_sum_assignment
 
 from ._rk45 import integrate
 from .closed import Trajectory, _grid_derivative, _validate_grid
@@ -33,9 +31,11 @@ from .errors import (
 from .numkit import (
     JordanForm,
     _cluster_labels,
+    cumulative_trapezoid,
     is_hermitian,
     jordan_decompose,
     jordan_matrix_from_blocks,
+    min_cost_assignment,
 )
 from .schedules import GeneratorSpec, eval_generator, linear_flow
 
@@ -177,7 +177,8 @@ def integrate_master(spec: GeneratorSpec, T: float, rho0, grid=None,
     rtol, atol = tol
     res = integrate(asm.flow(T), rho0.reshape(-1), g, rtol=rtol, atol=atol)
     return Trajectory(g, res.y, float(T), rtol, atol, res.steps,
-                      res.rhs_evals, res.rejected)
+                      res.rhs_evals, res.rejected, res.min_step,
+                      res.s_at_min_step)
 
 
 def unitary_embedding_jordan(spec: GeneratorSpec):
@@ -312,8 +313,7 @@ def _align(prev: JordanForm, jf: JordanForm) -> JordanForm:
     cost = (np.abs(prev.eigenvalues[:, None] - jf.eigenvalues[None, :])
             + np.where(sizes_prev[:, None] == sizes[None, :], 0.0, 1e6)
             + 1e-2 * (1.0 - np.abs(lead_prev.conj().T @ lead)))
-    rows, cols = linear_sum_assignment(cost)
-    order = cols[np.argsort(rows)]
+    order = min_cost_assignment(cost)
     z = np.einsum("ij,ij->j", lead_prev.conj(), lead[:, order])
     phase = np.ones(order.size, dtype=complex)
     keep = np.abs(z) > 1e-12
@@ -415,7 +415,7 @@ def jordan_track(spec: GeneratorSpec, grid, cluster_tol: float = 1e-7,
             f"within {dist:.2e} near s = {s_hit:.6f}",
             s=s_hit, pair=(a, b), distance=dist)
 
-    lamint = cumulative_trapezoid(lambdas, g, axis=0, initial=0.0)
+    lamint = cumulative_trapezoid(lambdas, g)
     residual = float(max(jf.residual for jf in forms))
     return JordanTrack(g, tuple(forms), lambdas, sizes, clusters, lamint,
                        residual)
@@ -531,7 +531,7 @@ def _time_bracket(pcurves, B, omega, osc, grid, na, ii):
                 V = pcurve * B[:, ii + pp - 1, jj - sig] \
                     / omega ** (pp + sig + 1)
                 dV = _grid_derivative(V, grid)
-                intpart = cumulative_trapezoid(osc * dV, grid, initial=0.0)
+                intpart = cumulative_trapezoid(osc * dV, grid)
                 term = V[0] - V * osc + intpart
                 sign = mult * (-1.0) ** sig
                 total += sign * term

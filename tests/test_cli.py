@@ -6,8 +6,10 @@ library calls directly.  Exit codes and the machine readable stderr
 objects are part of the contract and are asserted literally.
 """
 
+import concurrent.futures
 import hashlib
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -15,7 +17,7 @@ import sys
 import numpy as np
 import pytest
 
-from adiakit import __version__
+from adiakit import __version__, cli
 from adiakit.cli import (
     emit_report,
     main,
@@ -360,6 +362,44 @@ class TestSweep:
         serial = sweep_total_time(path, 4.0, 8.0, 2, "linear", jobs=1)
         pooled = sweep_total_time(path, 4.0, 8.0, 2, "linear", jobs=2)
         assert serial == pooled
+
+    @pytest.mark.parametrize("affinity, cpus, workers", [
+        ({0}, 8, None),            # pinned to one CPU: no pool at all
+        ({0, 1, 2}, 8, 3),         # the mask, not the machine, sizes it
+        (None, 4, 4),              # no mask on this platform: the count
+        (None, None, None),        # nothing known: serial
+    ])
+    def test_default_pool_size(self, tmp_path, monkeypatch, affinity, cpus,
+                               workers):
+        if affinity is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity",
+                                lambda pid: set(affinity), raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(cli, "_worker_context", None)
+        started = []
+
+        class InlinePool:
+            def __init__(self, max_workers, initializer, initargs):
+                started.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return list(map(fn, items))
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            InlinePool)
+        path = write_doc(tmp_path, "lz.json", LZ_DOC)
+        rows = sweep_total_time(path, 4.0, 8.0, 5, "linear")
+        assert started == ([] if workers is None else [workers])
+        assert rows == sweep_total_time(path, 4.0, 8.0, 5, "linear", jobs=1)
 
     def test_bad_spacing(self, tmp_path):
         path = write_doc(tmp_path, "lz.json", LZ_DOC)

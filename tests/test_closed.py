@@ -8,6 +8,7 @@ closed forms.
 import numpy as np
 import pytest
 
+from adiakit import closed
 from adiakit.closed import (
     adiabatic_condition_ratio,
     adiabatic_state,
@@ -26,7 +27,7 @@ from adiakit.errors import (
     ResolutionError,
 )
 from adiakit.numkit import expm
-from adiakit.schedules import SIGMA_X, SIGMA_Z, make_model
+from adiakit.schedules import SIGMA_X, SIGMA_Z, eval_generator, make_model
 
 
 GRID = np.linspace(0.0, 1.0, 2001)
@@ -101,6 +102,56 @@ class TestTrackSpectrum:
         grid = np.linspace(0.0, 1.0, 1001)  # grid point exactly at 0.5
         with pytest.raises(DegeneracyError):
             track_spectrum(spec, grid)
+
+    @pytest.mark.parametrize("case", ["lz", "rotating", "random4",
+                                      "lz_coarse"])
+    def test_ordering_matches_scipy_assignment(self, case, monkeypatch):
+        """Bit for bit the track whose ordering scipy's assignment picks
+        at every point, whether or not the overlap shortcut applies."""
+        from scipy.optimize import linear_sum_assignment
+
+        rng = np.random.default_rng(3)
+        A = rng.normal(size=(2, 4, 4)) + 1j * rng.normal(size=(2, 4, 4))
+        h0, h1 = A + A.conj().transpose(0, 2, 1)
+        spec, points = {
+            "lz": (lz(), 2001),
+            "rotating": (make_model("rotating_field", b=1.0, theta=1.0), 512),
+            "random4": (make_model("linear_interp", h0=h0, h1=h1), 201),
+            # one point inside the avoided crossing: overlaps too small
+            # for the shortcut, the order still unambiguous
+            "lz_coarse": (lz(delta=0.1), 3),
+        }[case]
+        grid = np.linspace(0.0, 1.0, points)
+        assigned = []
+        assign = closed.min_cost_assignment
+
+        def counted(cost):
+            assigned.append(cost)
+            return assign(cost)
+
+        monkeypatch.setattr(closed, "min_cost_assignment", counted)
+        track = track_spectrum(spec, grid)
+        assert bool(assigned) == (case == "lz_coarse")
+
+        vectors = np.empty_like(track.vectors)
+        for i, s in enumerate(grid):
+            evals, evecs = np.linalg.eigh(eval_generator(spec, s))
+            if i == 0:
+                order = np.argsort(evals)
+            else:
+                overlaps = np.abs(vectors[i - 1].conj().T @ evecs)
+                _, order = linear_sum_assignment(-overlaps)
+            assert np.array_equal(track.energies[i], evals[order])
+            V = evecs[:, order]
+            if i == 0:
+                anchors = V[np.argmax(np.abs(V), axis=0), np.arange(len(V))]
+                V = V * np.conj(anchors / np.abs(anchors))
+            else:
+                ov = np.einsum("jn,jn->n", vectors[i - 1].conj(), V)
+                phases = np.where(np.abs(ov) > 0, ov / np.abs(ov), 1.0)
+                V = V * np.conj(phases)
+            vectors[i] = V
+        assert np.array_equal(track.vectors, vectors)
 
     def test_grid_validation(self):
         with pytest.raises(InputError):

@@ -1,0 +1,105 @@
+"""Which modules a command loads: scipy stays off the common paths.
+
+Loading the package is the largest single cost of a short run, and scipy
+is most of it.  Each case starts a fresh interpreter, runs commands
+through ``cli.main`` and reports the scipy modules in ``sys.modules``
+afterwards.  This checks what is imported, not how long it takes, so it
+does not depend on the speed of the machine.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import adiakit
+
+SRC = Path(adiakit.__file__).resolve().parents[1]
+SCENARIOS = Path(__file__).resolve().parents[1] / "scripts" / "scenarios"
+LZ = str(SCENARIOS / "landau_zener.json")
+DEPHASING = str(SCENARIOS / "dephasing_qubit.json")
+
+# an amplitude-damped, transversely driven qubit: four distinct
+# eigenvalues of L(s) all along the schedule, so every Jordan block is 1x1
+DAMPED_QUBIT = {
+    "schema": 1,
+    "kind": "open",
+    "dimension": 2,
+    "hamiltonian_terms": [
+        {"matrix": [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-0.5, 0.0]]],
+         "envelope": {"kind": "constant", "value": 1.0}},
+        {"matrix": [[[0.0, 0.0], [0.5, 0.0]], [[0.5, 0.0], [0.0, 0.0]]],
+         "envelope": {"kind": "linear", "start": 0.2, "end": 0.6}},
+    ],
+    "lindblad_terms": [
+        {"matrix": [[[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+         "envelope": {"kind": "constant", "value": 0.5}},
+    ],
+    "initial_state": [[[0.7, 0.0], [0.2, 0.1]], [[0.2, -0.1], [0.3, 0.0]]],
+    "total_time": 10.0,
+    "T_grid": [2.0, 20.0],
+    "grid_points": 101,
+    "output": {"format": "json"},
+}
+
+RUNNER = """
+import json, sys
+import adiakit.cli as cli
+codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps({"codes": codes, "scipy": sorted(
+    m for m in sys.modules if m == "scipy" or m.startswith("scipy."))}))
+"""
+
+
+def loaded_after(commands):
+    """Exit codes of ``commands`` and the scipy modules loaded after them,
+    all in one fresh interpreter."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", RUNNER,
+                           json.dumps(commands)],
+                          capture_output=True, text=True, env=env,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    return result["codes"], set(result["scipy"])
+
+
+def test_import_loads_no_scipy():
+    assert loaded_after([]) == ([], set())
+
+
+def test_closed_commands_load_no_scipy(tmp_path):
+    out = str(tmp_path / "out")
+    commands = [[verb, LZ, "--out", out]
+                for verb in ("evolve", "check", "consistency")]
+    commands.append(["sweep", LZ, "--T-min", "4", "--T-max", "64",
+                     "--points", "3", "--jobs", "1", "--out", out])
+    codes, scipy = loaded_after(commands)
+    assert codes == [0, 0, 0, 0]
+    assert scipy == set()
+
+
+def test_singleton_block_open_commands_load_no_scipy(tmp_path):
+    path = tmp_path / "damped.json"
+    path.write_text(json.dumps(DAMPED_QUBIT))
+    out = str(tmp_path / "out.json")
+    codes, scipy = loaded_after([["jordan", str(path), "--out", out],
+                                 ["check", str(path), "--out", out]])
+    assert codes == [0, 0]
+    assert scipy == set()
+    with open(out) as fh:
+        assert set(json.load(fh)["results"]["block_sizes"]) == {1}
+
+
+def test_clustered_jordan_loads_only_linalg(tmp_path):
+    # the dephasing qubit has a two-fold eigenvalue 0: its cluster takes
+    # the Schur path, and nothing else of scipy is needed
+    codes, scipy = loaded_after([["jordan", DEPHASING, "--out",
+                                  str(tmp_path / "out.json")]])
+    assert codes == [0]
+    assert "scipy.linalg" in scipy
+    assert not any(m.startswith(("scipy.optimize", "scipy.integrate"))
+                   for m in scipy)

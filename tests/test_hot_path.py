@@ -180,6 +180,51 @@ def test_lz_step_counts(T):
     assert traj.steps <= LZ_STEPS[T] * 1.01
     assert 0 <= traj.rejected < traj.steps
     assert traj.norm_drift() < 1e-6
+    assert 0.0 < traj.min_step <= 1.0
+    assert 0.0 <= traj.s_at_min_step <= 1.0
+
+
+def test_min_step_from_the_stage_nodes():
+    # every attempted step shows in the stage nodes the right-hand side
+    # is called at: t + h/5 first and t + h fifth, six calls per step
+    nodes = []
+
+    def rhs(s, y):
+        nodes.append(s)
+        return -1j * 40.0 * s * y
+
+    res = _rk45.integrate(rhs, np.array([1.0 + 0j]), [0.0, 0.3, 1.0])
+    groups = np.array(nodes[2:]).reshape(-1, 6)   # after f0 and the probe
+    h = (groups[:, 4] - groups[:, 0]) / 0.8
+    t = groups[:, 0] - h / 5
+    accepted = np.append(np.abs(t[1:] - (t[:-1] + h[:-1])) < 1e-12, True)
+    assert len(groups) == res.steps
+    assert np.count_nonzero(~accepted) == res.rejected
+    h_acc, t_acc = h[accepted][:-1], t[accepted][:-1]
+    k = int(np.argmin(h_acc))
+    assert res.min_step == pytest.approx(h_acc[k], rel=1e-9)
+    assert res.s_at_min_step == pytest.approx(t_acc[k], abs=1e-12)
+
+
+def zero_rhs(s, y):
+    return np.zeros_like(y)
+
+
+def test_min_step_leaves_out_the_final_step():
+    # with no error at all each step is 10x the last, from 1e-6; the end
+    # point sits 1e-9 past the third step, so the fourth is cut to 1e-9
+    res = _rk45.integrate(zero_rhs, np.array([1.0 + 0j]),
+                          [0.0, 1e-6 + 1e-5 + 1e-4 + 1e-9])
+    assert res.steps == 4
+    assert res.min_step == pytest.approx(1e-6, rel=1e-12)
+    assert res.s_at_min_step == 0.0
+
+
+def test_single_step_is_its_own_min_step():
+    res = _rk45.integrate(zero_rhs, np.array([1.0 + 0j]), [0.0, 5e-7])
+    assert res.steps == 1
+    assert res.min_step == pytest.approx(5e-7, rel=1e-12)
+    assert res.s_at_min_step == 0.0
 
 
 def test_rejected_steps_counted():
@@ -202,6 +247,8 @@ def test_master_trajectory_carries_rejected():
     traj = integrate_master(spec, 10.0, rho0)
     assert 0 <= traj.rejected < traj.steps
     assert traj.rhs_evals == 6 * traj.steps + 2
+    assert 0.0 < traj.min_step <= 1.0
+    assert 0.0 <= traj.s_at_min_step <= 1.0
 
 
 # ------------------------------------------------------------ the guards
