@@ -79,8 +79,8 @@ def _initial_step(rhs, t0, y0, f0, direction, rtol, atol):
     return min(100 * h0, h1)
 
 
-def integrate(rhs, y0, s_eval, rtol: float = 1e-8, atol: float = 1e-10,
-              max_step: float = np.inf) -> IntegrationResult:
+def integrate(rhs, y0, s_eval, rtol: float = 1e-8,
+              atol: float = 1e-10) -> IntegrationResult:
     """Integrate ``dy/ds = rhs(s, y)`` through the points of ``s_eval``.
 
     ``s_eval`` must be strictly increasing; integration starts at
@@ -116,12 +116,12 @@ def integrate(rhs, y0, s_eval, rtol: float = 1e-8, atol: float = 1e-10,
 
     with np.errstate(over="ignore", invalid="ignore"):
         f = rhs(t, y)
-        h = min(_initial_step(rhs, t, y, f, 1.0, rtol, atol), max_step, span)
+        h = min(_initial_step(rhs, t, y, f, 1.0, rtol, atol), span)
         ay = np.abs(y)
         for i in range(1, pts.size):
             target = float(pts[i])
             while t < target - 1e-14 * span:
-                h = min(h, max_step, target - t)
+                h = min(h, target - t)
                 if not h >= h_floor:
                     raise StiffnessError(
                         f"step size collapsed to {h:.3e} at s = {t:.6f}",

@@ -8,17 +8,18 @@ scenario file, the tool version, and the tolerances in force, with sorted
 keys throughout, so rerunning an unchanged scenario reproduces the output
 byte for byte.
 
-Exit codes: 0 on success, 2 for schema and input problems (the stderr
-JSON names the offending field), 3 when a numerical routine refuses
+Exit codes: 0 on success, 2 for schema, input and flag problems (the
+stderr JSON names the field or flag), 3 when a numerical routine refuses
 (degeneracies, crossings, conditioning); the stderr JSON then carries the
 module error and its details.
 """
 
 import argparse
-import dataclasses
+import functools
 import hashlib
 import json
 import os
+import re
 import sys
 from dataclasses import dataclass
 
@@ -45,6 +46,7 @@ from .errors import (
 )
 from .numkit import _finite_number, is_hermitian, matrix_from_json
 from .open_system import (
+    _check_density,
     classify_regime,
     coupling_tensor,
     expand_jordan_coefficients,
@@ -72,8 +74,11 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 
-PIPELINES = ("spectrum", "evolve", "check", "sweep", "wu", "jordan",
-             "consistency")
+# Work bounds checked at the parse boundary: the entries of the stacked
+# per-point matrices of a grid (n x n with n = D closed, D^2 open; 256 MiB
+# of complex entries per stacked array), and the T values of one sweep.
+MAX_GRID_ENTRIES = 2 ** 24
+MAX_SWEEP_POINTS = 1000
 
 _SCHEMA_ERRORS = (InputError, ConfigError, ShapeError, DomainError)
 
@@ -161,21 +166,9 @@ def _parse_initial_state(data, spec, where):
             raise InputError(f"{where}.initial_state is not normalized",
                              field="initial_state")
         return vec
-    rho = matrix_from_json(data, "initial_state")
-    D = spec.dimension
-    if rho.shape != (D, D):
-        raise InputError(f"{where}.initial_state must be {D}x{D}",
-                         field="initial_state")
-    if not is_hermitian(rho, 1e-8):
-        raise InputError(f"{where}.initial_state is not Hermitian",
-                         field="initial_state")
-    if abs(np.trace(rho).real - 1.0) > 1e-8:
-        raise InputError(f"{where}.initial_state trace is not 1",
-                         field="initial_state")
-    if np.min(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))) < -1e-8:
-        raise InputError(f"{where}.initial_state is not positive",
-                         field="initial_state")
-    return rho
+    return _check_density(matrix_from_json(data, "initial_state"),
+                          spec.dimension, f"{where}.initial_state",
+                          field="initial_state")
 
 
 def parse_scenario(data, where: str = "scenario") -> Scenario:
@@ -251,9 +244,11 @@ def parse_scenario(data, where: str = "scenario") -> Scenario:
                              field="T_grid")
 
     grid_points = data.get("grid_points", 201)
-    if not isinstance(grid_points, int) or grid_points < 2:
-        raise InputError(f"{where}.grid_points must be an integer >= 2",
-                         field="grid_points")
+    n = spec.dimension ** (1 if spec.kind == "closed" else 2)
+    if not (isinstance(grid_points, int)
+            and 2 <= grid_points <= MAX_GRID_ENTRIES // (n * n)):
+        raise InputError(f"{where}.grid_points must be an integer from 2 to "
+                         f"{MAX_GRID_ENTRIES // (n * n)}", field="grid_points")
 
     tol = data.get("tolerances", {})
     if not isinstance(tol, dict) or set(tol) - {"rtol", "atol"}:
@@ -305,9 +300,19 @@ def _write_csv(path, columns, rows):
 def _cell(x):
     if isinstance(x, bool):
         return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
     return repr(float(x))
+
+
+def _table(columns, *blocks):
+    """``(columns, float array)``: the blocks side by side, each complex
+    block as adjacent re/im columns."""
+    return columns, np.column_stack([
+        np.ascontiguousarray(b).view(float) if np.iscomplexobj(b) else b
+        for b in blocks])
+
+
+def _re_im(labels):
+    return [f"{part}{label}" for label in labels for part in ("re", "im")]
 
 
 def _default_state(sc, track=None):
@@ -335,69 +340,54 @@ def _open_track(sc, grid):
 
 
 # ----------------------------------------------------------------- pipelines
+# Each maps (scenario, --T, --order) to (table, report), either one None:
+# _execute alone writes them, the table as CSV or as {"columns", "rows"}.
 
-def _pipe_spectrum(sc, args):
+def _pipe_spectrum(sc, T, order):
     grid = sc.grid()
     if sc.kind == "closed":
         track = track_spectrum(sc.spec, grid)
         columns = ["s"] + [f"E{n}" for n in range(track.dim)]
-        rows = [[grid[i]] + list(track.energies[i])
-                for i in range(grid.size)]
-    else:
-        track = _open_track(sc, grid)
-        columns = ["s"]
-        for b in range(track.nblocks):
-            columns += [f"re{b}", f"im{b}"]
-        rows = []
-        for i in range(grid.size):
-            row = [grid[i]]
-            for b in range(track.nblocks):
-                row += [track.lambdas[i, b].real, track.lambdas[i, b].imag]
-            rows.append(row)
-    return columns, rows, None
+        return _table(columns, grid, track.energies), None
+    track = _open_track(sc, grid)
+    return _table(["s"] + _re_im(range(track.nblocks)), grid,
+                  track.lambdas), None
 
 
-def _pipe_evolve(sc, args):
+def _pipe_evolve(sc, T, order):
     grid = sc.grid()
-    T = _require_time(sc, args.T)
+    T = _require_time(sc, T)
     tol = (sc.rtol, sc.atol)
     if sc.kind == "closed":
         track = track_spectrum(sc.spec, grid)
         traj = integrate_schrodinger(sc.spec, T, _default_state(sc, track),
                                      grid, tol)
-        columns = ["s", "t"] + [f"E{n}" for n in range(track.dim)]
-        for n in range(track.dim):
-            columns += [f"re{n}", f"im{n}"]
-        rows = []
-        for i in range(grid.size):
-            row = [grid[i], traj.times[i]] + list(track.energies[i])
-            for n in range(track.dim):
-                row += [traj.states[i, n].real, traj.states[i, n].imag]
-            rows.append(row)
-    else:
-        traj = integrate_master(sc.spec, T, _default_state(sc), grid, tol)
-        D = sc.spec.dimension
-        columns = ["s", "t"]
-        for a in range(D):
-            for b in range(D):
-                columns += [f"re{a}{b}", f"im{a}{b}"]
-        rows = []
-        for i in range(grid.size):
-            row = [grid[i], traj.times[i]]
-            for z in traj.states[i]:
-                row += [z.real, z.imag]
-            rows.append(row)
-    return columns, rows, None
+        columns = (["s", "t"] + [f"E{n}" for n in range(track.dim)]
+                   + _re_im(range(track.dim)))
+        return _table(columns, grid, traj.times, track.energies,
+                      traj.states), None
+    traj = integrate_master(sc.spec, T, _default_state(sc), grid, tol)
+    D = sc.spec.dimension
+    columns = ["s", "t"] + _re_im(f"{a}{b}" for a in range(D)
+                                  for b in range(D))
+    return _table(columns, grid, traj.times, traj.states), None
 
 
-def _pipe_check(sc, args):
+def _open_coefficients(sc, grid, track, T):
+    """The stripped block coefficients of one master-equation solve at T."""
+    traj = integrate_master(sc.spec, T, _default_state(sc), grid,
+                            (sc.rtol, sc.atol))
+    return expand_jordan_coefficients(traj, track, T)
+
+
+def _pipe_check(sc, T, order):
     grid = sc.grid()
     if sc.kind == "closed":
-        T = _require_time(sc, args.T)
+        T = _require_time(sc, T)
         track = track_spectrum(sc.spec, grid)
         cond = adiabatic_condition_ratio(track, sc.spec, T)
         estimate = min_time_estimate(track, sc.spec, 0)
-        results = {
+        return None, {
             "total_time": T,
             "max_ratio": cond.max_ratio,
             "max_pair": list(cond.max_pair),
@@ -406,7 +396,6 @@ def _pipe_check(sc, args):
             "min_time_estimate": {"T_est": estimate.T_est, "F": estimate.F,
                                   "G": estimate.G},
         }
-        return None, None, results
     track = _open_track(sc, grid)
     couplings = coupling_tensor(track, sc.spec)
     cond = open_condition_metric(track, sc.spec, couplings=couplings)
@@ -417,19 +406,10 @@ def _pipe_check(sc, args):
         "metrics": {",".join(map(str, key)): val
                     for key, val in cond.metrics.items()},
     }
-    T_values = sc.T_grid
-    if args.T is not None:
-        T_values = (float(args.T),)
+    T_values = sc.T_grid if T is None else (T,)
     if sc.initial_state is not None and T_values:
-        coeffs = {}
-
-        def coeffs_at(T):
-            if T not in coeffs:
-                traj = integrate_master(sc.spec, T, sc.initial_state, grid,
-                                        (sc.rtol, sc.atol))
-                coeffs[T] = expand_jordan_coefficients(traj, track, T)
-            return coeffs[T]
-
+        coeffs_at = functools.cache(
+            lambda T: _open_coefficients(sc, grid, track, T))
         tcond = open_time_condition(track, sc.spec, coeffs_at, T_values,
                                     couplings=couplings)
         results["time_condition"] = {
@@ -444,62 +424,55 @@ def _pipe_check(sc, args):
                                  couplings=couplings)
         results["regimes"] = {f"{a},{b}": lab
                               for (a, b), lab in labels.items()}
-    return None, None, results
+    return None, results
 
 
-def _pipe_wu(sc, args):
+def _pipe_wu(sc, T, order):
     if sc.kind != "closed":
         raise ConfigError("the expansion pipeline needs a closed system")
-    order = args.order if args.order is not None else 2
+    order = 2 if order is None else order
     if not 0 <= order <= 3:
         raise InputError(f"order must be in 0..3, got {order}",
                          field="order")
-    T = _require_time(sc, args.T)
-    grid = sc.grid()
-    expansion = wu_expansion(sc.spec, T, order, grid)
+    T = _require_time(sc, T)
+    expansion = wu_expansion(sc.spec, T, order, sc.grid())
     exact = _track_propagator(sc.spec, T, expansion.track)
     errors = []
     for m in range(order + 1):
         diff = expansion.partial_sum(m)[-1] - exact[-1]
         errors.append(float(np.linalg.norm(diff)))
-    results = {
+    return None, {
         "total_time": T,
         "order": order,
         "grid_points": sc.grid_points,
         "final_errors": errors,
     }
-    return None, None, results
 
 
-def _pipe_jordan(sc, args):
+def _pipe_jordan(sc, T, order):
     if sc.kind != "open":
         raise ConfigError("the block-structure pipeline needs an open "
                           "system")
     track = _open_track(sc, sc.grid())
     payload = track.export()
-    results = {
+    return None, {
         "block_sizes": list(track.sizes),
         "signature": payload["signature"],
         "clusters": list(track.clusters),
         "residual_max": track.residual_max,
         "points": payload["points"],
     }
-    return None, None, results
 
 
-def _pipe_consistency(sc, args):
+def _pipe_consistency(sc, T, order):
     if sc.kind != "closed":
         raise ConfigError("the consistency pipeline needs a closed system")
-    T = _require_time(sc, args.T)
-    report = consistency_report(sc.spec, T, sc.grid(),
+    report = consistency_report(sc.spec, _require_time(sc, T), sc.grid(),
                                 tol=(sc.rtol, sc.atol))
-    if args.format_resolved == "csv":
-        columns = ["s", "w", "r", "fid_proper", "fid_illegal"]
-        rows = [[report.grid[i], report.w[i], report.r[i],
-                 report.fid_proper[i], report.fid_illegal[i]]
-                for i in range(report.grid.size)]
-        return columns, rows, None
-    return None, None, report.to_json()
+    table = _table(["s", "w", "r", "fid_proper", "fid_illegal"],
+                   report.grid, report.w, report.r, report.fid_proper,
+                   report.fid_illegal)
+    return table, report.to_json()
 
 
 _PIPELINE_FUNCS = {
@@ -511,6 +484,8 @@ _PIPELINE_FUNCS = {
     "consistency": _pipe_consistency,
 }
 
+PIPELINES = (*_PIPELINE_FUNCS, "sweep")
+
 
 # --------------------------------------------------------------------- sweep
 
@@ -521,17 +496,15 @@ def _sweep_point(context, T):
     and track, and for an open scenario the coupling tensor.
     """
     sc, grid, track, couplings = context
-    tol = (sc.rtol, sc.atol)
     if sc.kind == "closed":
         traj = integrate_schrodinger(sc.spec, T, track.vectors[0, :, 0],
-                                     grid, tol)
+                                     grid, (sc.rtol, sc.atol))
         reference = adiabatic_state(track, T, 1.0, 0)
         infidelity = 1.0 - fidelity(
             reference, traj.states[-1] / np.linalg.norm(traj.states[-1]))
         ratio = adiabatic_condition_ratio(track, sc.spec, T).max_ratio
         return T, infidelity, ratio, bool(ratio < 1.0)
-    traj = integrate_master(sc.spec, T, _default_state(sc), grid, tol)
-    coeffs = expand_jordan_coefficients(traj, track, T)
+    coeffs = _open_coefficients(sc, grid, track, T)
     drift = 0.0
     scale = 1e-300
     for curve in coeffs.p.values():
@@ -577,9 +550,10 @@ def sweep_total_time(path, T_min, T_max, points, spacing: str = "log",
     Returns rows (T, infidelity, condition ratio, bound satisfied) sorted
     by T; for open systems the infidelity column reports the worst
     relative drift of the stripped block coefficients, the quantity the
-    adiabatic statement actually bounds.  ``jobs`` worker processes share
-    the T values; by default one per CPU this process may use, and with
-    one the sweep runs in this process.
+    adiabatic statement actually bounds.  The T values are shared among at
+    most ``jobs`` worker processes (by default no limit), never more than
+    there are T values or CPUs this process may use; with one worker the
+    sweep runs in this process.
     """
     if spacing not in ("linear", "log"):
         raise InputError(f"spacing must be linear or log, got {spacing!r}",
@@ -588,9 +562,9 @@ def sweep_total_time(path, T_min, T_max, points, spacing: str = "log",
     T_max = _finite_number(T_max, "T_max", "T_max", positive=True)
     if not T_max > T_min:
         raise InputError("need 0 < T_min < T_max", field="T_min")
-    if points < 2:
-        raise InputError(f"points must be >= 2, got {points}",
-                         field="points")
+    if not 2 <= points <= MAX_SWEEP_POINTS:
+        raise InputError(f"points must be in 2..{MAX_SWEEP_POINTS}, "
+                         f"got {points}", field="points")
     if jobs is not None and jobs < 1:
         raise InputError(f"jobs must be >= 1, got {jobs}", field="jobs")
     _, sc = _load_scenario(path)
@@ -606,12 +580,12 @@ def sweep_total_time(path, T_min, T_max, points, spacing: str = "log",
     else:
         T_values = np.linspace(T_min, T_max, points)
     T_values = [float(T) for T in T_values]
-    jobs = jobs or _usable_cpus()
-    if jobs == 1:
+    workers = min(jobs or points, points, _usable_cpus())
+    if workers == 1:
         rows = [_sweep_point(context, T) for T in T_values]
     else:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=min(jobs, points),
+        with ProcessPoolExecutor(max_workers=workers,
                                  initializer=_init_sweep_worker,
                                  initargs=(context,)) as pool:
             rows = list(pool.map(_pooled_sweep_point, T_values))
@@ -633,9 +607,10 @@ def _resolve_out(out_flag, scenario_path, name):
 def _exit_code(run) -> int:
     """Call ``run`` and map its outcome to the process exit code.
 
-    0 on success; 2 for schema and input errors and unreadable files; 3
-    when a numerical routine refuses.  A failure is also written to stderr
-    as one JSON object with the error name, message and details.
+    0 on success; 2 for schema, input and command line errors and
+    unreadable files; 3 when a numerical routine refuses.  A failure is
+    also written to stderr as one JSON object with the error name, message
+    and details.
     """
     try:
         run()
@@ -651,45 +626,41 @@ def _exit_code(run) -> int:
     return code
 
 
-def _load_scenario(path):
-    """The raw bytes of a scenario file and the parsed :class:`Scenario`."""
+def _load_scenario(path, grid_points=None):
+    """The raw bytes of a scenario file and the parsed :class:`Scenario`,
+    with ``grid_points``, when given, in place of the document's."""
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
         doc = json.loads(raw)
     except ValueError as exc:
         raise InputError(f"scenario is not valid JSON: {exc}") from exc
+    if grid_points is not None and isinstance(doc, dict):
+        doc["grid_points"] = grid_points
     return raw, parse_scenario(doc)
 
 
-def _execute(path, pipeline, args, grid_points=None):
-    raw, sc = _load_scenario(path)
-    if args.T is not None:
-        args.T = _finite_number(args.T, "--T", "T", positive=True)
-    if grid_points is not None:
-        if grid_points < 2:
-            raise InputError(f"--grid must be >= 2, got {grid_points}",
-                             field="grid_points")
-        sc = dataclasses.replace(sc, grid_points=grid_points)
-    verb = pipeline or sc.pipeline
+def _execute(path, verb, T, grid_points, order, out, fmt):
+    raw, sc = _load_scenario(path, grid_points)
+    if T is not None:
+        T = _finite_number(T, "--T", "T", positive=True)
+    verb = verb or sc.pipeline
     if verb is None:
         raise InputError("scenario names no pipeline and none was given "
                          "on the command line", field="pipeline")
     if verb == "sweep":
         raise InputError("use the sweep subcommand for total-time sweeps",
                          field="pipeline")
-    fmt = args.format or sc.out_format
-    args.format_resolved = fmt
-    columns, rows, results = _PIPELINE_FUNCS[verb](sc, args)
-    out = _resolve_out(args.out, sc.out_path, f"{verb}.{fmt}")
-    if results is None and fmt == "json":
-        results = {"columns": columns,
-                   "rows": [[float(x) for x in row] for row in rows]}
-    if results is None:
-        _write_csv(out, columns, rows)
-    else:
-        _write_text(out, emit_report(results, raw,
-                                     {"rtol": sc.rtol, "atol": sc.atol}))
+    fmt = fmt or sc.out_format
+    table, report = _PIPELINE_FUNCS[verb](sc, T, order)
+    out = _resolve_out(out, sc.out_path, f"{verb}.{fmt}")
+    if table is not None and fmt == "csv":
+        _write_csv(out, table[0], table[1].tolist())
+        return out
+    if report is None:
+        report = {"columns": table[0], "rows": table[1].tolist()}
+    _write_text(out, emit_report(report, raw,
+                                 {"rtol": sc.rtol, "atol": sc.atol}))
     return out
 
 
@@ -697,19 +668,31 @@ def run_scenario(path, pipeline: str = None, T: float = None,
                  grid: int = None, order: int = None, out: str = None,
                  fmt: str = None) -> int:
     """Execute one scenario end to end; returns the process exit code."""
-    args = argparse.Namespace(T=T, order=order, out=out, format=fmt,
-                              format_resolved=None)
-    return _exit_code(lambda: _execute(path, pipeline, args, grid))
+    return _exit_code(lambda: _execute(path, pipeline, T, grid, order, out,
+                                       fmt))
+
+
+class _Parser(argparse.ArgumentParser):
+    """Refuses a command line with an :class:`InputError` that names the
+    flag, so the refusal reaches :func:`_exit_code` like any other."""
+
+    def error(self, message):
+        named = re.search(r"(?:argument|option:|required:|arguments:) "
+                          r"([^\s,:]+)", message)
+        if named is None:
+            raise InputError(message)
+        raise InputError(message,
+                         field=named[1].lstrip("-").replace("-", "_"))
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="adiakit",
         description="Slow-drive analyses for closed and open quantum "
                     "systems")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, needs_T=False):
+    for verb in _PIPELINE_FUNCS:
+        p = sub.add_parser(verb)
         p.add_argument("scenario", help="path to a scenario JSON file")
         p.add_argument("--T", type=float, default=None,
                        help="total evolution time override")
@@ -717,13 +700,9 @@ def main(argv=None) -> int:
                        help="number of schedule grid points")
         p.add_argument("--out", default=None, help="output file path")
         p.add_argument("--format", choices=("csv", "json"), default=None)
-
-    for verb in ("spectrum", "evolve", "check", "jordan", "consistency"):
-        common(sub.add_parser(verb))
-    wu = sub.add_parser("wu")
-    common(wu)
-    wu.add_argument("--order", type=int, default=None,
-                    help="highest transition order to sum")
+        if verb == "wu":
+            p.add_argument("--order", type=int, default=None,
+                           help="highest transition order to sum")
 
     sweep = sub.add_parser("sweep")
     sweep.add_argument("scenario")
@@ -735,14 +714,17 @@ def main(argv=None) -> int:
     sweep.add_argument("--jobs", type=int, default=None)
     sweep.add_argument("--out", default=None)
 
-    ns = parser.parse_args(argv)
-    if ns.command == "sweep":
-        out = _resolve_out(ns.out, None, "sweep.csv")
-        return _exit_code(lambda: sweep_total_time(
-            ns.scenario, ns.T_min, ns.T_max, ns.points, ns.spacing, ns.jobs,
-            out))
-    return run_scenario(ns.scenario, ns.command, ns.T, ns.grid,
-                        getattr(ns, "order", None), ns.out, ns.format)
+    def run():
+        ns = parser.parse_args(argv)
+        if ns.command == "sweep":
+            sweep_total_time(ns.scenario, ns.T_min, ns.T_max, ns.points,
+                             ns.spacing, ns.jobs,
+                             _resolve_out(ns.out, None, "sweep.csv"))
+        else:
+            _execute(ns.scenario, ns.command, ns.T, ns.grid,
+                     getattr(ns, "order", None), ns.out, ns.format)
+
+    return _exit_code(run)
 
 
 if __name__ == "__main__":

@@ -243,14 +243,6 @@ class JordanForm:
     def block_slice(self, alpha: int) -> slice:
         return slice(self.offsets[alpha], self.offsets[alpha + 1])
 
-    def right_vectors(self, alpha: int) -> np.ndarray:
-        """Columns ``D^(0) ... D^(n_alpha - 1)`` of block ``alpha``."""
-        return self.similarity[:, self.block_slice(alpha)]
-
-    def left_vectors(self, alpha: int) -> np.ndarray:
-        """Rows ``E^(0) ... E^(n_alpha - 1)`` of block ``alpha``."""
-        return self.similarity_inv[self.block_slice(alpha), :]
-
     def jordan_matrix(self) -> np.ndarray:
         return jordan_matrix_from_blocks(self.blocks)
 

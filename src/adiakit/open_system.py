@@ -149,6 +149,25 @@ class SuperAssembler:
         return dL
 
 
+def _check_density(rho, D, label="initial state", **details):
+    """``rho`` as a complex D x D array if it is Hermitian, of unit trace
+    and positive semidefinite within 1e-10; else an :class:`InputError`
+    that carries ``details``."""
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape != (D, D):
+        raise InputError(f"{label} must be {D}x{D}, got {rho.shape}",
+                         **details)
+    if not is_hermitian(rho, 1e-10):
+        raise InputError(f"{label} must be Hermitian to 1e-10", **details)
+    if abs(np.trace(rho) - 1.0) > 1e-10:
+        raise InputError(f"{label} must have unit trace to 1e-10", **details)
+    lowest = float(np.min(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))))
+    if lowest < -1e-10:
+        raise InputError(f"{label} has negative eigenvalue {lowest:.3e}",
+                         **details)
+    return rho
+
+
 def integrate_master(spec: GeneratorSpec, T: float, rho0, grid=None,
                      tol=(1e-8, 1e-10)) -> Trajectory:
     """Propagate d|rho>>/ds = T L(s) |rho>> from a validated initial state.
@@ -160,19 +179,7 @@ def integrate_master(spec: GeneratorSpec, T: float, rho0, grid=None,
     asm = SuperAssembler(spec)
     if not T > 0:
         raise InputError(f"total time must be positive, got {T}")
-    rho0 = np.asarray(rho0, dtype=complex)
-    D = spec.dimension
-    if rho0.shape != (D, D):
-        raise InputError(f"initial state must be {D}x{D}, got {rho0.shape}")
-    if not is_hermitian(rho0, 1e-10):
-        raise InputError("initial state must be Hermitian to 1e-10")
-    if abs(np.trace(rho0) - 1.0) > 1e-10:
-        raise InputError("initial state must have unit trace to 1e-10")
-    lowest = float(np.min(np.linalg.eigvalsh(0.5 * (rho0 + rho0.conj().T))))
-    if lowest < -1e-10:
-        raise InputError(
-            f"initial state has negative eigenvalue {lowest:.3e}")
-
+    rho0 = _check_density(rho0, spec.dimension)
     g = np.linspace(0.0, 1.0, 201) if grid is None else _validate_grid(grid)
     rtol, atol = tol
     res = integrate(asm.flow(T), rho0.reshape(-1), g, rtol=rtol, atol=atol)

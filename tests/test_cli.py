@@ -434,6 +434,42 @@ class TestEmitReport:
         assert emit_report({}, b"", None).endswith("}\n")
 
 
+class TestOneWriter:
+    """A table reads the same whichever format writes it."""
+
+    @pytest.mark.parametrize("verb, doc", [
+        ("evolve", LZ_DOC), ("evolve", DEPHASING_DOC),
+        ("spectrum", LZ_DOC), ("spectrum", DEPHASING_DOC),
+    ], ids=["evolve-closed", "evolve-open", "spectrum-closed",
+            "spectrum-open"])
+    def test_json_rows_equal_csv_rows(self, tmp_path, verb, doc):
+        path = write_doc(tmp_path, "doc.json", doc)
+        csv_out, json_out = tmp_path / "t.csv", tmp_path / "t.json"
+        assert main([verb, path, "--format", "csv",
+                     "--out", str(csv_out)]) == 0
+        assert main([verb, path, "--format", "json",
+                     "--out", str(json_out)]) == 0
+        header, *lines = csv_out.read_text().splitlines()
+        results = load_report(json_out)["results"]
+        assert results["columns"] == header.split(",")
+        assert results["rows"] == [[float(x) for x in line.split(",")]
+                                   for line in lines]
+
+    def test_consistency_csv_columns_equal_json_points(self, tmp_path):
+        path = write_doc(tmp_path, "lz.json", LZ_DOC)
+        csv_out, json_out = tmp_path / "c.csv", tmp_path / "c.json"
+        assert main(["consistency", path, "--format", "csv",
+                     "--out", str(csv_out)]) == 0
+        assert main(["consistency", path, "--format", "json",
+                     "--out", str(json_out)]) == 0
+        header, *lines = csv_out.read_text().splitlines()
+        rows = [[float(x) for x in line.split(",")] for line in lines]
+        points = load_report(json_out)["results"]["points"]
+        assert set(header.split(",")) == set(points[0])
+        for k, name in enumerate(header.split(",")):
+            assert [row[k] for row in rows] == [p[name] for p in points]
+
+
 class TestMain:
     def test_spectrum_verb(self, tmp_path):
         path = write_doc(tmp_path, "static.json", STATIC_DOC)

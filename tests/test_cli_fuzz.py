@@ -1,12 +1,14 @@
-"""Hypothesis fuzzing of scenario documents through the command line.
+"""Hypothesis fuzzing of scenario documents and argv through the command line.
 
 Each example takes one of the bundled scenarios, shrunk to a small grid
 and total time, replaces some of its fields or inserts new ones with
 hostile values -- NaN, an infinity, a boolean, a string, an empty or ragged
 list, a zero or negative number, an unknown key -- and runs a subcommand
-in-process under a wall-clock budget.  Whatever the document, the command
-must exit 0, 2 or 3, leave one JSON object on stderr and raise no warning
-when it fails, and finish within the budget.
+in-process under a wall-clock budget.  Up to two edits of the argv ahead of
+its ``--out`` and ``--jobs`` flags -- a token dropped, replaced or inserted:
+a bad number, an unknown or dangling flag -- ride along.  Whatever the
+input, the command must exit 0, 2 or 3, leave one JSON object on stderr
+and raise no warning when it fails, and finish within the budget.
 """
 
 import contextlib
@@ -54,6 +56,13 @@ KEYS = st.sampled_from([
     "format", "a", "delta", "b", "theta", "omega", "gamma", "h0",
     "omega_envelope", "gamma_envelope", "unknown",
 ])
+# argv tokens: malformed and out-of-range values, unknown and dangling flags
+TOKENS = st.sampled_from([
+    "abc", "nan", "inf", "-1", "0", "1.5", "1001", "", "--bogus", "--T",
+    "--grid", "--format", "--points", "--T-min",
+])
+EDITS = st.lists(st.tuples(st.sampled_from(("drop", "replace", "insert")),
+                           st.integers(0, 15), TOKENS), max_size=2)
 
 
 def paths(node, prefix=()):
@@ -83,6 +92,19 @@ def documents(draw):
     return doc
 
 
+def edited(argv, edits):
+    """``argv`` after each (kind, position, token) edit in turn."""
+    argv = list(argv)
+    for kind, pos, token in edits:
+        if kind == "insert":
+            argv.insert(pos % (len(argv) + 1), token)
+        elif argv and kind == "drop":
+            del argv[pos % len(argv)]
+        elif argv:
+            argv[pos % len(argv)] = token
+    return argv
+
+
 class BudgetExceeded(BaseException):
     """Raised from the interval timer; not an Exception, so no handler in
     the command line can swallow it."""
@@ -93,15 +115,19 @@ def _expire(signum, frame):
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
-@given(doc=documents(), verb=st.sampled_from(VERBS))
-def test_cli_contract_holds_for_mutated_scenarios(doc, verb):
+@given(doc=documents(), verb=st.sampled_from(VERBS), edits=EDITS)
+def test_cli_contract_holds_for_mutated_scenarios(doc, verb, edits):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "scenario.json"
         path.write_text(json.dumps(doc))
-        argv = [verb, str(path), "--out", str(Path(tmp) / "out")]
+        argv = [verb, str(path)]
         if verb == "sweep":
-            argv += ["--T-min", "1", "--T-max", "20", "--points", "2",
-                     "--jobs", "1"]
+            argv += ["--T-min", "1", "--T-max", "20", "--points", "2"]
+        # the edits never reach --out or --jobs, so the output stays in
+        # tmp and no process pool starts
+        argv = edited(argv, edits) + ["--out", str(Path(tmp) / "out")]
+        if verb == "sweep":
+            argv += ["--jobs", "1"]
         stderr = io.StringIO()
         previous = signal.signal(signal.SIGALRM, _expire)
         signal.setitimer(signal.ITIMER_REAL, BUDGET_S)

@@ -6,16 +6,28 @@ model and envelope parameters, and every matrix entry.  Each is refused at
 the parse boundary with exit 2 and a stderr JSON that names the field.
 Inputs that pass the boundary but leave the stepper nothing to work with
 end in exit 3, within a bounded time, instead of spinning forever.
+
+The same boundary checks an open initial state against the master
+solver's own limits, refuses grids and sweeps above the work bounds, and
+turns every command line error into the same one stderr JSON object.
+Caps are tested just above their limits, which are refused before
+anything is allocated; no test runs a huge value or starts a process pool.
 """
 
+import concurrent.futures
+import importlib.util
 import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from adiakit.cli import main
+from adiakit import cli
+from adiakit.cli import main, parse_scenario
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scripts" / "scenarios"
 
 LZ_DOC = {
     "schema": 1,
@@ -265,3 +277,137 @@ def test_bad_wu_order_exit_two(tmp_path, capsys, order):
     assert main(["wu", path, "--order", order,
                  "--out", str(tmp_path / "wu.json")]) == 2
     assert field_of(capsys.readouterr().err) == "order"
+
+
+def with_state_entry(row, col, delta):
+    """DEPHASING_DOC with ``delta`` added to one entry of the state."""
+    state = [[list(pair) for pair in r] for r in DEPHASING_DOC["initial_state"]]
+    state[row][col][0] += delta
+    return dict(DEPHASING_DOC, initial_state=state)
+
+
+@pytest.mark.parametrize("doc", [
+    with_state_entry(0, 0, 5e-9),
+    with_state_entry(0, 1, 5e-9),
+    dict(DEPHASING_DOC, initial_state=[[[1.0 + 5e-9, 0.0], [0.0, 0.0]],
+                                       [[0.0, 0.0], [-5e-9, 0.0]]]),
+], ids=["trace", "hermiticity", "positivity"])
+def test_open_state_off_by_5e9_refused_at_parse(tmp_path, capsys, doc):
+    """The scenario's density matrix meets the master solver's 1e-10
+    limits at the parse boundary, so the refusal names the field."""
+    path = write_doc(tmp_path, doc)
+    assert main(["evolve", path, "--out", str(tmp_path / "out")]) == 2
+    assert field_of(capsys.readouterr().err) == "initial_state"
+
+
+def test_generated_scenarios_all_accepted():
+    """Every scenario the benchmark generates for seeds 0-99 passes the
+    parse boundary, initial state included, and so does every bundled one
+    at the 4001 grid points the benchmark runs."""
+    gen_path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", gen_path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    for family in gen.FAMILIES:
+        for seed in range(100):
+            parse_scenario(gen.generate(family, seed))
+    for path in SCENARIOS.glob("*.json"):
+        parse_scenario(dict(json.loads(path.read_text()), grid_points=4001))
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["sweep", "{path}", "--T-min", "abc", "--T-max", "2", "--points", "2"],
+     "T_min"),
+    (["sweep", "{path}", "--T-min", "1", "--T-max", "2"], "points"),
+    (["evolve", "{path}", "--bogus", "3"], "bogus"),
+    (["evolve", "{path}", "--format", "xml"], "format"),
+    (["evolve", "{path}", "--grid", "1.5"], "grid"),
+    (["evolve"], "scenario"),
+    (["integrate", "{path}"], "command"),
+], ids=["bad-float", "missing-flag", "unknown-flag", "bad-choice",
+        "bad-int", "missing-scenario", "unknown-verb"])
+def test_flag_errors_are_one_json_object(tmp_path, capsys, argv, field):
+    path = write_doc(tmp_path, LZ_DOC)
+    assert main([a.format(path=path) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert field_of(captured.err) == field
+    assert "usage" not in captured.err and not captured.out
+
+
+def test_flag_error_from_console_has_no_usage_text(tmp_path):
+    path = write_doc(tmp_path, LZ_DOC)
+    proc = run_cli(["sweep", path, "--T-min", "abc", "--T-max", "2",
+                    "--points", "2"])
+    assert proc.returncode == 2
+    assert field_of(proc.stderr) == "T_min"
+    assert "usage" not in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "usage" in capsys.readouterr().out
+
+
+def just_over_grid_cap(doc):
+    n = 2 if doc["kind"] == "closed" else 4     # D = 2 in both documents
+    return cli.MAX_GRID_ENTRIES // (n * n) + 1
+
+
+@pytest.mark.parametrize("doc", [LZ_DOC, DEPHASING_DOC], ids=["closed",
+                                                             "open"])
+def test_grid_just_over_cap_refused(tmp_path, capsys, doc):
+    """The stacked per-point matrices are bounded before any is built,
+    whether the grid comes from the scenario or from --grid."""
+    over = just_over_grid_cap(doc)
+    verb = "jordan" if doc["kind"] == "open" else "spectrum"
+    path = write_doc(tmp_path, dict(doc, grid_points=over))
+    assert main([verb, path, "--out", str(tmp_path / "out")]) == 2
+    assert field_of(capsys.readouterr().err) == "grid_points"
+    path = write_doc(tmp_path, doc)
+    assert main([verb, path, "--grid", str(over),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert field_of(capsys.readouterr().err) == "grid_points"
+
+
+def test_sweep_points_just_over_cap_refused(tmp_path, capsys):
+    path = write_doc(tmp_path, LZ_DOC)
+    assert main(["sweep", path, "--T-min", "4", "--T-max", "8",
+                 "--points", str(cli.MAX_SWEEP_POINTS + 1), "--jobs", "1",
+                 "--out", str(tmp_path / "sweep.csv")]) == 2
+    assert field_of(capsys.readouterr().err) == "points"
+
+
+@pytest.mark.parametrize("jobs, cpus, points, workers", [
+    (8, 2, 3, 2),       # more jobs than CPUs: the CPUs
+    (8, 8, 3, 3),       # more jobs than T values: the T values
+    (2, 8, 5, 2),       # fewer jobs than either: the jobs
+], ids=["cpus", "points", "jobs"])
+def test_pool_never_exceeds_cpus_or_points(tmp_path, monkeypatch, jobs,
+                                           cpus, points, workers):
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(cli, "_worker_context", None)
+    started = []
+
+    class InlinePool:
+        """Records the pool size and runs the work in this process."""
+
+        def __init__(self, max_workers, initializer, initargs):
+            started.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return list(map(fn, items))
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        InlinePool)
+    path = write_doc(tmp_path, LZ_DOC)
+    cli.sweep_total_time(path, 4.0, 8.0, points, "linear", jobs=jobs)
+    assert started == [workers]

@@ -174,7 +174,8 @@ def pair_elements(jtrack, dLs, a, b):
     out = []
     for i in range(jtrack.grid.size):
         jf = jtrack.forms[i]
-        out.append(jf.left_vectors(a) @ dLs[i] @ jf.right_vectors(b))
+        out.append(jf.similarity_inv[jf.block_slice(a), :] @ dLs[i]
+                   @ jf.similarity[:, jf.block_slice(b)])
     return np.array(out)
 
 
@@ -223,15 +224,16 @@ class TestBlockAlgebra:
         scale = float(np.max(np.abs(traj.states)))
         for b in range(track.nblocks):
             for j in range(track.sizes[b]):
-                loop = np.array([track.forms[i].left_vectors(b)[j]
+                loop = np.array([jf.similarity_inv[jf.block_slice(b), :][j]
                                  @ traj.states[i]
-                                 for i in range(track.grid.size)])
+                                 for i, jf in enumerate(track.forms)])
                 assert np.max(np.abs(co.raw[(b, j)] - loop)) \
                     <= 1e-13 * scale
         rebuilt = np.zeros_like(traj.states)
         for (b, j), proj in co.raw.items():
-            for i in range(track.grid.size):
-                rebuilt[i] += proj[i] * track.forms[i].right_vectors(b)[:, j]
+            for i, jf in enumerate(track.forms):
+                column = jf.similarity[:, jf.block_slice(b)][:, j]
+                rebuilt[i] += proj[i] * column
         assert np.max(np.abs(co.reconstruct() - rebuilt)) <= 1e-13 * scale
         assert np.max(np.abs(co.reconstruct() - traj.states)) < 1e-10
 
