@@ -190,6 +190,10 @@ def matrix_from_json(data, name: str = "matrix") -> np.ndarray:
 # Jordan canonical form
 # ---------------------------------------------------------------------------
 
+# matrix entries per chunk of a stacked decomposition: 1 MiB per complex
+# stack, so a chunk's temporaries stay small beside the stacked result
+_STACK_ENTRIES = 1 << 16
+
 @dataclass(frozen=True)
 class JordanForm:
     """Jordan decomposition ``M = S J S^-1`` with dual bases attached.
@@ -280,12 +284,8 @@ def verify_jordan_basis(jf: JordanForm, M) -> JordanBasisResiduals:
     A = as_square_matrix(M)
     if A.shape[0] != jf.dim:
         raise ShapeError("matrix dimension does not match the decomposition")
-    S, Si = jf.similarity, jf.similarity_inv
-    J = jf.jordan_matrix()
-    orth = float(np.max(np.abs(Si @ S - np.eye(jf.dim))))
-    right = float(np.max(np.abs(A @ S - S @ J)))
-    left = float(np.max(np.abs(Si @ A - J @ Si)))
-    return JordanBasisResiduals(orth, right, left)
+    return JordanBasisResiduals(*map(float, _basis_residuals(
+        A, jf.similarity, jf.similarity_inv, jf.jordan_matrix())))
 
 
 def _cluster_labels(values, tol: float) -> tuple:
@@ -310,6 +310,25 @@ def _cluster_labels(values, tol: float) -> tuple:
             parent[max(ri, rj)] = min(ri, rj)
     roots = {}
     return tuple(roots.setdefault(find(i), len(roots)) for i in range(v.size))
+
+
+def _stack_labels(values: np.ndarray, tol: float):
+    """:func:`_cluster_labels` of every row of ``values``, shape (N, n).
+
+    Labels depend on the closeness pattern alone, so they are taken once
+    per distinct pattern, from its first row; the patterns are found in
+    chunks of rows like a stacked decomposition.  Returns the label tuple
+    of each pattern and the pattern index of each row.
+    """
+    N, n = values.shape
+    close = np.empty((N, n, n), dtype=bool)
+    step = max(1, _STACK_ENTRIES // (n * n))
+    for k in range(0, N, step):
+        v = values[k:k + step]
+        close[k:k + step] = np.abs(v[:, :, None] - v[:, None, :]) <= tol
+    _, rows, which = np.unique(close.reshape(N, n * n), axis=0,
+                               return_index=True, return_inverse=True)
+    return [_cluster_labels(values[i], tol) for i in rows], which.reshape(N)
 
 
 def _cluster_subspace(M: np.ndarray, center: complex, members: np.ndarray,
@@ -413,6 +432,33 @@ def _nilpotent_chains(A: np.ndarray, rank_tol: float):
     return out
 
 
+def _canonical_basis(Q: np.ndarray) -> np.ndarray:
+    """An orthonormal basis of the column span of each ``Q[p]`` that
+    depends on the span alone, not on the basis LAPACK returned.
+
+    ``Q`` has orthonormal columns, shape (P, n, m).  Gram-Schmidt runs over
+    the projector Q Q^H applied to e_1, e_2, ... in order and keeps a
+    column when its remainder has norm above 1 / (2 sqrt(n)).  The squared
+    remainders of all n columns sum to the dimension still missing, so m
+    columns are always kept.
+    """
+    P, n, m = Q.shape
+    proj = Q @ Q.conj().transpose(0, 2, 1)
+    basis = np.zeros_like(Q)
+    found = np.zeros(P, dtype=int)
+    for j in range(n):
+        v = proj[:, :, j:j + 1]
+        for _ in range(2):      # classical Gram-Schmidt, reorthogonalised
+            v = v - basis @ (basis.conj().transpose(0, 2, 1) @ v)
+        norm = np.linalg.norm(v[:, :, 0], axis=1)
+        keep = np.flatnonzero((norm > 0.5 / math.sqrt(n)) & (found < m))
+        basis[keep, :, found[keep]] = v[keep, :, 0] / norm[keep, None]
+        found[keep] += 1
+        if np.all(found == m):
+            break
+    return basis
+
+
 def _cluster_chains(A: np.ndarray, eigs: np.ndarray, idx: np.ndarray,
                     rank_tol: float):
     """Jordan chains of the eigenvalue cluster ``eigs[idx]`` of ``A``.
@@ -420,53 +466,195 @@ def _cluster_chains(A: np.ndarray, eigs: np.ndarray, idx: np.ndarray,
     A sorted complex Schur form isolates the cluster's invariant subspace;
     the nilpotent part of ``A`` restricted to it yields the chains.
     Returns ``(lam, length, columns)`` entries with the eigenvector first
-    in each chain and ``lam`` the cluster mean.
+    in each chain and ``lam`` the cluster mean.  When every chain has
+    length 1 the columns are the canonical basis of the subspace.
     """
     members = eigs[idx]
     lam = complex(np.mean(members))
     Q = _cluster_subspace(A, lam, members, np.delete(eigs, idx))
-    m = Q.shape[1]
-    if m == 1:
-        return [(lam, 1, Q.copy())]
-    restricted = Q.conj().T @ A @ Q - lam * np.eye(m)
-    return [(lam, length, Q @ cols)
-            for length, cols in _nilpotent_chains(restricted, rank_tol)]
+    restricted = Q.conj().T @ A @ Q - lam * np.eye(Q.shape[1])
+    chains = _nilpotent_chains(restricted, rank_tol)
+    if all(length == 1 for length, _ in chains):
+        return [(lam, 1, col[:, None])
+                for col in _canonical_basis(Q[None])[0].T]
+    return [(lam, length, Q @ cols) for length, cols in chains]
 
 
-def _assemble_form(A: np.ndarray, entries, cond_cap: float) -> JordanForm:
-    """Normalize, order and verify ``(lam, length, columns)`` chains."""
-    n = A.shape[0]
+def _chain_columns(chains):
+    """``(lam, length, columns)`` chains side by side: the columns, and per
+    column its chain's eigenvalue, its position in the chain and the chain
+    length."""
+    lengths = [length for _, length, _ in chains]
+    return (np.hstack([cols for _, _, cols in chains]),
+            np.repeat([lam for lam, _, _ in chains], lengths),
+            np.concatenate([np.arange(length) for length in lengths]),
+            np.repeat(lengths, lengths))
+
+
+def _semisimple_basis(A, V, members, others, rank_tol):
+    """The canonical basis of one eigenvalue cluster at every point of a
+    stack, and where it holds.
+
+    ``V`` (P, n, m) are the cluster's ``eig`` vectors.  The basis holds
+    where those vectors are well conditioned (sigma_min / sigma_max above
+    1e-6), their span is invariant to 1e-12 ||A||, no other eigenvalue is
+    nearer the cluster mean than its own members, and the restriction
+    Q^H A Q - lam I has 2-norm at most ``rank_tol``: exactly when the Schur
+    path finds chains of length 1 only.  Returns the bases, that mask and
+    the cluster means.
+    """
+    lam = members.mean(axis=1)
+    Q, sv, _ = np.linalg.svd(V, full_matrices=False)
+    AQ = A @ Q
+    restricted = Q.conj().transpose(0, 2, 1) @ AQ
+    invariant = (np.linalg.norm(AQ - Q @ restricted, axis=(1, 2))
+                 <= 1e-12 * np.linalg.norm(A, axis=(1, 2)))
+    restricted -= lam[:, None, None] * np.eye(Q.shape[2])
+    simple = np.linalg.svd(restricted, compute_uv=False)[:, 0] <= rank_tol
+    spread = np.max(np.abs(members - lam[:, None]), axis=1)
+    d_out = np.min(np.abs(others - lam[:, None]), axis=1, initial=np.inf)
+    holds = (sv[:, -1] > 1e-6 * sv[:, 0]) & invariant & simple \
+        & (d_out > spread)
+    return _canonical_basis(Q), holds, lam
+
+
+def _basis_residuals(A, S, Si, J):
+    """Max-entry deviations, per point of a stack, of the three relations
+    of :func:`verify_jordan_basis`."""
+    eye = np.eye(S.shape[-1])
+    return (np.max(np.abs(Si @ S - eye), axis=(-2, -1)),
+            np.max(np.abs(A @ S - S @ J), axis=(-2, -1)),
+            np.max(np.abs(Si @ A - J @ Si), axis=(-2, -1)))
+
+
+def _assemble_stack(A, C, col_lam, col_pos, col_len, cond_cap, errors):
+    """Normalize, order and verify the chains of every point of a stack.
+
+    ``C`` (N, n, n) holds each point's chain columns, chain after chain,
+    and ``col_lam``, ``col_pos``, ``col_len`` (N, n) give each column's
+    eigenvalue, position in its chain and chain length.  ``errors`` holds
+    one entry per point, None or the exception already met there; this
+    adds the failures found here.  Returns ``(blocks, S, Si, residual,
+    errors)``.
+    """
+    N, n = col_lam.shape
+    cols = np.arange(n)
+    base = cols - col_pos            # the eigenvector column of each chain
     # deterministic chain normalization: unit eigenvector with a real
-    # positive largest-magnitude component
-    normalized = []
-    for lam, size, cols in entries:
-        bottom = cols[:, 0]
-        scale = np.linalg.norm(bottom)
-        if scale <= 1e-300:
-            raise NumericalError("degenerate chain eigenvector")
-        cols = cols / scale
-        anchor = cols[np.argmax(np.abs(cols[:, 0])), 0]
-        phase = anchor / abs(anchor)
-        normalized.append((lam, size, cols * np.conj(phase)))
+    # positive largest-magnitude component; the norm is that of
+    # np.linalg.norm of one complex vector, term for term: a (1, n) @ (n, 1)
+    # product takes numpy's dot, as that norm does
+    X = np.ascontiguousarray(C.transpose(0, 2, 1))[:, :, None, :]
+    re, im = X.real, X.imag
+    norms = np.sqrt(re @ re.swapaxes(-2, -1)
+                    + im @ im.swapaxes(-2, -1))[:, :, 0, 0]
+    scale = np.take_along_axis(norms, base, axis=1)
+    for i in np.flatnonzero(np.any(scale <= 1e-300, axis=1)):
+        errors[i] = errors[i] or NumericalError("degenerate chain eigenvector")
+    C = C / np.where(scale <= 1e-300, 1.0, scale)[:, None, :]
+    rows = np.argmax(np.abs(C), axis=1)[:, None, :]
+    anchor = np.take_along_axis(np.take_along_axis(C, rows, axis=1)[:, 0, :],
+                                base, axis=1)
+    C = C * np.conj(anchor / np.abs(anchor))[:, None, :]
 
-    normalized.sort(key=lambda e: (-e[0].real, -e[0].imag, -e[1]))
-    blocks = tuple((lam, size) for lam, size, _ in normalized)
-    S = np.hstack([cols for _, _, cols in normalized])
-    if S.shape != (n, n):
-        raise NumericalError("chain assembly did not produce a full basis",
-                             got=list(S.shape))
-    cond = float(np.linalg.cond(S, 2))
+    # blocks by (Re lam, Im lam) descending, then size descending; the
+    # sort is stable, so a chain's columns stay together and in order
+    order = np.lexsort((-col_len, -col_lam.imag, -col_lam.real), axis=-1)
+    S = np.take_along_axis(C, order[:, None, :], axis=2)
+    lam = np.take_along_axis(col_lam, order, axis=1)
+    pos = np.take_along_axis(col_pos, order, axis=1)
+    size = np.take_along_axis(col_len, order, axis=1)
+    J = np.zeros_like(S)
+    J[:, cols, cols] = lam
+    J[:, cols[:-1], cols[1:]] = pos[:, 1:] > 0
+
+    cond = np.linalg.cond(S, 2)
     Si = np.linalg.inv(S)
-    J = jordan_matrix_from_blocks(blocks)
-    core = float(np.max(np.abs(Si @ A @ S - J)))
-    jf = JordanForm(blocks, S, Si, core)
-    res = verify_jordan_basis(jf, A)
-    jf = JordanForm(blocks, S, Si, max(core, res.max()))
-    if cond > cond_cap:
-        raise ConditioningError(
-            f"similarity condition {cond:.3e} exceeds cap {cond_cap:.3e}",
-            result=jf, condition=cond)
-    return jf
+    core = np.max(np.abs(Si @ A @ S - J), axis=(1, 2))
+    residual = np.maximum(core, np.max(_basis_residuals(A, S, Si, J), axis=0))
+    first = pos == 0
+    blocks = [tuple(zip(lam[i, first[i]].tolist(), size[i, first[i]].tolist()))
+              for i in range(N)]
+    for i in np.flatnonzero(cond > cond_cap):
+        errors[i] = errors[i] or ConditioningError(
+            f"similarity condition {cond[i]:.3e} exceeds cap {cond_cap:.3e}",
+            result=JordanForm(blocks[i], S[i], Si[i], float(residual[i])),
+            condition=float(cond[i]))
+    return blocks, S, Si, residual, errors
+
+
+def _decompose_stack(A: np.ndarray, cluster_tol: float, rank_tol: float,
+                     cond_cap: float):
+    """:func:`jordan_decompose` of every matrix of the stack ``A``.
+
+    Returns ``(blocks, S, Si, residual, errors)``: per point the block
+    tuple, S and S^-1 stacked, the residuals, and the exception
+    :func:`jordan_decompose` raises at that point, or None.  The points
+    are taken in chunks of at most ``_STACK_ENTRIES`` matrix entries, so
+    the temporaries of a long grid stay small beside the result.
+    """
+    N, n = A.shape[:2]
+    S, Si, residual = np.empty_like(A), np.empty_like(A), np.empty(N)
+    blocks, errors = [], []
+    step = max(1, _STACK_ENTRIES // (n * n))
+    for k in range(0, N, step):
+        part = _decompose_chunk(A[k:k + step], cluster_tol, rank_tol,
+                                cond_cap)
+        blocks += part[0]
+        S[k:k + step], Si[k:k + step], residual[k:k + step] = part[1:4]
+        errors += part[4]
+    return blocks, S, Si, residual, errors
+
+
+def _decompose_chunk(A, cluster_tol, rank_tol, cond_cap):
+    """:func:`_decompose_stack` of one chunk of points.
+
+    One ``np.linalg.eig`` call covers the chunk, and the eigenvalues are
+    clustered once per distinct closeness pattern.  A singleton cluster
+    takes its vector from ``eig``; a larger one takes the canonical basis
+    of its ``eig`` vectors where :func:`_semisimple_basis` holds, and only
+    elsewhere the Schur path of :func:`_cluster_chains`, point by point.
+    """
+    N, n = A.shape[:2]
+    eigs, vecs = np.linalg.eig(A)
+    errors = [None] * N
+    C = np.empty_like(vecs)
+    col_lam = np.empty((N, n), dtype=complex)
+    col_pos = np.zeros((N, n), dtype=int)
+    col_len = np.ones((N, n), dtype=int)
+    rows = np.arange(n)
+    patterns, which = _stack_labels(eigs, cluster_tol)
+    for p, labels in enumerate(patterns):
+        pts = np.flatnonzero(which == p)
+        labels = np.array(labels)
+        counts = np.bincount(labels)
+        starts = np.cumsum(counts) - counts    # clusters in label order
+        single = np.flatnonzero(counts[labels] == 1)
+        dst = starts[labels[single]]
+        C[np.ix_(pts, rows, dst)] = vecs[np.ix_(pts, rows, single)]
+        col_lam[np.ix_(pts, dst)] = eigs[np.ix_(pts, single)]
+        for k in np.flatnonzero(counts > 1):
+            idx = np.flatnonzero(labels == k)
+            dst = np.arange(starts[k], starts[k] + idx.size)
+            basis, holds, lam = _semisimple_basis(
+                A[pts], vecs[np.ix_(pts, rows, idx)], eigs[np.ix_(pts, idx)],
+                np.delete(eigs[pts], idx, axis=1), rank_tol)
+            C[np.ix_(pts[holds], rows, dst)] = basis[holds]
+            col_lam[np.ix_(pts[holds], dst)] = lam[holds, None]
+            for i in pts[~holds]:
+                if errors[i] is not None:
+                    continue
+                try:
+                    chains = _cluster_chains(A[i], eigs[i], idx, rank_tol)
+                except NumericalError as exc:
+                    errors[i] = exc
+                    continue
+                (C[i][:, dst], col_lam[i, dst], col_pos[i, dst],
+                 col_len[i, dst]) = _chain_columns(chains)
+    failed = [i for i in range(N) if errors[i] is not None]
+    C[failed] = np.eye(n)
+    col_lam[failed], col_pos[failed], col_len[failed] = 0.0, 0, 1
+    return _assemble_stack(A, C, col_lam, col_pos, col_len, cond_cap, errors)
 
 
 def jordan_decompose(M, cluster_tol: float = 1e-7, rank_tol: float = 1e-9,
@@ -479,24 +667,22 @@ def jordan_decompose(M, cluster_tol: float = 1e-7, rank_tol: float = 1e-9,
     zero.  A similarity with 2-norm condition above ``cond_cap`` raises
     :class:`ConditioningError` carrying the best-effort decomposition.
 
-    One ``np.linalg.eig`` call supplies the eigenvalues and, for every
-    cluster that holds a single eigenvalue, its eigenvector: such a
-    cluster is a 1x1 block and needs nothing more.  Every cluster of two
-    or more eigenvalues falls back to a sorted complex Schur form of its
-    own and the nilpotent chain analysis, because eigenvectors of nearly
+    This is the one-matrix case of the stacked decomposition: one
+    ``np.linalg.eig`` call supplies the eigenvalues and, for every cluster
+    that holds a single eigenvalue, its eigenvector.  A cluster of two or
+    more eigenvalues whose ``eig`` vectors span a well conditioned
+    invariant subspace on which the matrix acts as a multiple of the
+    identity is semisimple and takes the canonical basis of that subspace.
+    Any other cluster falls back to a sorted complex Schur form of its own
+    and the nilpotent chain analysis, because eigenvectors of nearly
     coincident eigenvalues are ill determined and a defective cluster has
-    too few of them (Golub & Wilkinson, SIAM Rev. 18, 1976).  Both paths
+    too few of them (Golub & Wilkinson, SIAM Rev. 18, 1976).  All paths
     share the normalization, the dual basis from the inverse, the residual
     checks and the condition cap.
     """
     A = as_square_matrix(M)
-    eigs, vecs = np.linalg.eig(A)
-    labels = np.array(_cluster_labels(eigs, cluster_tol), dtype=int)
-    entries = []  # (lam, size, full-space columns)
-    for k in range(labels.max(initial=-1) + 1):
-        idx = np.flatnonzero(labels == k)
-        if idx.size == 1:
-            entries.append((complex(eigs[idx[0]]), 1, vecs[:, idx]))
-        else:
-            entries.extend(_cluster_chains(A, eigs, idx, rank_tol))
-    return _assemble_form(A, entries, cond_cap)
+    blocks, S, Si, residual, errors = _decompose_stack(
+        A[None], cluster_tol, rank_tol, cond_cap)
+    if errors[0] is not None:
+        raise errors[0]
+    return JordanForm(blocks[0], S[0], Si[0], float(residual[0]))

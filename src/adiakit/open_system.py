@@ -31,9 +31,10 @@ from .errors import (
 from .numkit import (
     JordanForm,
     _cluster_labels,
+    _decompose_stack,
+    _stack_labels,
     cumulative_trapezoid,
     is_hermitian,
-    jordan_decompose,
     jordan_matrix_from_blocks,
     min_cost_assignment,
 )
@@ -108,8 +109,8 @@ class SuperAssembler:
         self.dim = spec.dimension ** 2
         hterms, jterms = spec.hamiltonian_terms, spec.lindblad_terms
         # one stack, filled part by part so no second copy is ever held:
-        # matrix() and derivative() read views of it, flow() applies it
-        # in a single product
+        # matrix() and derivative() weight it term by term, flow()
+        # applies it in a single product
         self._parts = np.empty((len(hterms) + len(jterms), self.dim,
                                 self.dim), dtype=complex)
         for k, (M, _) in enumerate(hterms):
@@ -121,13 +122,22 @@ class SuperAssembler:
         self._jparts = [(env, self._parts[k])
                         for k, (_, env) in enumerate(jterms, len(hterms))]
 
-    def matrix(self, s: float) -> np.ndarray:
-        L = np.zeros((self.dim, self.dim), dtype=complex)
-        for env, part in self._hparts:
-            L += env.value(s) * part
-        for env, part in self._jparts:
-            L += env.value(s) ** 2 * part
-        return L
+    def _weighted(self, s, weights) -> np.ndarray:
+        """sum_k weights[k] * part_k, stacked over the shape of s."""
+        out = np.zeros(np.shape(s) + (self.dim, self.dim), dtype=complex)
+        for w, part in zip(weights, self._parts):
+            out += np.asarray(w)[..., None, None] * part
+        return out
+
+    def matrix(self, s) -> np.ndarray:
+        """L(s); for an array of s, the stack of L at every entry.
+
+        Term by term the arithmetic is that of one point, so the stack
+        equals the per-point matrices bit for bit.
+        """
+        weights = ([env.value(s) for env, _ in self._hparts]
+                   + [env.value(s) ** 2 for env, _ in self._jparts])
+        return self._weighted(s, weights)
 
     def flow(self, T: float):
         """The right-hand side y -> T L(s) y, without assembling L(s).
@@ -140,13 +150,12 @@ class SuperAssembler:
                     for env, _ in self._jparts]
         return linear_flow(scalars, self._parts, T)
 
-    def derivative(self, s: float) -> np.ndarray:
-        dL = np.zeros((self.dim, self.dim), dtype=complex)
-        for env, part in self._hparts:
-            dL += env.derivative(s) * part
-        for env, part in self._jparts:
-            dL += 2.0 * env.value(s) * env.derivative(s) * part
-        return dL
+    def derivative(self, s) -> np.ndarray:
+        """dL/ds, stacked like :meth:`matrix` for an array of s."""
+        weights = ([env.derivative(s) for env, _ in self._hparts]
+                   + [2.0 * env.value(s) * env.derivative(s)
+                      for env, _ in self._jparts])
+        return self._weighted(s, weights)
 
 
 def _check_density(rho, D, label="initial state", **details):
@@ -225,14 +234,15 @@ class JordanTrack:
     """Jordan structure of L(s) stitched into continuous curves.
 
     Block b keeps the same index at every grid point: ``lambdas[i, b]`` is
-    its eigenvalue curve, ``forms[i]`` holds the aligned decomposition, and
-    ``lamint`` accumulates the eigenvalue integrals over s.  ``clusters``
-    groups blocks that share an eigenvalue everywhere; adiabaticity
-    statements only compare blocks from different groups.
+    its eigenvalue curve, ``similarity`` and ``similarity_inv`` stack the
+    aligned S and S^-1 of every point, shape (N, n, n), ``forms[i]`` is the
+    decomposition at point i on views of those stacks, and ``lamint``
+    accumulates the eigenvalue integrals over s.  ``clusters`` groups
+    blocks that share an eigenvalue everywhere; adiabaticity statements
+    only compare blocks from different groups.
 
-    Derived from those: ``similarity`` and ``similarity_inv`` stack S and
-    S^-1 of every point, shape (N, n, n), and block b spans the columns
-    ``offsets[b]:offsets[b + 1]`` of S (rows of S^-1) at every point.
+    Derived: block b spans the columns ``offsets[b]:offsets[b + 1]`` of S
+    (rows of S^-1) at every point.
     """
 
     grid: np.ndarray
@@ -242,16 +252,11 @@ class JordanTrack:
     clusters: tuple
     lamint: np.ndarray
     residual_max: float
-    similarity: np.ndarray = field(init=False, repr=False, compare=False)
-    similarity_inv: np.ndarray = field(init=False, repr=False,
-                                       compare=False)
+    similarity: np.ndarray = field(repr=False, compare=False)
+    similarity_inv: np.ndarray = field(repr=False, compare=False)
     offsets: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "similarity",
-                           np.array([jf.similarity for jf in self.forms]))
-        object.__setattr__(self, "similarity_inv",
-                           np.array([jf.similarity_inv for jf in self.forms]))
         object.__setattr__(self, "offsets", self.forms[0].offsets)
 
     @property
@@ -260,7 +265,7 @@ class JordanTrack:
 
     @property
     def dim(self) -> int:
-        return self.forms[0].dim
+        return self.similarity.shape[1]
 
     @property
     def signature(self) -> tuple:
@@ -304,20 +309,22 @@ def _partition(labels):
     return {frozenset(members) for members in groups.values()}
 
 
-def _align(prev: JordanForm, jf: JordanForm) -> JordanForm:
-    """Reorder and rephase the blocks of ``jf`` to continue ``prev``.
+def _align(lam_prev, lead_prev, sizes_prev, lam, sizes, S, Si):
+    """Reorder and rephase the blocks of one point to continue the previous.
 
     Blocks are matched by eigenvalue distance, a large penalty for a size
     mismatch, and the overlap of leading vectors; each matched chain is
     then multiplied by conj(z) / |z|, where z is the overlap of its leading
     vector with the previous one, so the new overlap |z| is real and
-    positive.
+    positive.  ``lam_prev``, ``lead_prev`` and ``sizes_prev`` are the
+    previous point's aligned eigenvalues, leading vectors and block sizes,
+    ``lam`` and ``sizes`` this point's blocks.  ``S`` and ``Si``, this
+    point's S and S^-1, are rewritten in place; returns the order: entry a
+    is this point's block that continues block a.
     """
-    lead_prev = prev.similarity[:, prev.offsets[:-1]]
-    lead = jf.similarity[:, jf.offsets[:-1]]
-    sizes_prev = np.array(prev.sizes)
-    sizes = np.array(jf.sizes)
-    cost = (np.abs(prev.eigenvalues[:, None] - jf.eigenvalues[None, :])
+    offsets = np.cumsum(sizes) - sizes
+    lead = S[:, offsets]
+    cost = (np.abs(lam_prev[:, None] - lam[None, :])
             + np.where(sizes_prev[:, None] == sizes[None, :], 0.0, 1e6)
             + 1e-2 * (1.0 - np.abs(lead_prev.conj().T @ lead)))
     order = min_cost_assignment(cost)
@@ -325,13 +332,24 @@ def _align(prev: JordanForm, jf: JordanForm) -> JordanForm:
     phase = np.ones(order.size, dtype=complex)
     keep = np.abs(z) > 1e-12
     phase[keep] = np.conj(z[keep]) / np.abs(z[keep])
-    blocks = tuple(jf.blocks[b] for b in order)
-    columns = np.concatenate([np.arange(jf.offsets[b], jf.offsets[b + 1])
-                              for b in order])
+    starts = np.cumsum(sizes[order]) - sizes[order]
+    columns = np.arange(S.shape[1]) + np.repeat(offsets[order] - starts,
+                                                sizes[order])
     colphase = np.repeat(phase, sizes[order])
-    return JordanForm(blocks, jf.similarity[:, columns] * colphase,
-                      jf.similarity_inv[columns, :] / colphase[:, None],
-                      jf.residual)
+    S[:] = S[:, columns] * colphase
+    Si[:] = Si[columns, :] / colphase[:, None]
+    return order
+
+
+def _polar_align(prev_S, S, Si, cols):
+    """Rotate the columns ``cols`` of S (rows of S^-1) within their span by
+    the polar factor of their overlap with ``prev_S``, so that the overlap
+    becomes Hermitian positive definite: the matrix form of the phase fix,
+    for a semisimple cluster whose basis within the cluster is free."""
+    U, _, Vh = np.linalg.svd(prev_S[:, cols].conj().T @ S[:, cols])
+    W = (U @ Vh).conj().T
+    S[:, cols] = S[:, cols] @ W
+    Si[cols, :] = W.conj().T @ Si[cols, :]
 
 
 def _first_collision(lambdas, pairs, tol):
@@ -359,57 +377,114 @@ def _first_collision(lambdas, pairs, tol):
     return p, i, float(t[p, i]), float(dist[p, i])
 
 
+def _stitch(g, blocks, S, Si):
+    """Align every point of ``blocks`` to its predecessor, rewriting ``S``
+    and ``Si`` in place.
+
+    All points hold as many blocks as point 0.  Returns the block orders
+    (row i: the blocks of point i that continue blocks 0, 1, ... of point
+    0), the aligned eigenvalue curves, and the :class:`CrossingError` of the
+    first point whose aligned block signature differs from point 0's, the
+    rows stopping before it, or None.
+    """
+    lam = np.array([[value for value, _ in b] for b in blocks])
+    size = np.array([[k for _, k in b] for b in blocks])
+    sizes = tuple(size[0].tolist())
+    starts = np.cumsum(size[0]) - size[0]
+    # blocks of size 1 sharing one eigenvalue, which no larger block shares
+    shared = {}
+    for b, value in enumerate(lam[0].tolist()):
+        shared.setdefault(value, []).append(b)
+    semisimple = [np.array(m) for m in shared.values()
+                  if len(m) > 1 and all(sizes[b] == 1 for b in m)]
+    orders = np.empty(lam.shape, dtype=int)
+    orders[0] = np.arange(lam.shape[1])
+    for i in range(1, len(blocks)):
+        order = orders[i] = _align(lam[i - 1, orders[i - 1]],
+                                   S[i - 1][:, starts], size[0], lam[i],
+                                   size[i], S[i], Si[i])
+        got = tuple(size[i, order].tolist())
+        if got != sizes:
+            return (orders[:i], np.take_along_axis(lam[:i], orders[:i], 1),
+                    CrossingError(f"block signature changed from {sizes} to "
+                                  f"{got} at s = {g[i]:.6f}", s=float(g[i]),
+                                  signature=got))
+        for members in semisimple:
+            if np.all(lam[i, order[members]] == lam[i, order[members[0]]]):
+                _polar_align(S[i - 1], S[i], Si[i], starts[members])
+    return orders, np.take_along_axis(lam, orders, axis=1), None
+
+
 def jordan_track(spec: GeneratorSpec, grid, cluster_tol: float = 1e-7,
                  rank_tol: float = 1e-9, cond_cap: float = 1e12,
                  collision_tol: float = 1e-8, analytic=None) -> JordanTrack:
-    """Decompose L(s) pointwise and glue the blocks into labelled curves.
+    """Decompose L(s) on the grid and glue the blocks into labelled curves.
 
-    Blocks are matched to the previous point by eigenvalue distance, with
-    the block size and the overlap of leading vectors breaking ties, and
-    each chain is rephased so its leading vector stays aligned.  Any change
-    of block signature or eigenvalue grouping, and any close approach of
-    curves from different groups, raises :class:`CrossingError` naming the
-    schedule point.
+    L is assembled for the whole grid at once and decomposed in one
+    stacked pass.  Blocks are then matched to the previous point by
+    eigenvalue distance, with the block size and the overlap of leading
+    vectors breaking ties, and each chain is rephased so its leading
+    vector stays aligned (a semisimple cluster is rotated as a whole).
+    The first failing grid point raises: a failed decomposition there,
+    then a change of block count, of block signature or of eigenvalue
+    grouping (:class:`CrossingError` naming the schedule point).  After
+    that, any close approach of curves from different groups raises
+    :class:`CrossingError`.
 
     ``analytic`` may supply a callable s -> JordanForm to replace the
     numerical decomposition, for generators whose structure is known in
-    closed form.
+    closed form; it is called at every grid point before the stitching.
     """
     g = _validate_grid(grid)
     if analytic is None:
-        asm = SuperAssembler(spec)
-
-        def factory(s):
-            return jordan_decompose(asm.matrix(s), cluster_tol=cluster_tol,
-                                    rank_tol=rank_tol, cond_cap=cond_cap)
+        blocks, S, Si, residual, errors = _decompose_stack(
+            SuperAssembler(spec).matrix(g), cluster_tol, rank_tol, cond_cap)
     else:
-        factory = analytic
-
-    forms = [factory(g[0])]
-    sizes = forms[0].sizes
+        forms, errors = [], []
+        for s in g:
+            try:
+                forms.append(analytic(s))
+                errors.append(None)
+            except Exception as exc:
+                # kept for its grid point, like a failed decomposition; the
+                # stitching stops before the stand-in form
+                if not forms:
+                    raise
+                forms.append(forms[0])
+                errors.append(exc)
+        blocks = [jf.blocks for jf in forms]
+        S = np.array([jf.similarity for jf in forms])
+        Si = np.array([jf.similarity_inv for jf in forms])
+        residual = np.array([jf.residual for jf in forms])
+    if errors[0] is not None:
+        raise errors[0]
+    sizes = tuple(size for _, size in blocks[0])
     nb = len(sizes)
-    clusters = _cluster_labels(forms[0].eigenvalues, cluster_tol)
-    base_partition = _partition(clusters)
+    clusters = _cluster_labels([lam for lam, _ in blocks[0]], cluster_tol)
 
-    for i in range(1, g.size):
-        jf = factory(g[i])
-        if jf.block_count != nb:
-            raise CrossingError(
-                f"block count changed from {nb} to {jf.block_count} at "
-                f"s = {g[i]:.6f}", s=float(g[i]))
-        jf = _align(forms[-1], jf)
-        if jf.sizes != sizes:
-            raise CrossingError(
-                f"block signature changed from {sizes} to {jf.sizes} at "
-                f"s = {g[i]:.6f}", s=float(g[i]), signature=jf.sizes)
-        labels = _cluster_labels(jf.eigenvalues, cluster_tol)
-        if _partition(labels) != base_partition:
-            raise CrossingError(
-                f"eigenvalue grouping changed at s = {g[i]:.6f}",
-                s=float(g[i]))
-        forms.append(jf)
+    end = next((i for i in range(1, g.size)
+                if errors[i] is not None or len(blocks[i]) != nb), g.size)
+    failure = None
+    if end < g.size:
+        failure = errors[end] or CrossingError(
+            f"block count changed from {nb} to {len(blocks[end])} at "
+            f"s = {g[end]:.6f}", s=float(g[end]))
+    orders, lambdas, mismatch = _stitch(g, blocks[:end], S, Si)
+    failure = mismatch or failure
 
-    lambdas = np.array([jf.eigenvalues for jf in forms])
+    # grouping is checked on the aligned points before the first failure,
+    # which it precedes
+    patterns, which = _stack_labels(lambdas, cluster_tol)
+    base = _partition(clusters)
+    changed = [p for p, labels in enumerate(patterns)
+               if _partition(labels) != base]
+    if changed:
+        i = int(np.argmax(np.isin(which, changed)))
+        raise CrossingError(f"eigenvalue grouping changed at s = {g[i]:.6f}",
+                            s=float(g[i]))
+    if failure is not None:
+        raise failure
+
     pairs = [(a, b) for a in range(nb) for b in range(a + 1, nb)
              if clusters[a] != clusters[b]]
     hit = _first_collision(lambdas, pairs, collision_tol)
@@ -423,9 +498,11 @@ def jordan_track(spec: GeneratorSpec, grid, cluster_tol: float = 1e-7,
             s=s_hit, pair=(a, b), distance=dist)
 
     lamint = cumulative_trapezoid(lambdas, g)
-    residual = float(max(jf.residual for jf in forms))
-    return JordanTrack(g, tuple(forms), lambdas, sizes, clusters, lamint,
-                       residual)
+    forms = tuple(JordanForm(tuple(blocks[i][b] for b in order), S[i], Si[i],
+                             float(residual[i]))
+                  for i, order in enumerate(orders))
+    return JordanTrack(g, forms, lambdas, sizes, clusters, lamint,
+                       float(np.max(residual)), S, Si)
 
 
 @dataclass(frozen=True)
@@ -479,8 +556,7 @@ def coupling_tensor(jtrack: JordanTrack, spec: GeneratorSpec) -> np.ndarray:
     couplings from this one tensor; build it once per track and hand it
     to each of them.
     """
-    asm = SuperAssembler(spec)
-    dLs = np.array([asm.derivative(s) for s in jtrack.grid])
+    dLs = SuperAssembler(spec).derivative(jtrack.grid)
     return jtrack.similarity_inv @ dLs @ jtrack.similarity
 
 

@@ -43,6 +43,26 @@ DAMPED_QUBIT = {
     "output": {"format": "json"},
 }
 
+# an amplitude-damped qubit driven at its exceptional point, scaled by
+# (1 + 0.2 s)^2: L(s) keeps one defective 2x2 Jordan block all along
+DEFECTIVE_QUBIT = {
+    "schema": 1,
+    "kind": "open",
+    "dimension": 2,
+    "hamiltonian_terms": [
+        {"matrix": [[[0.0, 0.0], [0.125, 0.0]], [[0.125, 0.0], [0.0, 0.0]]],
+         "envelope": {"kind": "polynomial", "coeffs": [1.0, 0.4, 0.04]}},
+    ],
+    "lindblad_terms": [
+        {"matrix": [[[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+         "envelope": {"kind": "linear", "start": 1.0, "end": 1.2}},
+    ],
+    "initial_state": [[[0.8, 0.0], [0.1, 0.0]], [[0.1, 0.0], [0.2, 0.0]]],
+    "total_time": 6.0,
+    "grid_points": 101,
+    "output": {"format": "json"},
+}
+
 RUNNER = """
 import json, sys
 import adiakit.cli as cli
@@ -94,12 +114,26 @@ def test_singleton_block_open_commands_load_no_scipy(tmp_path):
         assert set(json.load(fh)["results"]["block_sizes"]) == {1}
 
 
+def test_semisimple_cluster_commands_load_no_scipy(tmp_path):
+    # the dephasing qubit has a two-fold eigenvalue 0 whose eig vectors
+    # span its eigenspace: the cluster needs no Schur form
+    out = str(tmp_path / "out.json")
+    codes, scipy = loaded_after([["jordan", DEPHASING, "--out", out],
+                                 ["check", DEPHASING, "--out", out]])
+    assert codes == [0, 0]
+    assert scipy == set()
+
+
 def test_clustered_jordan_loads_only_linalg(tmp_path):
-    # the dephasing qubit has a two-fold eigenvalue 0: its cluster takes
-    # the Schur path, and nothing else of scipy is needed
-    codes, scipy = loaded_after([["jordan", DEPHASING, "--out",
-                                  str(tmp_path / "out.json")]])
+    # a defective cluster takes the Schur path, and nothing else of scipy
+    # is needed
+    path = tmp_path / "defective.json"
+    path.write_text(json.dumps(DEFECTIVE_QUBIT))
+    out = str(tmp_path / "out.json")
+    codes, scipy = loaded_after([["jordan", str(path), "--out", out]])
     assert codes == [0]
     assert "scipy.linalg" in scipy
     assert not any(m.startswith(("scipy.optimize", "scipy.integrate"))
                    for m in scipy)
+    with open(out) as fh:
+        assert sorted(json.load(fh)["results"]["block_sizes"]) == [1, 1, 2]

@@ -6,24 +6,31 @@ scaled once, the supermatrix parts applied without assembling L(s), and
 one spline over all the coefficient-flow data.  Each is checked here
 against the direct form -- ``Envelope.value``, ``SuperAssembler.matrix``,
 three separate splines -- and the stepper's work counters are pinned for
-a fixed workload.
+a fixed workload.  The stacked L(s) and dL/ds of a whole grid are checked
+bit for bit against the per-point term sums, and the work of two open
+commands is counted.
 """
 
 import json
 import pathlib
+from collections import Counter
 
 import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
-from adiakit import _rk45
+from adiakit import _rk45, cli
+from adiakit import numkit as nk
 from adiakit.cli import parse_scenario
 from adiakit.closed import (_coefficient_rhs, _schrodinger_rhs,
                             integrate_schrodinger, track_spectrum)
 from adiakit.errors import StiffnessError
-from adiakit.open_system import SuperAssembler, integrate_master
+from adiakit.open_system import (SuperAssembler, _coherent_part,
+                                 _jump_part, integrate_master)
 from adiakit.schedules import (GeneratorSpec, constant, cosine_ramp, linear,
                                make_model, polynomial, sinusoid)
+
+from test_open_fast_path import generated
 
 SCENARIO_DIR = pathlib.Path(__file__).parent.parent / "scripts" / "scenarios"
 
@@ -116,6 +123,36 @@ def test_master_rhs_matches_supermatrix(spec, T):
     rng = np.random.default_rng(2)
     for s, y in random_states(rng, asm.dim):
         assert relative(rhs(s, y), T * (asm.matrix(s) @ y)) <= 1e-13
+
+
+def pointwise(spec, s, derivative):
+    """L(s), or dL/ds, at one point as the term loop of a per-point
+    assembly sums it."""
+    out = np.zeros((spec.dimension ** 2,) * 2, dtype=complex)
+    for M, env in spec.hamiltonian_terms:
+        out += (env.derivative(s) if derivative else env.value(s)) \
+            * _coherent_part(M)
+    for M, env in spec.lindblad_terms:
+        out += (2.0 * env.value(s) * env.derivative(s) if derivative
+                else env.value(s) ** 2) * _jump_part(M)
+    return out
+
+
+@pytest.mark.parametrize("name", ["dephasing", "open4", "generated_open4"])
+def test_stacked_assembly_is_pointwise_bit_for_bit(name):
+    spec = {"dephasing": lambda: bundled_spec("dephasing_qubit"),
+            "open4": open4_spec,
+            "generated_open4": lambda: parse_scenario(
+                generated("open4", 3)).spec}[name]()
+    asm = SuperAssembler(spec)
+    grid = np.linspace(0.0, 1.0, 101)
+    for derivative, stacked in ((False, asm.matrix(grid)),
+                                (True, asm.derivative(grid))):
+        assert stacked.shape == (grid.size, asm.dim, asm.dim)
+        one = asm.derivative if derivative else asm.matrix
+        for i, s in enumerate(grid):
+            assert np.array_equal(stacked[i], one(s))
+            assert np.array_equal(stacked[i], pointwise(spec, s, derivative))
 
 
 def three_spline_flow(grid, energies, conn, offdiag, T):
@@ -284,3 +321,53 @@ def test_step_budget_raises_with_position(monkeypatch):
 
 def test_default_budget_far_above_largest_solve():
     assert _rk45.MAX_STEPS >= 50 * 12000
+
+
+# ------------------------------------------------------ open command work
+
+# master-equation right-hand side evaluations of `check` on the generated
+# open4 scenario of seed 3, over its three T values; the count may only go
+# down
+OPEN4_CHECK_RHS_EVALS = 4662
+
+
+def count_calls(monkeypatch, owner, name, counts):
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+def test_dephasing_jordan_is_one_stacked_pass(monkeypatch, tmp_path):
+    """One L(s) assembly and one eig for the whole track, and no Schur form
+    for the semisimple eigenvalue-0 cluster."""
+    counts = Counter()
+    count_calls(monkeypatch, SuperAssembler, "matrix", counts)
+    count_calls(monkeypatch, np.linalg, "eig", counts)
+    count_calls(monkeypatch, nk, "_cluster_chains", counts)
+    count_calls(monkeypatch, nk, "_cluster_subspace", counts)
+    assert cli.main(["jordan", str(SCENARIO_DIR / "dephasing_qubit.json"),
+                     "--out", str(tmp_path / "jordan.json")]) == 0
+    assert counts == {"matrix": 1, "eig": 1}
+
+
+def test_open4_check_master_rhs_evaluations(monkeypatch, tmp_path):
+    evals = []
+    original = cli.integrate_master
+
+    def counted(*args, **kwargs):
+        traj = original(*args, **kwargs)
+        evals.append(traj.rhs_evals)
+        return traj
+
+    monkeypatch.setattr(cli, "integrate_master", counted)
+    path = tmp_path / "open4.json"
+    doc = generated("open4", 3)
+    path.write_text(json.dumps(doc))
+    assert cli.main(["check", str(path),
+                     "--out", str(tmp_path / "check.json")]) == 0
+    assert len(evals) == len(doc["T_grid"])
+    assert 0 < sum(evals) <= OPEN4_CHECK_RHS_EVALS

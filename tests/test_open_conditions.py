@@ -117,13 +117,13 @@ def bracket_literal(pcurves, B, omega, osc, grid, na, ii):
 def synthetic_track(lams, grid):
     """Track with identity chains and prescribed eigenvalue curves."""
     dim = lams.shape[1]
+    eye = np.broadcast_to(np.eye(dim, dtype=complex), (grid.size, dim, dim))
     jf = JordanForm(tuple((lams[0, b], 1) for b in range(dim)),
-                    np.eye(dim, dtype=complex), np.eye(dim, dtype=complex),
-                    0.0)
+                    eye[0], eye[0], 0.0)
     return JordanTrack(grid, (jf,) * grid.size, lams, (1,) * dim,
                        tuple(range(dim)),
                        cumulative_trapezoid(lams, grid, axis=0, initial=0.0),
-                       0.0)
+                       0.0, eye, eye)
 
 
 class TestTermCounts:

@@ -1,7 +1,9 @@
 """The vectorised open-system path against the slow forms it replaced.
 
-* ``jordan_decompose`` takes singleton clusters from one ``eig`` call; the
-  sorted-Schur cluster routine it keeps for larger clusters is the oracle.
+* ``jordan_decompose`` takes singleton clusters from one ``eig`` call and
+  semisimple clusters from their ``eig`` vectors, in a canonical basis;
+  the sorted-Schur cluster routine it keeps for defective clusters is the
+  oracle.
 * The coupling tensor S^-1 dL/ds S is checked slice by slice against the
   per-pair, per-point products it replaced.
 * Coefficient projection, reconstruction, block stitching, the collision
@@ -40,7 +42,11 @@ def schur_path(M, cluster_tol=1e-7, rank_tol=1e-9):
     for k in range(labels.max() + 1):
         entries += nk._cluster_chains(A, eigs, np.flatnonzero(labels == k),
                                       rank_tol)
-    return nk._assemble_form(A, entries, cond_cap=math.inf)
+    columns = [x[None] for x in nk._chain_columns(entries)]
+    blocks, S, Si, residual, errors = nk._assemble_stack(
+        A[None], *columns, cond_cap=math.inf, errors=[None])
+    assert errors == [None]
+    return nk.JordanForm(blocks[0], S[0], Si[0], float(residual[0]))
 
 
 def assert_same_form(fast, slow, eig_rel=1e-12, vec_tol=1e-10):
@@ -119,6 +125,33 @@ class TestSingletonFastPath:
         M = np.diag([0.0, 0.99, 1.98, 2.97, 3.96, 1.98 + 1.5j])
         with pytest.raises(NumericalError, match="overlap"):
             nk.jordan_decompose(M, cluster_tol=1.0)
+
+
+class TestSemisimpleClusters:
+    def test_canonical_basis_depends_on_the_span_only(self):
+        rng = np.random.default_rng(7)
+        for n, m in ((4, 2), (6, 3), (9, 4)):
+            Q, _ = np.linalg.qr(rng.normal(size=(n, m))
+                                + 1j * rng.normal(size=(n, m)))
+            U, _ = np.linalg.qr(rng.normal(size=(m, m))
+                                + 1j * rng.normal(size=(m, m)))
+            B = nk._canonical_basis(np.array([Q, Q @ U]))
+            assert np.max(np.abs(B[0] - B[1])) < 1e-12
+            assert np.max(np.abs(B[0].conj().T @ B[0] - np.eye(m))) < 1e-12
+            assert np.max(np.abs(B[0] - Q @ (Q.conj().T @ B[0]))) < 1e-12
+
+    @pytest.mark.parametrize("blocks, schur_calls", [
+        ([(0.5, 1), (0.5, 1), (0.5, 1), (-0.3, 1)], 0),
+        ([(0.5, 2), (0.5, 1), (-0.3, 1)], 1),
+    ], ids=["semisimple", "defective"])
+    def test_only_defective_clusters_take_schur(self, monkeypatch, blocks,
+                                                schur_calls):
+        M = planted(blocks, 10.0, np.random.default_rng(3))
+        want = schur_path(M, cluster_tol=5e-4, rank_tol=1e-7)
+        calls = count_calls(monkeypatch, nk, "_cluster_chains")
+        got = nk.jordan_decompose(M, cluster_tol=5e-4, rank_tol=1e-7)
+        assert len(calls) == schur_calls
+        assert_same_form(got, want)
 
 
 class TestClusterLabels:
@@ -298,7 +331,7 @@ class TestStitching:
             prev = track.forms[i - 1]
             jf = nk.jordan_decompose(asm.matrix(track.grid[i]))
             jf = permuted(jf, rng.permutation(jf.block_count))
-            got, want = osys._align(prev, jf), align_loop(prev, jf)
+            got, want = align(prev, jf), align_loop(prev, jf)
             assert got.blocks == want.blocks
             assert np.max(np.abs(got.similarity - want.similarity)) < 1e-14
             assert np.max(np.abs(got.similarity_inv
@@ -318,7 +351,7 @@ class TestStitching:
             rephased = nk.JordanForm(prev.blocks, prev.similarity * colphase,
                                      prev.similarity_inv / colphase[:, None],
                                      prev.residual)
-            got = osys._align(prev, permuted(
+            got = align(prev, permuted(
                 rephased, rng.permutation(prev.block_count)))
             z = np.einsum("ij,ij->j",
                           prev.similarity[:, prev.offsets[:-1]].conj(),
@@ -332,6 +365,16 @@ def permuted(jf, order):
                            for b in order])
     return nk.JordanForm(tuple(jf.blocks[b] for b in order),
                          jf.similarity[:, cols], jf.similarity_inv[cols, :],
+                         jf.residual)
+
+
+def align(prev, jf):
+    """``osys._align`` of ``jf`` to ``prev``, on copies of its arrays."""
+    S, Si = jf.similarity.copy(), jf.similarity_inv.copy()
+    lead_prev = prev.similarity[:, prev.offsets[:-1]]
+    order = osys._align(prev.eigenvalues, lead_prev, np.array(prev.sizes),
+                        jf.eigenvalues, np.array(jf.sizes), S, Si)
+    return nk.JordanForm(tuple(jf.blocks[b] for b in order), S, Si,
                          jf.residual)
 
 

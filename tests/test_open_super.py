@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid
 
-from adiakit.errors import ConfigError, CrossingError, InputError
-from adiakit.numkit import JordanForm
+from adiakit.errors import (ConditioningError, ConfigError, CrossingError,
+                            InputError)
+from adiakit.numkit import JordanForm, jordan_decompose
 from adiakit.open_system import (
     JordanCoefficients,
     JordanTrack,
@@ -291,6 +292,85 @@ class TestJordanTrack:
                          cluster_tol=1e-5, rank_tol=1e-7)
         assert exc.value.details["s"] == pytest.approx(0.5, abs=1e-12)
 
+    def test_first_failing_point_wins(self):
+        """The stacked pass decomposes every point first, yet a point past
+        ``cond_cap`` after a block-count change does not pre-empt it:
+        failures are reported in grid order."""
+        grid = [0.0, 0.25, 0.5, 0.5 + 1e-6, 1.0]
+        with pytest.raises(CrossingError) as exc:
+            jordan_track(crossing_damped_qubit(), grid, cluster_tol=1e-5,
+                         rank_tol=1e-7, cond_cap=1e3)
+        assert str(exc.value) == \
+            "block count changed from 4 to 3 at s = 0.500000"
+        assert exc.value.details == {"s": 0.5}
+
+    def test_factory_failure_after_block_count_change(self):
+        """An ``analytic`` factory that raises at a later point than a
+        block-count change does not pre-empt the change either."""
+        spec = crossing_damped_qubit()
+        tols = dict(cluster_tol=1e-5, rank_tol=1e-7)
+
+        def factory(s):
+            if s > 0.75:
+                raise RuntimeError("no closed form past s = 0.75")
+            return jordan_decompose(SuperAssembler(spec).matrix(s), **tols)
+
+        with pytest.raises(CrossingError) as exc:
+            jordan_track(spec, np.linspace(0.0, 1.0, 9), analytic=factory,
+                         **tols)
+        assert str(exc.value) == \
+            "block count changed from 4 to 3 at s = 0.500000"
+        with pytest.raises(RuntimeError, match="past s = 0.75"):
+            jordan_track(spec, [0.0, 0.25, 0.8, 1.0], analytic=factory,
+                         **tols)
+
+    def test_conditioning_error_carries_its_point(self):
+        spec = crossing_damped_qubit()
+        grid = np.array([0.0, 0.25, 0.5 - 1e-6, 0.75])
+        tols = dict(cluster_tol=1e-5, rank_tol=1e-7, cond_cap=1e3)
+        with pytest.raises(ConditioningError) as exc:
+            jordan_track(spec, grid, **tols)
+        with pytest.raises(ConditioningError) as alone:
+            jordan_decompose(SuperAssembler(spec).matrix(grid[2]), **tols)
+        assert str(exc.value) == str(alone.value)
+        assert exc.value.details == alone.value.details
+        got, want = exc.value.result, alone.value.result
+        assert got.blocks == want.blocks and got.residual == want.residual
+        assert np.array_equal(got.similarity, want.similarity)
+        assert np.array_equal(got.similarity_inv, want.similarity_inv)
+
+    def test_degenerate_cluster_aligned_by_polar_factor(self):
+        """A factory that turns the two-fold eigenvalue-0 eigenspace by a
+        random unitary at every point: after alignment each overlap of the
+        cluster with the previous point is Hermitian positive definite,
+        and the track still decomposes L(s)."""
+        spec = embedded_two_level()
+        exact = unitary_embedding_jordan(spec)
+        rng = np.random.default_rng(5)
+
+        def spun(s):
+            jf = exact(s)
+            cols = [b for b, (lam, _) in enumerate(jf.blocks) if lam == 0]
+            U, _ = np.linalg.qr(rng.normal(size=(2, 2))
+                                + 1j * rng.normal(size=(2, 2)))
+            S, Si = jf.similarity.copy(), jf.similarity_inv.copy()
+            S[:, cols] = S[:, cols] @ U
+            Si[cols, :] = U.conj().T @ Si[cols, :]
+            return JordanForm(jf.blocks, S, Si, jf.residual)
+
+        track = jordan_track(spec, GRID, analytic=spun)
+        zero = [b for b in range(track.nblocks) if track.lambdas[0, b] == 0]
+        assert len(zero) == 2
+        S, Si = track.similarity, track.similarity_inv
+        for i in range(1, GRID.size):
+            overlap = S[i - 1][:, zero].conj().T @ S[i][:, zero]
+            assert np.max(np.abs(overlap - overlap.conj().T)) < 1e-12
+            assert np.min(np.linalg.eigvalsh(overlap)) > 0.0
+        J = np.array([jf.jordan_matrix() for jf in track.forms])
+        L = SuperAssembler(spec).matrix(GRID)
+        assert np.max(np.abs(Si @ L @ S - J)) < 1e-12
+        assert np.max(np.abs(Si @ S - np.eye(4))) < 1e-12
+
     def test_close_approach_raises(self):
         with pytest.raises(CrossingError) as exc:
             jordan_track(crossing_damped_qubit(), np.linspace(0.0, 1.0, 400),
@@ -416,12 +496,12 @@ class TestClassifyRegime:
         lams[:, 1] = 0.3 * np.cos(2.0 * np.pi * g)
         lams[:, 2] = -0.5
         lams[:, 3] = 1.0j
+        eye = np.broadcast_to(np.eye(4, dtype=complex), (5, 4, 4))
         jf = JordanForm(tuple((lams[0, b], 1) for b in range(4)),
-                        np.eye(4, dtype=complex), np.eye(4, dtype=complex),
-                        0.0)
+                        eye[0], eye[0], 0.0)
         track = JordanTrack(g, (jf,) * 5, lams, (1, 1, 1, 1), (0, 1, 2, 3),
                             cumulative_trapezoid(lams, g, axis=0,
-                                                 initial=0.0), 0.0)
+                                                 initial=0.0), 0.0, eye, eye)
         ones = np.ones(5, dtype=complex)
         co = JordanCoefficients(g, 10.0, {(b, 0): ones for b in range(4)},
                                 {(b, 0): ones for b in range(4)}, track)
