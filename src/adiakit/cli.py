@@ -18,6 +18,7 @@ import argparse
 import functools
 import hashlib
 import json
+import numbers
 import os
 import re
 import sys
@@ -324,6 +325,10 @@ def _default_state(sc, track=None):
                      field="initial_state")
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _require_time(sc, T_flag):
     T = T_flag if T_flag is not None else sc.total_time
     if T is None:
@@ -431,10 +436,10 @@ def _pipe_wu(sc, T, order):
     if sc.kind != "closed":
         raise ConfigError("the expansion pipeline needs a closed system")
     order = 2 if order is None else order
-    if not 0 <= order <= 3:
-        raise InputError(f"order must be in 0..3, got {order}",
+    if not (_is_integer(order) and 0 <= order <= 3):
+        raise InputError(f"order must be an integer in 0..3, got {order!r}",
                          field="order")
-    T = _require_time(sc, T)
+    T, order = _require_time(sc, T), int(order)
     expansion = wu_expansion(sc.spec, T, order, sc.grid())
     exact = _track_propagator(sc.spec, T, expansion.track)
     errors = []
@@ -562,9 +567,9 @@ def sweep_total_time(path, T_min, T_max, points, spacing: str = "log",
     T_max = _finite_number(T_max, "T_max", "T_max", positive=True)
     if not T_max > T_min:
         raise InputError("need 0 < T_min < T_max", field="T_min")
-    if not 2 <= points <= MAX_SWEEP_POINTS:
-        raise InputError(f"points must be in 2..{MAX_SWEEP_POINTS}, "
-                         f"got {points}", field="points")
+    if not (_is_integer(points) and 2 <= points <= MAX_SWEEP_POINTS):
+        raise InputError(f"points must be an integer in 2.."
+                         f"{MAX_SWEEP_POINTS}, got {points!r}", field="points")
     if jobs is not None and jobs < 1:
         raise InputError(f"jobs must be >= 1, got {jobs}", field="jobs")
     _, sc = _load_scenario(path)

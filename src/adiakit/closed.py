@@ -112,32 +112,27 @@ def track_spectrum(spec: GeneratorSpec, grid, gap_floor: float = 1e-9) -> Spectr
     if not gap_floor > 0:
         raise ConfigError(f"gap_floor must be positive, got {gap_floor}")
     N, D = g.size, spec.dimension
-    energies = np.empty((N, D))
-    vectors = np.empty((N, D, D), dtype=complex)
-
-    for i, s in enumerate(g):
-        evals, evecs = np.linalg.eigh(eval_generator(spec, s))
-        if i == 0:
-            order = np.argsort(evals)
-            evals, evecs = evals[order], evecs[:, order]
-        else:
-            # the overlaps of two orthonormal bases are the moduli of a
-            # unitary matrix: when every level overlaps itself by more
-            # than 1/sqrt(2), eigh's order is the unique best assignment
-            overlaps = np.abs(vectors[i - 1].conj().T @ evecs)
-            kept = overlaps.diagonal().tolist()
-            if not all(v > _CLEAR_OVERLAP for v in kept):
-                order = min_cost_assignment(-overlaps)
-                evals, evecs = evals[order], evecs[:, order]
-        energies[i] = evals
-        if i == 0:
-            anchors = evecs[np.argmax(np.abs(evecs), axis=0), np.arange(D)]
-            V = evecs * np.conj(anchors / np.abs(anchors))
-        else:
-            ov = np.einsum("jn,jn->n", vectors[i - 1].conj(), evecs)
-            phases = np.where(np.abs(ov) > 0, ov / np.abs(ov), 1.0)
-            V = evecs * np.conj(phases)
-        vectors[i] = V
+    # one stacked eigh for the whole grid; the eigenvectors overwrite the
+    # stacked H rather than outlive it as a second stack, which kept a long
+    # grid's resident peak above the per-point loop's
+    vectors = eval_generator(spec, g)
+    energies, vectors[:] = np.linalg.eigh(vectors)
+    order = np.argsort(energies[0])
+    energies[0], evecs = energies[0, order], vectors[0][:, order]
+    anchors = evecs[np.argmax(np.abs(evecs), axis=0), np.arange(D)]
+    vectors[0] = evecs * np.conj(anchors / np.abs(anchors))
+    for i in range(1, N):
+        evecs = vectors[i]
+        # the overlaps of two orthonormal bases are the moduli of a
+        # unitary matrix: when every level overlaps itself by more than
+        # 1/sqrt(2), eigh's order is the unique best assignment
+        overlaps = np.abs(vectors[i - 1].conj().T @ evecs)
+        if not all(v > _CLEAR_OVERLAP for v in overlaps.diagonal().tolist()):
+            order = min_cost_assignment(-overlaps)
+            energies[i], evecs = energies[i, order], evecs[:, order]
+        ov = np.einsum("jn,jn->n", vectors[i - 1].conj(), evecs)
+        phases = np.where(np.abs(ov) > 0, ov / np.abs(ov), 1.0)
+        vectors[i] = evecs * np.conj(phases)
 
     min_gap = np.inf
     for n in range(D):
@@ -227,11 +222,9 @@ def _schrodinger_rhs(spec: GeneratorSpec, T: float):
 
 def _melements(track: SpectralTrack, spec: GeneratorSpec) -> np.ndarray:
     """<k(s)|dH/ds|n(s)> on the track grid, indexed [i, k, n]."""
-    out = np.empty((track.npoints, track.dim, track.dim), dtype=complex)
-    for i, s in enumerate(track.grid):
-        dH = eval_generator_derivative(spec, s)
-        out[i] = track.vectors[i].conj().T @ dH @ track.vectors[i]
-    return out
+    V = track.vectors
+    return (V.conj().transpose(0, 2, 1)
+            @ eval_generator_derivative(spec, track.grid) @ V)
 
 
 @dataclass(frozen=True)
@@ -497,8 +490,7 @@ def coefficient_dynamics(spec: GeneratorSpec, T: float, a0, grid=None,
     # probability, so only the imaginary part enters the flow
     conn = 1j * np.einsum("ijn,ijn->in", frames.conj(), dframes).imag
     mel = np.einsum("ijk,ijn->ikn", frames.conj(),
-                    np.stack([eval_generator_derivative(spec, s) @ frames[i]
-                              for i, s in enumerate(g)]))
+                    eval_generator_derivative(spec, g) @ frames)
     offdiag = np.zeros_like(mel)
     for n in range(D):
         for k in range(D):

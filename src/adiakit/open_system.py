@@ -38,7 +38,8 @@ from .numkit import (
     jordan_matrix_from_blocks,
     min_cost_assignment,
 )
-from .schedules import GeneratorSpec, eval_generator, linear_flow
+from .schedules import (GeneratorSpec, _weighted_sum, eval_generator,
+                        linear_flow)
 
 __all__ = [
     "build_supermatrix",
@@ -117,17 +118,8 @@ class SuperAssembler:
             self._parts[k] = _coherent_part(M)
         for k, (M, _) in enumerate(jterms, len(hterms)):
             self._parts[k] = _jump_part(M)
-        self._hparts = [(env, self._parts[k])
-                        for k, (_, env) in enumerate(hterms)]
-        self._jparts = [(env, self._parts[k])
-                        for k, (_, env) in enumerate(jterms, len(hterms))]
-
-    def _weighted(self, s, weights) -> np.ndarray:
-        """sum_k weights[k] * part_k, stacked over the shape of s."""
-        out = np.zeros(np.shape(s) + (self.dim, self.dim), dtype=complex)
-        for w, part in zip(weights, self._parts):
-            out += np.asarray(w)[..., None, None] * part
-        return out
+        self._henvs = [env for _, env in hterms]
+        self._jenvs = [env for _, env in jterms]
 
     def matrix(self, s) -> np.ndarray:
         """L(s); for an array of s, the stack of L at every entry.
@@ -135,9 +127,9 @@ class SuperAssembler:
         Term by term the arithmetic is that of one point, so the stack
         equals the per-point matrices bit for bit.
         """
-        weights = ([env.value(s) for env, _ in self._hparts]
-                   + [env.value(s) ** 2 for env, _ in self._jparts])
-        return self._weighted(s, weights)
+        weights = ([env.value(s) for env in self._henvs]
+                   + [env.value(s) ** 2 for env in self._jenvs])
+        return _weighted_sum(s, weights, self._parts, self.dim)
 
     def flow(self, T: float):
         """The right-hand side y -> T L(s) y, without assembling L(s).
@@ -145,17 +137,17 @@ class SuperAssembler:
         Coherent parts are weighted by their envelope, jump parts by its
         square, exactly as in :meth:`matrix`; T rides on the weights.
         """
-        scalars = [env.scalar() for env, _ in self._hparts]
+        scalars = [env.scalar() for env in self._henvs]
         scalars += [lambda s, f=env.scalar(): f(s) ** 2
-                    for env, _ in self._jparts]
+                    for env in self._jenvs]
         return linear_flow(scalars, self._parts, T)
 
     def derivative(self, s) -> np.ndarray:
         """dL/ds, stacked like :meth:`matrix` for an array of s."""
-        weights = ([env.derivative(s) for env, _ in self._hparts]
+        weights = ([env.derivative(s) for env in self._henvs]
                    + [2.0 * env.value(s) * env.derivative(s)
-                      for env, _ in self._jparts])
-        return self._weighted(s, weights)
+                      for env in self._jenvs])
+        return _weighted_sum(s, weights, self._parts, self.dim)
 
 
 def _check_density(rho, D, label="initial state", **details):
@@ -212,7 +204,7 @@ def unitary_embedding_jordan(spec: GeneratorSpec):
     D = spec.dimension
 
     def factory(s: float) -> JordanForm:
-        energies, vecs = np.linalg.eigh(eval_generator(spec, s)[0])
+        energies, vecs = np.linalg.eigh(eval_generator(spec, s))
         entries = []
         for n in range(D):
             for k in range(D):

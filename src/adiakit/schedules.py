@@ -7,6 +7,10 @@ Envelopes come from a closed vocabulary with closed-form derivatives, so
 dH/ds and dL/ds are always analytic, and specs pickle cleanly for process
 pools.  :func:`envelope_from_json` reads the scenario-file form of an
 envelope.
+
+H, dH/ds and the superoperator L, dL/ds of :mod:`adiakit.open_system` all
+come from one weighting rule, sum_k w_k(s) part_k, at one s or stacked
+over an array of s; a stack equals the per-point matrices bit for bit.
 """
 
 from __future__ import annotations
@@ -250,31 +254,33 @@ class GeneratorSpec:
 
 
 def _check_s(s):
-    s = float(s)
-    if not (0.0 <= s <= 1.0):
-        raise DomainError(f"s must lie in [0,1], got {s}", s=s)
-    return s
+    """s as a float (a float array for an array), every entry in [0, 1]."""
+    arr = np.asarray(s, dtype=float)
+    outside = ~((arr >= 0.0) & (arr <= 1.0))
+    if outside.any():
+        bad = float(arr[outside][0])
+        raise DomainError(f"s must lie in [0,1], got {bad}", s=bad)
+    return float(arr) if arr.ndim == 0 else arr
 
 
-def _sum_hamiltonian(spec: GeneratorSpec, s: float, deriv: bool) -> np.ndarray:
-    H = np.zeros((spec.dimension, spec.dimension), dtype=complex)
-    for M, env in spec.hamiltonian_terms:
-        H = H + (env.derivative(s) if deriv else env.value(s)) * M
-    return H
-
-
-def _jump_operators(spec: GeneratorSpec, s: float, deriv: bool) -> list:
-    return [(env.derivative(s) if deriv else env.value(s)) * M
-            for M, env in spec.lindblad_terms]
+def _weighted_sum(s, weights, parts, n: int) -> np.ndarray:
+    """sum_k weights[k] * parts[k] over n x n parts, stacked over the shape
+    of s (each weight a scalar or an array of that shape); term by term the
+    arithmetic is that of one point, so a stack is bit for bit pointwise."""
+    out = np.zeros(np.shape(s) + (n, n), dtype=complex)
+    for w, part in zip(weights, parts):
+        out += np.asarray(w)[..., None, None] * part
+    return out
 
 
 def eval_generator(spec: GeneratorSpec, s):
-    """H(s) for a closed spec; the pair (H(s), [Gamma_i(s)]) for an open one."""
+    """H(s); for an array of s, the stack of H, shape s.shape + (D, D).
+    For an open spec this is the Hamiltonian part only: the jump operators
+    enter through :class:`adiakit.open_system.SuperAssembler`."""
     s = _check_s(s)
-    H = _sum_hamiltonian(spec, s, deriv=False)
-    if spec.kind == "closed":
-        return H
-    return H, _jump_operators(spec, s, deriv=False)
+    terms = spec.hamiltonian_terms
+    return _weighted_sum(s, [env.value(s) for _, env in terms],
+                         [M for M, _ in terms], spec.dimension)
 
 
 def linear_flow(scalars, parts, factor):
@@ -297,12 +303,12 @@ def linear_flow(scalars, parts, factor):
 
 
 def eval_generator_derivative(spec: GeneratorSpec, s):
-    """dH/ds (and the list of dGamma_i/ds for an open spec)."""
+    """dH/ds, stacked like :func:`eval_generator` for an array of s, and
+    like it the Hamiltonian part only for an open spec."""
     s = _check_s(s)
-    dH = _sum_hamiltonian(spec, s, deriv=True)
-    if spec.kind == "closed":
-        return dH
-    return dH, _jump_operators(spec, s, deriv=True)
+    terms = spec.hamiltonian_terms
+    return _weighted_sum(s, [env.derivative(s) for _, env in terms],
+                         [M for M, _ in terms], spec.dimension)
 
 
 def _require(params: dict, name: str, model: str) -> float:

@@ -271,11 +271,16 @@ def test_model_parameter_named_name_is_ignored(tmp_path):
     assert main(["evolve", path, "--out", str(tmp_path / "out.csv")]) == 0
 
 
-@pytest.mark.parametrize("order", ["-1", "4"])
+@pytest.mark.parametrize("order", [-1, 4, 1.5, True])
 def test_bad_wu_order_exit_two(tmp_path, capsys, order):
+    """Out of range, not an integer, or a bool (which would run as 1):
+    refused, from the command line and from the API alike."""
     path = write_doc(tmp_path, LZ_DOC)
-    assert main(["wu", path, "--order", order,
-                 "--out", str(tmp_path / "wu.json")]) == 2
+    out = str(tmp_path / "wu.json")
+    if type(order) is int:
+        assert main(["wu", path, "--order", str(order), "--out", out]) == 2
+        assert field_of(capsys.readouterr().err) == "order"
+    assert cli.run_scenario(path, "wu", T=5.0, order=order, out=out) == 2
     assert field_of(capsys.readouterr().err) == "order"
 
 
@@ -369,6 +374,22 @@ def test_grid_just_over_cap_refused(tmp_path, capsys, doc):
     assert main([verb, path, "--grid", str(over),
                  "--out", str(tmp_path / "out")]) == 2
     assert field_of(capsys.readouterr().err) == "grid_points"
+
+
+@pytest.mark.parametrize("points", [2.5, "3", True],
+                         ids=["float", "string", "bool"])
+def test_sweep_points_not_an_integer_refused(tmp_path, monkeypatch, capsys,
+                                             points):
+    """A non-integer or boolean point count is refused with the field
+    named before the scenario is read, not with a raw TypeError."""
+    path = write_doc(tmp_path, LZ_DOC)
+    loaded = []
+    monkeypatch.setattr(cli, "_load_scenario",
+                        lambda *args: loaded.append(args))
+    assert cli._exit_code(
+        lambda: cli.sweep_total_time(path, 4, 8, points)) == 2
+    assert field_of(capsys.readouterr().err) == "points"
+    assert not loaded
 
 
 def test_sweep_points_just_over_cap_refused(tmp_path, capsys):

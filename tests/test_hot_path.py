@@ -6,9 +6,10 @@ scaled once, the supermatrix parts applied without assembling L(s), and
 one spline over all the coefficient-flow data.  Each is checked here
 against the direct form -- ``Envelope.value``, ``SuperAssembler.matrix``,
 three separate splines -- and the stepper's work counters are pinned for
-a fixed workload.  The stacked L(s) and dL/ds of a whole grid are checked
-bit for bit against the per-point term sums, and the work of two open
-commands is counted.
+a fixed workload.  The stacked H(s), dH/ds, L(s) and dL/ds of a whole
+grid, and the spectral track built from one stacked eigh, are checked bit
+for bit against the per-point forms, and the work of two open and two
+closed commands is counted.
 """
 
 import json
@@ -22,13 +23,14 @@ from scipy.interpolate import CubicSpline
 from adiakit import _rk45, cli
 from adiakit import numkit as nk
 from adiakit.cli import parse_scenario
-from adiakit.closed import (_coefficient_rhs, _schrodinger_rhs,
+from adiakit.closed import (_coefficient_rhs, _melements, _schrodinger_rhs,
                             integrate_schrodinger, track_spectrum)
 from adiakit.errors import StiffnessError
 from adiakit.open_system import (SuperAssembler, _coherent_part,
                                  _jump_part, integrate_master)
-from adiakit.schedules import (GeneratorSpec, constant, cosine_ramp, linear,
-                               make_model, polynomial, sinusoid)
+from adiakit.schedules import (Envelope, GeneratorSpec, constant, cosine_ramp,
+                               eval_generator, eval_generator_derivative,
+                               linear, make_model, polynomial, sinusoid)
 
 from test_open_fast_path import generated
 
@@ -138,14 +140,59 @@ def pointwise(spec, s, derivative):
     return out
 
 
-@pytest.mark.parametrize("name", ["dephasing", "open4", "generated_open4"])
+def closed4_spec():
+    """A D=4 closed generator with every envelope kind among its terms."""
+    rng = np.random.default_rng(5)
+    D = 4
+    return GeneratorSpec(D, "closed", [
+        (np.diag([0.0, 1.0, 4.0, 6.0]).astype(complex), constant(1.0)),
+        (random_hermitian(rng, D), linear(-0.2, 0.3)),
+        (random_hermitian(rng, D), sinusoid(0.1, 1.5, 0.3, 0.05)),
+        (random_hermitian(rng, D), cosine_ramp(0.4, 0.9)),
+        (random_hermitian(rng, D), polynomial([0.05, 0.1, -0.08])),
+    ])
+
+
+def pointwise_hamiltonian(spec, s, derivative):
+    """H(s), or dH/ds, at one point as a per-point term loop sums it."""
+    out = np.zeros((spec.dimension,) * 2, dtype=complex)
+    for M, env in spec.hamiltonian_terms:
+        out += (env.derivative(s) if derivative else env.value(s)) * M
+    return out
+
+
+STACKED_SPECS = {
+    "dephasing": lambda: bundled_spec("dephasing_qubit"),
+    "open4": open4_spec,
+    "generated_open4": lambda: parse_scenario(generated("open4", 3)).spec,
+    "landau_zener": lambda: bundled_spec("landau_zener"),
+    "rotating_field": lambda: bundled_spec("rotating_field"),
+    "generated_closed4_3": lambda: parse_scenario(
+        generated("closed4", 3)).spec,
+    "generated_closed4_11": lambda: parse_scenario(
+        generated("closed4", 11)).spec,
+    "closed4": closed4_spec,
+}
+
+
+@pytest.mark.parametrize("name", list(STACKED_SPECS))
 def test_stacked_assembly_is_pointwise_bit_for_bit(name):
-    spec = {"dephasing": lambda: bundled_spec("dephasing_qubit"),
-            "open4": open4_spec,
-            "generated_open4": lambda: parse_scenario(
-                generated("open4", 3)).spec}[name]()
-    asm = SuperAssembler(spec)
+    """The one weighting rule: L and dL/ds for an open spec, H and dH/ds
+    (the Hamiltonian part of either kind) for every spec."""
+    spec = STACKED_SPECS[name]()
     grid = np.linspace(0.0, 1.0, 101)
+    D = spec.dimension
+    for derivative in (False, True):
+        one = eval_generator_derivative if derivative else eval_generator
+        stacked = one(spec, grid)
+        assert stacked.shape == (grid.size, D, D)
+        for i, s in enumerate(grid):
+            assert np.array_equal(stacked[i], one(spec, s))
+            assert np.array_equal(stacked[i],
+                                  pointwise_hamiltonian(spec, s, derivative))
+    if spec.kind == "closed":
+        return
+    asm = SuperAssembler(spec)
     for derivative, stacked in ((False, asm.matrix(grid)),
                                 (True, asm.derivative(grid))):
         assert stacked.shape == (grid.size, asm.dim, asm.dim)
@@ -153,6 +200,51 @@ def test_stacked_assembly_is_pointwise_bit_for_bit(name):
         for i, s in enumerate(grid):
             assert np.array_equal(stacked[i], one(s))
             assert np.array_equal(stacked[i], pointwise(spec, s, derivative))
+
+
+def pointwise_track(spec, grid):
+    """The spectral track as a per-point loop builds it: one eigh per
+    point, then the same ordering and parallel transport."""
+    N, D = grid.size, spec.dimension
+    energies = np.empty((N, D))
+    vectors = np.empty((N, D, D), dtype=complex)
+    for i, s in enumerate(grid):
+        evals, evecs = np.linalg.eigh(eval_generator(spec, s))
+        if i == 0:
+            order = np.argsort(evals)
+        else:
+            overlaps = np.abs(vectors[i - 1].conj().T @ evecs)
+            order = np.arange(D)
+            if not all(v > 0.75 for v in overlaps.diagonal().tolist()):
+                order = nk.min_cost_assignment(-overlaps)
+        evals, evecs = evals[order], evecs[:, order]
+        energies[i] = evals
+        if i == 0:
+            anchors = evecs[np.argmax(np.abs(evecs), axis=0), np.arange(D)]
+            vectors[i] = evecs * np.conj(anchors / np.abs(anchors))
+        else:
+            ov = np.einsum("jn,jn->n", vectors[i - 1].conj(), evecs)
+            phases = np.where(np.abs(ov) > 0, ov / np.abs(ov), 1.0)
+            vectors[i] = evecs * np.conj(phases)
+    return energies, vectors
+
+
+@pytest.mark.parametrize("name", ["landau_zener", "rotating_field",
+                                  "generated_closed4_3", "closed4"])
+def test_stacked_track_is_pointwise_bit_for_bit(name):
+    """One stacked eigh and the batched couplings <k|dH/ds|n> against the
+    per-point eigh, transport and products they replace."""
+    spec = STACKED_SPECS[name]()
+    grid = np.linspace(0.0, 1.0, 401)
+    track = track_spectrum(spec, grid)
+    energies, vectors = pointwise_track(spec, grid)
+    assert np.array_equal(track.energies, energies)
+    assert np.array_equal(track.vectors, vectors)
+    mel = _melements(track, spec)
+    for i, s in enumerate(grid):
+        V = vectors[i]
+        assert np.array_equal(
+            mel[i], V.conj().T @ eval_generator_derivative(spec, s) @ V)
 
 
 def three_spline_flow(grid, energies, conn, offdiag, T):
@@ -352,6 +444,36 @@ def test_dephasing_jordan_is_one_stacked_pass(monkeypatch, tmp_path):
     assert cli.main(["jordan", str(SCENARIO_DIR / "dephasing_qubit.json"),
                      "--out", str(tmp_path / "jordan.json")]) == 0
     assert counts == {"matrix": 1, "eig": 1}
+
+
+# Envelope.value and .derivative calls of `check` on the Landau-Zener
+# scenario: one per term for the stacked H of the track and one per term
+# for each of the two stacked dH/ds (condition ratio, time estimate), at
+# any grid size; the count may only go down
+LZ_CHECK_ENVELOPE_EVALS = 6
+
+
+def test_lz_spectrum_is_one_stacked_eigh(monkeypatch, tmp_path):
+    counts = Counter()
+    count_calls(monkeypatch, np.linalg, "eigh", counts)
+    assert cli.main(["spectrum", str(SCENARIO_DIR / "landau_zener.json"),
+                     "--out", str(tmp_path / "spectrum.csv")]) == 0
+    assert counts == {"eigh": 1}
+
+
+def test_lz_check_envelope_evaluations_do_not_grow_with_grid(monkeypatch,
+                                                             tmp_path):
+    totals = []
+    for grid in ("201", "4001"):
+        counts = Counter()
+        with monkeypatch.context() as patch:
+            count_calls(patch, Envelope, "value", counts)
+            count_calls(patch, Envelope, "derivative", counts)
+            assert cli.main(["check", str(SCENARIO_DIR / "landau_zener.json"),
+                             "--grid", grid,
+                             "--out", str(tmp_path / "check.json")]) == 0
+        totals.append(counts["value"] + counts["derivative"])
+    assert totals[0] == totals[1] <= LZ_CHECK_ENVELOPE_EVALS
 
 
 def test_open4_check_master_rhs_evaluations(monkeypatch, tmp_path):

@@ -116,6 +116,12 @@ class TestGeneratorSpec:
             sch.eval_generator(spec, 1.2)
         with pytest.raises(DomainError):
             sch.eval_generator_derivative(spec, -0.1)
+        # a grid with one entry outside [0, 1] is refused as a whole
+        grid = np.array([0.0, 0.5, 1.0 + 1e-12])
+        for evaluate in (sch.eval_generator, sch.eval_generator_derivative):
+            with pytest.raises(DomainError) as info:
+                evaluate(spec, grid)
+            assert info.value.details["s"] == 1.0 + 1e-12
 
 
 class TestFiniteDifference:
@@ -152,10 +158,10 @@ class TestModels:
 
     def test_dephasing_qubit_operators(self):
         spec = sch.make_model("dephasing_qubit", omega=1.0, gamma=0.2)
-        H, gammas = sch.eval_generator(spec, 0.3)
-        assert np.allclose(H, 0.5 * sch.SIGMA_Z)
-        assert len(gammas) == 1
-        assert np.allclose(gammas[0], np.sqrt(0.1) * sch.SIGMA_Z)
+        assert np.allclose(sch.eval_generator(spec, 0.3), 0.5 * sch.SIGMA_Z)
+        assert len(spec.lindblad_terms) == 1
+        M, env = spec.lindblad_terms[0]
+        assert np.allclose(env.value(0.3) * M, np.sqrt(0.1) * sch.SIGMA_Z)
 
     def test_unknown_model_and_missing_parameter(self):
         with pytest.raises(ConfigError):
