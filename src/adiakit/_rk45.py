@@ -47,9 +47,9 @@ class IntegrationResult:
     ``steps`` counts every attempted step, ``rejected`` those the error
     control threw away; ``rhs_evals`` is ``6 * steps + 2``.
     ``min_step`` is the smallest accepted step and ``s_at_min_step`` the s
-    it started from.  The last step, cut short to land on the end point,
-    says nothing about the controller and is left out, unless it is the
-    only step.
+    it started from, leaving out steps cut short to land on an output point
+    and those grown from one by the largest factor, 10; only if every step
+    was cut, the smallest of them.
     """
 
     s: np.ndarray
@@ -109,10 +109,8 @@ def integrate(rhs, y0, s_eval, rtol: float = 1e-8,
     last_rejected = False
     steps = rejected = 0
     budget = MAX_STEPS
-    # the latest accepted step joins the minimum only once another one
-    # follows it, so the final step never does
-    min_step, s_at_min_step = math.inf, math.nan
-    last_h = last_s = math.nan
+    # (cut, h, s) of the reported step: cut steps only as the fallback
+    smallest, cut = (True, math.inf, math.nan), False
 
     with np.errstate(over="ignore", invalid="ignore"):
         f = rhs(t, y)
@@ -121,7 +119,8 @@ def integrate(rhs, y0, s_eval, rtol: float = 1e-8,
         for i in range(1, pts.size):
             target = float(pts[i])
             while t < target - 1e-14 * span:
-                h = min(h, target - t)
+                if h > target - t:
+                    h, cut = target - t, True
                 if not h >= h_floor:
                     raise StiffnessError(
                         f"step size collapsed to {h:.3e} at s = {t:.6f}",
@@ -143,9 +142,7 @@ def integrate(rhs, y0, s_eval, rtol: float = 1e-8,
                     err = math.inf
                 steps += 1
                 if err <= 1.0:
-                    if last_h < min_step:
-                        min_step, s_at_min_step = last_h, last_s
-                    last_h, last_s = h, t
+                    smallest = min(smallest, (cut, h, t))
                     t = t + h
                     y, ay, f = ynew, ay_new, K[6]
                     if err == 0.0:
@@ -157,14 +154,14 @@ def integrate(rhs, y0, s_eval, rtol: float = 1e-8,
                         factor = min(1.0, factor)
                     facold = max(err, 1e-4)
                     h = h * factor
+                    cut = cut and factor == 10.0
                     last_rejected = False
                 else:
                     h = h * max(0.2, 0.9 * err ** -0.2)
+                    cut = False
                     rejected += 1
                     last_rejected = True
             out[i] = y
             t = target
-    if min_step == math.inf:
-        min_step, s_at_min_step = last_h, last_s
     return IntegrationResult(pts, out, steps, 6 * steps + 2, rejected,
-                             min_step, s_at_min_step)
+                             *smallest[1:])

@@ -442,10 +442,8 @@ def _pipe_wu(sc, T, order):
     T, order = _require_time(sc, T), int(order)
     expansion = wu_expansion(sc.spec, T, order, sc.grid())
     exact = _track_propagator(sc.spec, T, expansion.track)
-    errors = []
-    for m in range(order + 1):
-        diff = expansion.partial_sum(m)[-1] - exact[-1]
-        errors.append(float(np.linalg.norm(diff)))
+    errors = [float(np.linalg.norm(expansion.partial_sum(m)[-1] - exact[-1]))
+              for m in range(order + 1)]
     return None, {
         "total_time": T,
         "order": order,
@@ -570,8 +568,9 @@ def sweep_total_time(path, T_min, T_max, points, spacing: str = "log",
     if not (_is_integer(points) and 2 <= points <= MAX_SWEEP_POINTS):
         raise InputError(f"points must be an integer in 2.."
                          f"{MAX_SWEEP_POINTS}, got {points!r}", field="points")
-    if jobs is not None and jobs < 1:
-        raise InputError(f"jobs must be >= 1, got {jobs}", field="jobs")
+    if jobs is not None and not (_is_integer(jobs) and jobs >= 1):
+        raise InputError(f"jobs must be an integer >= 1, got {jobs!r}",
+                         field="jobs")
     _, sc = _load_scenario(path)
     grid = sc.grid()
     if sc.kind == "closed":

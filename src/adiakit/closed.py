@@ -25,6 +25,7 @@ integral land on the geometric phase instead of zero.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,7 +33,8 @@ import numpy as np
 from . import _rk45
 from .errors import (ConfigError, DegeneracyError, DomainError, InputError,
                      NumericalError, ResolutionError)
-from .numkit import cumulative_trapezoid, min_cost_assignment
+from .numkit import (_not_a_knot_spline, cumulative_trapezoid,
+                     min_cost_assignment)
 from .schedules import (GeneratorSpec, eval_generator,
                         eval_generator_derivative, linear_flow)
 
@@ -469,7 +471,8 @@ def coefficient_dynamics(spec: GeneratorSpec, T: float, a0, grid=None,
     with Phi_nk the running integral of the gap.  The couplings, gaps and
     connections are sampled on the track grid and interpolated with cubic
     splines; the dynamical phases are carried as extra quadrature states so
-    the oscillatory factors stay exact along the adaptive solve.
+    the oscillatory factors stay exact along the adaptive solve.  Only an
+    ambiguous level assignment along the track loads scipy.
     """
     _require_closed(spec)
     if not T > 0:
@@ -491,13 +494,11 @@ def coefficient_dynamics(spec: GeneratorSpec, T: float, a0, grid=None,
     conn = 1j * np.einsum("ijn,ijn->in", frames.conj(), dframes).imag
     mel = np.einsum("ijk,ijn->ikn", frames.conj(),
                     eval_generator_derivative(spec, g) @ frames)
-    offdiag = np.zeros_like(mel)
-    for n in range(D):
-        for k in range(D):
-            if n != k:
-                offdiag[:, k, n] = mel[:, k, n] / track.gap(n, k)
+    E = track.energies   # gap g_nk = E_n - E_k divides coupling [:, k, n]
+    offdiag = np.divide(mel, E[:, None, :] - E[:, :, None],
+                        out=np.zeros_like(mel), where=~np.eye(D, dtype=bool))
 
-    rhs = _coefficient_rhs(g, track.energies, conn, offdiag, T)
+    rhs = _coefficient_rhs(g, E, conn, offdiag, T)
     y0 = np.concatenate([a0, np.zeros(D, dtype=complex)])
     res = _rk45.integrate(rhs, y0, g, rtol=float(tol[0]), atol=float(tol[1]))
     return CoefficientTrajectory(g, res.y[:, :D], res.y[:, D:].real, frames,
@@ -508,29 +509,27 @@ def _coefficient_rhs(grid, energies, conn, offdiag, T):
     """(a, Phi) -> (da/ds, E) from one spline over the sampled flow data.
 
     ``energies[i, n]``, ``conn[i, n]`` and ``offdiag[i, k, n]`` sample the
-    levels, the (purely imaginary) connection and the gap-divided
-    couplings on ``grid``.  One piecewise cubic holds them all as real
-    columns: the energies, the connection's imaginary part and the
-    couplings' real and imaginary parts, interleaved so its value views
-    back as complex numbers without a copy.  Each group is fitted as its
-    own cubic spline, which keeps the fit's scratch memory at the size of
-    one group, and the coefficients are joined.
+    levels, the (purely imaginary) connection and the gap-divided couplings
+    on ``grid``; their real and imaginary parts are fitted at once and read
+    back as complex.  Steps are clipped to the grid, so a stage node lies in
+    one interval, which ``bisect`` finds; the cubic is summed in ``PPoly``'s
+    order, so values match scipy's splines.  scipy's remaining uses are
+    ``schur`` and ``linear_sum_assignment``, both in :mod:`adiakit.numkit`.
     """
-    from scipy.interpolate import CubicSpline, PPoly
-
     N, D = energies.shape
-    columns = (energies, conn.imag, offdiag.reshape(N, D * D).view(float))
-    spline = PPoly(np.concatenate([CubicSpline(grid, c, axis=0).c
-                                   for c in columns], axis=2), grid)
-    minus_iT = -1j * T
+    samples = np.hstack([energies + 0j, -conn, offdiag.reshape(N, D * D)])
+    pieces = list(_not_a_knot_spline(grid, samples.view(float)).view(complex))
+    knots, powers = grid.tolist(), np.ones((4, 1))
 
     def rhs(s, y):
-        v = spline(s)
+        i = bisect_right(knots, s, 1, N - 1) - 1   # clipped to 0..N-2
+        z = s - knots[i]
+        powers[1:, 0] = z, z * z, z * z * z
+        v = np.add.reduce(pieces[i] * powers)
         a = y[:D]
-        phases = np.exp(minus_iT * y[D:])
-        couplings = v[2 * D:].view(complex).reshape(D, D)
-        coupled = (couplings @ (phases * a)) / phases
-        return np.concatenate([-1j * v[D:2 * D] * a - coupled, v[:D]])
+        phases = np.exp(-1j * T * y[D:])
+        coupled = (v[2 * D:].reshape(D, D) @ (phases * a)) / phases
+        return np.concatenate([v[D:2 * D] * a - coupled, v[:D]])
 
     return rhs
 
@@ -575,7 +574,7 @@ def wu_expansion(spec: GeneratorSpec, T: float, order: int, grid,
     _require_closed(spec)
     if not T > 0:
         raise InputError(f"total time must be positive, got {T}")
-    if not (isinstance(order, int) and 0 <= order <= 3):
+    if not (type(order) is int and 0 <= order <= 3):   # no bool either
         raise ConfigError(f"order must be an integer in 0..3, got {order}")
     g = _validate_grid(grid)
     track = track_spectrum(spec, g, gap_floor)
@@ -600,17 +599,15 @@ def wu_expansion(spec: GeneratorSpec, T: float, order: int, grid,
     K = -conn * osc
     # the diagonal connection is purely imaginary for unit-norm vectors;
     # drop the finite-differencing real part so U^(0) stays unimodular
-    for m in range(D):
-        K[:, m, m] = 1j * K[:, m, m].imag
-    diag = np.einsum("imm->im", K).copy()
+    m = np.arange(D)
+    K[:, m, m] = 1j * K[:, m, m].imag
+    diag = K[:, m, m]
     O = K.copy()
-    for m in range(D):
-        O[:, m, m] = 0.0
+    O[:, m, m] = 0.0
 
     U0diag = np.exp(cumulative_trapezoid(diag, g))
     U0 = np.zeros((g.size, D, D), dtype=complex)
-    for m in range(D):
-        U0[:, m, m] = U0diag[:, m]
+    U0[:, m, m] = U0diag
     terms = [U0]
     for _ in range(order):
         integrand = (U0diag[:, :, None] * O) @ terms[-1]

@@ -4,12 +4,12 @@ Provides square-matrix coercion, the finite-number check and the
 nested ``[re, im]`` matrix parser used at the scenario boundary, a
 scaling-and-squaring matrix exponential kept as an independent oracle
 for the integrators, the cumulative trapezoid and the minimum-cost
-assignment the trackers share, and a numerical Jordan canonical form
-with explicit dual left/right bases.
+assignment the trackers share, the coefficient flow's cubic spline, and
+a numerical Jordan canonical form with explicit dual left/right bases.
 
-scipy is imported only where it is needed: by an assignment that is not
-decided by strict row minima, and by the Schur form of an eigenvalue
-cluster.
+scipy is imported at first use in two places only: its
+``linear_sum_assignment`` for an assignment that strict row minima do not
+decide, and its ``schur`` for a defective eigenvalue cluster.
 
 Conventions for :class:`JordanForm`:
 
@@ -111,6 +111,53 @@ def cumulative_trapezoid(y, x) -> np.ndarray:
     out[0] = 0.0
     np.cumsum(steps, axis=0, out=out[1:])
     return out
+
+
+def _not_a_knot_spline(x, y) -> np.ndarray:
+    """Not-a-knot cubic splines ``c`` through the real columns of ``y``.
+
+    ``c[i, k]`` multiplies ``(s - x[i])**k``: ``c`` is scipy's
+    ``CubicSpline(x, y).c[::-1]`` with axes 0 and 1 swapped, its slopes
+    solved by LAPACK ``gtsv``'s steps, row exchanges included.
+    """
+    n = x.size
+    h = np.diff(x)[:, None]
+    slope = np.diff(y, axis=0) / h
+    if n == 2:      # the line
+        s = slope[[0, 0]]
+    elif n == 3:    # the parabola, from scipy's 3x3 system
+        a, b = h[:, 0]
+        s = np.linalg.solve([[1, 1, 0], [b, 2 * (a + b), a], [0, 1, 1]], [
+            2 * slope[0], 3 * (a * slope[1] + b * slope[0]), 2 * slope[1]])
+    else:
+        w0, w1 = x[2] - x[0], x[-1] - x[-3]
+        rows = [((h[0] + 2 * w0) * h[1] * slope[0] + h[0] ** 2 * slope[1]) / w0,
+                *3 * (h[1:] * slope[:-1] + h[:-1] * slope[1:]),
+                (h[-1] ** 2 * slope[-2]
+                 + (2 * w1 + h[-1]) * h[-2] * slope[-1]) / w1]
+        d = h[:, 0].tolist()
+        diag = [d[1]] + [2 * (a + b) for a, b in zip(d, d[1:])] + [d[-2]]
+        # (i + 1, i), (i, i + 1) and, once rows are exchanged, (i, i + 2)
+        lower, upper, fill = d[1:] + [w1], [w0] + d[:-1] + [0.0], [0.0] * n
+        for i in range(n - 1):
+            if abs(diag[i]) < abs(lower[i]):    # exchange rows i and i + 1
+                below = lower[i], diag[i + 1], upper[i + 1]
+                lower[i], diag[i + 1], upper[i + 1] = diag[i], upper[i], 0.0
+                diag[i], upper[i], fill[i] = below
+                rows[i], rows[i + 1] = rows[i + 1], rows[i]
+            f = lower[i] / diag[i]
+            diag[i + 1] -= f * upper[i]
+            upper[i + 1] -= f * fill[i]
+            rows[i + 1] -= f * rows[i]
+        rows[-1] /= diag[-1]
+        for i in range(n - 2, -1, -1):
+            rows[i] -= upper[i] * rows[i + 1]
+            if fill[i]:
+                rows[i] -= fill[i] * rows[i + 2]
+            rows[i] /= diag[i]
+        s = np.array(rows)
+    t = (s[:-1] + s[1:] - 2 * slope) / h
+    return np.stack((y[:-1], s[:-1], (slope - s[:-1]) / h - t, t / h), axis=1)
 
 
 def min_cost_assignment(cost: np.ndarray) -> np.ndarray:

@@ -26,6 +26,7 @@ import pytest
 
 from adiakit import cli
 from adiakit.cli import main, parse_scenario
+from adiakit.errors import InputError
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scripts" / "scenarios"
 
@@ -115,6 +116,15 @@ def test_sweep_jobs_below_one_exit_two(tmp_path, capsys, jobs):
                  "--points", "2", "--jobs", jobs,
                  "--out", str(tmp_path / "sweep.csv")]) == 2
     assert field_of(capsys.readouterr().err) == "jobs"
+
+
+@pytest.mark.parametrize("jobs", ["2", 1.5, True])
+def test_sweep_jobs_not_an_integer_refused(tmp_path, jobs):
+    # the scenario path does not exist: the check must come before it is read
+    with pytest.raises(InputError) as info:
+        cli.sweep_total_time(str(tmp_path / "missing.json"), 4.0, 8.0, 2,
+                             jobs=jobs)
+    assert info.value.details["field"] == "jobs"
 
 
 @pytest.mark.parametrize("flag, field", [("--T-max", "T_max"),

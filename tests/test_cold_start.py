@@ -4,9 +4,11 @@ Loading the package is the largest single cost of a short run, and scipy
 is most of it.  Each case starts a fresh interpreter, runs commands
 through ``cli.main`` and reports the scipy modules in ``sys.modules``
 afterwards.  This checks what is imported, not how long it takes, so it
-does not depend on the speed of the machine.
+does not depend on the speed of the machine.  A static scan backs this
+up: no module of the package imports scipy at module level.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -65,21 +67,29 @@ DEFECTIVE_QUBIT = {
 
 RUNNER = """
 import json, sys
+import numpy as np
 import adiakit.cli as cli
-codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+from adiakit.closed import coefficient_dynamics
+commands, flows = json.loads(sys.argv[1])
+codes = [cli.main(argv) for argv in commands]
+for path, T, points in flows:
+    with open(path) as fh:
+        spec = cli.parse_scenario(json.load(fh)).spec
+    coefficient_dynamics(spec, T, [1.0, 0.0], np.linspace(0.0, 1.0, points))
 print(json.dumps({"codes": codes, "scipy": sorted(
     m for m in sys.modules if m == "scipy" or m.startswith("scipy."))}))
 """
 
 
-def loaded_after(commands):
-    """Exit codes of ``commands`` and the scipy modules loaded after them,
-    all in one fresh interpreter."""
+def loaded_after(commands, flows=()):
+    """Exit codes of ``commands`` and the scipy modules loaded after them
+    and after the coefficient flows ``(scenario, T, grid points)``, all in
+    one fresh interpreter."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
     proc = subprocess.run([sys.executable, "-c", RUNNER,
-                           json.dumps(commands)],
+                           json.dumps([commands, flows])],
                           capture_output=True, text=True, env=env,
                           timeout=300)
     assert proc.returncode == 0, proc.stderr
@@ -99,6 +109,18 @@ def test_closed_commands_load_no_scipy(tmp_path):
                      "--points", "3", "--jobs", "1", "--out", out])
     codes, scipy = loaded_after(commands)
     assert codes == [0, 0, 0, 0]
+    assert scipy == set()
+
+
+def test_dense_closed_work_loads_no_scipy(tmp_path):
+    # the coefficient flow fits its splines with numpy alone
+    out = str(tmp_path / "out.json")
+    commands = [["evolve", LZ, "--grid", "4001", "--out", out],
+                ["wu", LZ, "--T", "20", "--order", "3", "--grid", "1001",
+                 "--out", out],
+                ["spectrum", LZ, "--out", out]]
+    codes, scipy = loaded_after(commands, [(LZ, 40.0, 4001)])
+    assert codes == [0, 0, 0]
     assert scipy == set()
 
 
@@ -137,3 +159,40 @@ def test_clustered_jordan_loads_only_linalg(tmp_path):
                    for m in scipy)
     with open(out) as fh:
         assert sorted(json.load(fh)["results"]["block_sizes"]) == [1, 1, 2]
+
+
+def module_level_scipy_imports(root):
+    """``file:line`` of every scipy import under ``root`` that runs when
+    its module is imported, i.e. one outside any function body."""
+    found = []
+    for path in sorted(Path(root).rglob("*.py")):
+        nodes = [ast.parse(path.read_text(), filename=str(path))]
+        while nodes:
+            for node in ast.iter_child_nodes(nodes.pop()):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.Lambda)):
+                    continue
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and not node.level:
+                    names = [node.module]
+                else:
+                    names = []
+                if any(n == "scipy" or n.startswith("scipy.") for n in names):
+                    found.append(f"{path.relative_to(root)}:{node.lineno}")
+                nodes.append(node)
+    return sorted(found)
+
+
+def test_no_module_level_scipy_import():
+    assert module_level_scipy_imports(SRC / "adiakit") == []
+
+
+def test_scan_finds_planted_imports(tmp_path):
+    (tmp_path / "lazy.py").write_text(
+        "def f():\n    import scipy.linalg\n    return scipy.linalg\n")
+    (tmp_path / "eager.py").write_text(
+        "import numpy\nif True:\n    from scipy.interpolate import PPoly\n"
+        "class A:\n    import scipy as sp\n")
+    assert module_level_scipy_imports(tmp_path) == ["eager.py:3",
+                                                    "eager.py:5"]

@@ -12,6 +12,7 @@ for bit against the per-point forms, and the work of two open and two
 closed commands is counted.
 """
 
+import functools
 import json
 import pathlib
 from collections import Counter
@@ -347,6 +348,51 @@ def test_min_step_leaves_out_the_final_step():
     assert res.steps == 4
     assert res.min_step == pytest.approx(1e-6, rel=1e-12)
     assert res.s_at_min_step == 0.0
+
+
+def test_min_step_leaves_out_steps_grown_from_a_cut():
+    # the step cut to 1e-9 to land on the middle point grows tenfold per
+    # step from there, so none of the steps after it is the controller's
+    res = _rk45.integrate(zero_rhs, np.array([1.0 + 0j]),
+                          [0.0, 1e-6 + 1e-5 + 1e-4 + 1e-9, 1.0])
+    assert res.min_step == pytest.approx(1e-6, rel=1e-12)
+    assert res.s_at_min_step == 0.0
+
+
+# steps of the Landau-Zener ground state by (T, output points), as the
+# stepper took them before min_step left out the cut steps
+LZ_GRID_STEPS = {(8.0, 2): 64, (8.0, 201): 201, (8.0, 8001): 8000,
+                 (1024.0, 2): 6666, (1024.0, 201): 6856,
+                 (1024.0, 8001): 11841}
+
+
+@functools.cache
+def lz_solve(T, points):
+    spec = make_model("landau_zener", a=1.0, delta=0.25)
+    psi0 = track_spectrum(spec, np.linspace(0.0, 1.0, 201)).vectors[0, :, 0]
+    return _rk45.integrate(_schrodinger_rhs(spec, T), psi0,
+                           np.linspace(0.0, 1.0, points))
+
+
+@pytest.mark.parametrize("T, points", sorted(LZ_GRID_STEPS))
+def test_min_step_bookkeeping_keeps_the_steps(T, points):
+    res = lz_solve(T, points)
+    assert res.steps == LZ_GRID_STEPS[T, points]
+    assert res.rhs_evals == 6 * res.steps + 2
+    assert 0.0 < res.min_step <= 1.0 / (points - 1) + 1e-15
+
+
+def test_min_step_reports_the_controller_not_the_grid():
+    # 8001 output points cut steps down to 2e-8; the controller's own
+    # smallest step stays that of the endpoint-only solve
+    free = lz_solve(1024.0, 2).min_step
+    assert free / 4 <= lz_solve(1024.0, 8001).min_step <= 4 * free
+
+
+def test_min_step_falls_back_when_every_step_is_cut():
+    # at T=8 every step of an 8001-point solve is cut to the grid spacing
+    res = lz_solve(8.0, 8001)
+    assert res.min_step == pytest.approx(1.0 / 8000, rel=1e-9)
 
 
 def test_single_step_is_its_own_min_step():

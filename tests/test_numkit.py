@@ -1,5 +1,6 @@
 """Matrix exponential, the JSON matrix format, and the numpy forms of the
-cumulative trapezoid and the assignment, with scipy as their oracle."""
+cumulative trapezoid, the not-a-knot spline and the assignment, with scipy
+as their oracle."""
 
 import numpy as np
 import pytest
@@ -113,6 +114,34 @@ class TestCumulativeTrapezoid:
         y = np.exp(1j * 300.0 * x ** 2)[:, None] * np.arange(1, 4)
         assert np.array_equal(nk.cumulative_trapezoid(y, x),
                               scipy_trapezoid(y, x))
+
+
+# ------------------------------------------------- not-a-knot spline
+
+class TestNotAKnotSpline:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 41, 4001])
+    @pytest.mark.parametrize("spacing", ["uniform", "random"])
+    @pytest.mark.parametrize("data", ["noise", "smooth"])
+    def test_matches_scipy_cubic_spline(self, n, spacing, data):
+        from scipy.interpolate import CubicSpline
+        rng = np.random.default_rng(n)
+        if spacing == "uniform":
+            x = np.linspace(0.0, 1.0, n)
+        else:
+            x = np.sort(np.concatenate([[0.0, 1.0],
+                                        rng.uniform(0.0, 1.0, n - 2)]))
+        if data == "noise":
+            y = rng.normal(size=(n, 6))
+        else:
+            y = np.sin(np.outer(x, rng.uniform(1.0, 30.0, size=6)))
+        got = nk._not_a_knot_spline(x, y)
+        ref = CubicSpline(x, y, axis=0).c[::-1].transpose(1, 0, 2)
+        assert got.shape == ref.shape == (n - 1, 4, 6)
+        # each power on its own scale: the cubic term of a smooth curve
+        # is far smaller than its value, the slope far larger
+        for k in range(4):
+            scale = max(np.max(np.abs(ref[:, k])), 1e-300)
+            assert np.max(np.abs(got[:, k] - ref[:, k])) <= 1e-13 * scale
 
 
 # ----------------------------------------------------------- assignment

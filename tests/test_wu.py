@@ -134,7 +134,7 @@ class TestGuardsAndValidation:
 
     def test_order_range(self):
         grid = np.linspace(0.0, 1.0, 201)
-        for bad in (-1, 4, 1.5):
+        for bad in (-1, 4, 1.5, True, False):
             with pytest.raises(ConfigError):
                 wu_expansion(lz(), 1.0, bad, grid)
 
