@@ -1,5 +1,8 @@
 """Explicit Dormand-Prince 5(4) stepper with PI step-size control.
 
+It solves the master equation, and the tests use it as the oracle for
+the closed flows, which :mod:`adiakit._magnus` solves.
+
 Kept deliberately small: complex state, adaptive steps clipped to land
 exactly on every requested output point, no dense-output interpolant.
 The embedded fourth-order solution is used only through the difference
@@ -22,7 +25,8 @@ import numpy as np
 
 from .errors import InputError, StiffnessError
 
-# far above the ~12k steps of the largest solve in the benchmark
+# far above the ~12k steps of the largest solve in the benchmark; the
+# Magnus engine of the closed flows plans its steps against it too
 MAX_STEPS = 1_000_000
 
 _C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
@@ -49,7 +53,8 @@ class IntegrationResult:
     ``min_step`` is the smallest accepted step and ``s_at_min_step`` the s
     it started from, leaving out steps cut short to land on an output point
     and those grown from one by the largest factor, 10; only if every step
-    was cut, the smallest of them.
+    was cut, the smallest of them.  :func:`adiakit._magnus.propagate`
+    returns the same fields with the meanings its docstring gives.
     """
 
     s: np.ndarray

@@ -292,10 +292,12 @@ def _write_text(path, text):
 
 
 def _write_csv(path, columns, rows):
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_cell(x) for x in row))
-    _write_text(path, "\n".join(lines) + "\n")
+    """One line per row, written as it is formatted, so no copy of the
+    whole table is held as text."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(_cell(x) for x in row) + "\n")
 
 
 def _cell(x):
@@ -659,7 +661,7 @@ def _execute(path, verb, T, grid_points, order, out, fmt):
     table, report = _PIPELINE_FUNCS[verb](sc, T, order)
     out = _resolve_out(out, sc.out_path, f"{verb}.{fmt}")
     if table is not None and fmt == "csv":
-        _write_csv(out, table[0], table[1].tolist())
+        _write_csv(out, table[0], map(np.ndarray.tolist, table[1]))
         return out
     if report is None:
         report = {"columns": table[0], "rows": table[1].tolist()}

@@ -20,23 +20,26 @@ its phase is pinned to zero, then the frame is re-anchored so it coincides
 with the track vector at the first grid point.  On loops where H(1) = H(0)
 this reference gauge is periodic, which is what makes the connection
 integral land on the geometric phase instead of zero.
+
+:mod:`adiakit._magnus`, which integrates the flows here, is imported at
+first use: ``import adiakit.cli`` stays on the modules it loaded before
+the engine, which matters where bytecode is not cached and every import
+compiles its source.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _rk45
 from .errors import (ConfigError, DegeneracyError, DomainError, InputError,
                      NumericalError, ResolutionError)
 from .numkit import (_not_a_knot_spline, cumulative_trapezoid,
                      min_cost_assignment)
-from .schedules import (GeneratorSpec, eval_generator,
-                        eval_generator_derivative, linear_flow)
+from .schedules import (GeneratorSpec, _weighted_sum, eval_generator,
+                        eval_generator_derivative)
 
 __all__ = [
     "SpectralTrack", "track_spectrum",
@@ -163,10 +166,21 @@ class Trajectory:
     """States on a grid plus the integrator bookkeeping that produced them.
 
     ``states[i]`` is the state vector at ``grid[i]`` (a coherence vector in
-    the open-system case); ``times = total_time * grid``.  ``steps``
-    counts every attempted Runge-Kutta step, ``rejected`` those of them
-    the error control threw away; ``min_step`` is the smallest accepted
-    step in s and ``s_at_min_step`` where it began (see
+    the open-system case); ``times = total_time * grid``.
+
+    A closed trajectory comes from the Magnus engine
+    (:func:`adiakit._magnus.propagate`): ``steps`` counts the Magnus
+    sub-steps of the returned solution, ``rhs_evals`` every evaluation of
+    the generator, the error estimate's included, ``rejected`` the output
+    intervals the error control solved again, and ``min_step`` is the
+    smallest sub-step in s and ``s_at_min_step`` the start of its output
+    interval.  Every sub-step is unitary, so :meth:`norm_drift` measures
+    rounding only.
+
+    An open trajectory comes from the Runge-Kutta stepper: ``steps``
+    counts every attempted step, ``rejected`` those of them the error
+    control threw away; ``min_step`` is the smallest accepted step in s
+    and ``s_at_min_step`` where it began (see
     :class:`adiakit._rk45.IntegrationResult`).
     """
 
@@ -194,9 +208,12 @@ def integrate_schrodinger(spec: GeneratorSpec, T: float, psi0, grid=None,
                           tol=(1e-8, 1e-10)) -> Trajectory:
     """Solve d psi / ds = -i T H(s) psi on s in [grid[0], grid[-1]].
 
-    ``tol`` is the (relative, absolute) tolerance pair of the embedded
-    Runge-Kutta stepper.  The state is never renormalized; norm drift is
-    left visible as an accuracy diagnostic.
+    The fourth-order Magnus engine :func:`adiakit._magnus.propagate` steps
+    the flow; ``tol`` is the (relative, absolute) pair its error estimate,
+    summed over the grid, must meet.  The state is never renormalized; as
+    every step is unitary, norm drift shows rounding only.  A total time
+    whose planned steps exceed ``_rk45.MAX_STEPS`` raises
+    :class:`adiakit.errors.StiffnessError` before the first step.
     """
     _require_closed(spec)
     if not T > 0:
@@ -208,18 +225,27 @@ def integrate_schrodinger(spec: GeneratorSpec, T: float, psi0, grid=None,
     if abs(np.linalg.norm(psi0) - 1.0) > 1e-6:
         raise InputError("initial state must be normalized")
     rtol, atol = float(tol[0]), float(tol[1])
-    res = _rk45.integrate(_schrodinger_rhs(spec, T), psi0, g, rtol=rtol,
-                          atol=atol)
+    from . import _magnus
+    res = _magnus.propagate(*_schrodinger_flow(spec, T), g, psi0, rtol, atol)
     return Trajectory(g, res.y, float(T), rtol, atol, res.steps, res.rhs_evals,
                       res.rejected, res.min_step, res.s_at_min_step)
 
 
-def _schrodinger_rhs(spec: GeneratorSpec, T: float):
-    """psi -> -i T H(s) psi, with -i T folded into the envelope weights."""
+def _schrodinger_flow(spec: GeneratorSpec, T: float):
+    """The generator s -> -i T H(s), stacked over an array of s, and a
+    bound on the spectral width of T H(s) on [0, 1]: the sum over terms of
+    the width of the matrix times the largest modulus of the envelope."""
     terms, D = spec.hamiltonian_terms, spec.dimension
-    return linear_flow([env.scalar() for _, env in terms],
-                       np.array([M for M, _ in terms]).reshape(-1, D, D),
-                       -1j * T)
+    parts = [-1j * T * M for M, _ in terms]
+    levels = np.linalg.eigvalsh(
+        np.array([M for M, _ in terms]).reshape(-1, D, D))
+    width = T * sum(float(w) * env.bound() for w, (_, env)
+                    in zip(levels[:, -1] - levels[:, 0], terms))
+
+    def generator(s):
+        return _weighted_sum(s, [env.value(s) for _, env in terms], parts, D)
+
+    return generator, width
 
 
 def _melements(track: SpectralTrack, spec: GeneratorSpec) -> np.ndarray:
@@ -438,9 +464,11 @@ class CoefficientTrajectory:
     """Instantaneous-basis coefficients a_n(s) and their dynamical phases.
 
     ``coefficients[i, n]`` multiplies the reference-gauge eigenvector n at
-    ``grid[i]``; ``dynamical_phases[i, n]`` is the accumulated integral of
-    E_n up to grid[i] (phase itself, without the -iT).  ``frames[i]`` holds
-    the reference-gauge eigenvector columns used for reconstruction.
+    ``grid[i]``; ``dynamical_phases[i, n]`` is the integral of the cubic
+    spline of E_n up to grid[i] (phase itself, without the -iT).
+    ``frames[i]`` holds the reference-gauge eigenvector columns used for
+    reconstruction, and ``steps`` counts the Magnus sub-steps of the
+    solve.
     """
 
     grid: np.ndarray
@@ -468,10 +496,13 @@ def coefficient_dynamics(spec: GeneratorSpec, T: float, a0, grid=None,
     da_k/ds = -a_k <k|dk/ds>
               - sum_{n != k} a_n <k|dH/ds|n> / g_nk * exp(-i T Phi_nk)
 
-    with Phi_nk the running integral of the gap.  The couplings, gaps and
-    connections are sampled on the track grid and interpolated with cubic
-    splines; the dynamical phases are carried as extra quadrature states so
-    the oscillatory factors stay exact along the adaptive solve.  Only an
+    with Phi_nk the running integral of the gap.  The energies, couplings
+    and connections are sampled on the track grid and interpolated by one
+    set of not-a-knot cubic splines.  The dynamical phases Phi_n are the
+    exact integrals of the energy cubics, and b = exp(-i T Phi) a obeys
+    the non-oscillatory linear flow b' = -(i T E + <k|dk/ds> + couplings) b,
+    which :func:`adiakit._magnus.propagate` solves through the grid points
+    at ``tol``; ``steps`` of the result counts its Magnus steps.  Only an
     ambiguous level assignment along the track loads scipy.
     """
     _require_closed(spec)
@@ -498,40 +529,54 @@ def coefficient_dynamics(spec: GeneratorSpec, T: float, a0, grid=None,
     offdiag = np.divide(mel, E[:, None, :] - E[:, :, None],
                         out=np.zeros_like(mel), where=~np.eye(D, dtype=bool))
 
-    rhs = _coefficient_rhs(g, E, conn, offdiag, T)
-    y0 = np.concatenate([a0, np.zeros(D, dtype=complex)])
-    res = _rk45.integrate(rhs, y0, g, rtol=float(tol[0]), atol=float(tol[1]))
-    return CoefficientTrajectory(g, res.y[:, :D], res.y[:, D:].real, frames,
+    generator, width, phi = _coefficient_flow(g, E, conn, offdiag, T)
+    from . import _magnus
+    res = _magnus.propagate(generator, width, g, a0, float(tol[0]),
+                            float(tol[1]))
+    return CoefficientTrajectory(g, np.exp(1j * T * phi) * res.y, phi, frames,
                                  float(T), res.steps)
 
 
-def _coefficient_rhs(grid, energies, conn, offdiag, T):
-    """(a, Phi) -> (da/ds, E) from one spline over the sampled flow data.
+def _coefficient_flow(grid, energies, conn, offdiag, T):
+    """The generator of b = exp(-i T Phi) a, a bound on its spectral width
+    and the phases Phi on the grid.
 
     ``energies[i, n]``, ``conn[i, n]`` and ``offdiag[i, k, n]`` sample the
     levels, the (purely imaginary) connection and the gap-divided couplings
-    on ``grid``; their real and imaginary parts are fitted at once and read
-    back as complex.  Steps are clipped to the grid, so a stage node lies in
-    one interval, which ``bisect`` finds; the cubic is summed in ``PPoly``'s
-    order, so values match scipy's splines.  scipy's remaining uses are
-    ``schur`` and ``linear_sum_assignment``, both in :mod:`adiakit.numkit`.
+    on ``grid``; their real and imaginary parts are fitted by one set of
+    not-a-knot splines, with scipy's coefficients.  On each grid interval
+    the generator -(i T E + conn + offdiag) is a cubic in s - grid[i] with
+    matrix coefficients, summed by the one weighting rule of
+    :func:`adiakit.schedules._weighted_sum`; ``Phi`` integrates the energy
+    cubics exactly.  The width bound takes the samples: T times the widest
+    spread of the energies plus twice the largest Frobenius norm of the
+    connection and couplings.
     """
     N, D = energies.shape
-    samples = np.hstack([energies + 0j, -conn, offdiag.reshape(N, D * D)])
-    pieces = list(_not_a_knot_spline(grid, samples.view(float)).view(complex))
-    knots, powers = grid.tolist(), np.ones((4, 1))
+    samples = np.hstack([energies + 0j, conn, offdiag.reshape(N, D * D)])
+    pieces = _not_a_knot_spline(grid, samples.view(float)).view(complex)
+    h = np.diff(grid)[:, None]
+    c = pieces[:, :, :D].real
+    phi = np.zeros((N, D))
+    np.cumsum(h * (c[:, 0] + h * (c[:, 1] / 2 + h * (c[:, 2] / 3
+                                                     + h * c[:, 3] / 4))),
+              axis=0, out=phi[1:])
+    cubic = -pieces[:, :, 2 * D:].reshape(N - 1, 4, D, D)
+    levels = np.arange(D)
+    cubic[:, :, levels, levels] -= (1j * T * pieces[:, :, :D]
+                                    + pieces[:, :, D:2 * D])
 
-    def rhs(s, y):
-        i = bisect_right(knots, s, 1, N - 1) - 1   # clipped to 0..N-2
-        z = s - knots[i]
-        powers[1:, 0] = z, z * z, z * z * z
-        v = np.add.reduce(pieces[i] * powers)
-        a = y[:D]
-        phases = np.exp(-1j * T * y[D:])
-        coupled = (v[2 * D:].reshape(D, D) @ (phases * a)) / phases
-        return np.concatenate([v[D:2 * D] * a - coupled, v[:D]])
+    width = T * float(np.max(np.ptp(energies, axis=1))) + 2.0 * float(np.max(
+        np.sqrt(np.sum(np.abs(offdiag) ** 2, axis=(1, 2))
+                + np.sum(np.abs(conn) ** 2, axis=1))))
 
-    return rhs
+    def generator(s):
+        i = np.clip(np.searchsorted(grid, s, side="right") - 1, 0, N - 2)
+        z = s - grid[i]
+        return _weighted_sum(s, [1.0, z, z * z, z * z * z],
+                             cubic[i].swapaxes(0, 1), D)
+
+    return generator, width, phi
 
 
 @dataclass(frozen=True)
@@ -618,12 +663,13 @@ def wu_expansion(spec: GeneratorSpec, T: float, order: int, grid,
 def instantaneous_propagator(spec: GeneratorSpec, T: float, grid,
                              tol=(1e-10, 1e-12), gap_floor: float = 1e-9
                              ) -> np.ndarray:
-    """Exact coefficient propagator, column by column, from the Schrödinger flow.
+    """Exact coefficient propagator from the Schrödinger flow.
 
-    Column m evolves the reference-gauge eigenvector m through
-    :func:`integrate_schrodinger` and projects back with the dynamical
-    phase stripped off, giving the same object the expansion approximates
-    but through an entirely different route.
+    Column m evolves the reference-gauge eigenvector m through the flow
+    of :func:`integrate_schrodinger` (all columns in one propagation) and
+    projects back with the dynamical phase stripped off, giving the same
+    object the expansion approximates but through an entirely different
+    route.
     """
     track = track_spectrum(spec, _validate_grid(grid), gap_floor)
     return _track_propagator(spec, T, track, tol)
@@ -631,15 +677,17 @@ def instantaneous_propagator(spec: GeneratorSpec, T: float, grid,
 
 def _track_propagator(spec: GeneratorSpec, T: float, track: SpectralTrack,
                       tol=(1e-10, 1e-12)) -> np.ndarray:
-    """:func:`instantaneous_propagator` on the grid of an existing track."""
+    """:func:`instantaneous_propagator` on the grid of an existing track:
+    all columns from one Schrödinger propagator."""
+    _require_closed(spec)
+    if not T > 0:
+        raise InputError(f"total time must be positive, got {T}")
     frames, phi = _frames(track)
-    U = np.empty((track.npoints, track.dim, track.dim), dtype=complex)
-    for m in range(track.dim):
-        traj = integrate_schrodinger(spec, T, frames[0][:, m], track.grid,
-                                     tol)
-        U[:, :, m] = np.exp(1j * T * phi) * np.einsum(
-            "ijn,ij->in", frames.conj(), traj.states)
-    return U
+    from . import _magnus
+    states = _magnus.propagate(*_schrodinger_flow(spec, T), track.grid,
+                               frames[0], float(tol[0]), float(tol[1])).y
+    return np.exp(1j * T * phi)[:, :, None] * (
+        frames.conj().swapaxes(1, 2) @ states)
 
 
 def fidelity(a, b) -> float:

@@ -114,6 +114,17 @@ class Envelope:
         w = 2.0 * math.pi * p["frequency"]
         return lambda s: amplitude * math.sin(w * s + phase) + offset
 
+    def bound(self) -> float:
+        """An upper bound on |value(s)| for s in [0, 1]."""
+        p = dict(self.params)
+        if self.kind == "constant":
+            return abs(p["value"])
+        if self.kind == "polynomial":
+            return float(sum(abs(c) for c in p["coeffs"]))
+        if self.kind == "sinusoid":
+            return abs(p["amplitude"]) + abs(p["offset"])
+        return max(abs(p["start"]), abs(p["end"]))   # linear, cosine_ramp
+
     def derivative(self, s):
         arr = np.asarray(s, dtype=float)
         p = dict(self.params)

@@ -12,19 +12,24 @@ solver's own limits, refuses grids and sweeps above the work bounds, and
 turns every command line error into the same one stderr JSON object.
 Caps are tested just above their limits, which are refused before
 anything is allocated; no test runs a huge value or starts a process pool.
+A total time whose planned integrator steps exceed the step budget is
+refused before the first step, and a dense grid's peak memory is
+measured in a child process.
 """
 
 import concurrent.futures
 import importlib.util
 import json
 import math
+import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from adiakit import cli
+from adiakit import _rk45, cli
 from adiakit.cli import main, parse_scenario
 from adiakit.errors import InputError
 
@@ -144,6 +149,52 @@ def test_infinite_total_time_terminates(tmp_path):
     proc = run_cli(["evolve", path, "--out", str(tmp_path / "out.csv")])
     assert proc.returncode in (2, 3)
     json.loads(proc.stderr)
+
+
+def test_step_demand_refused_up_front(tmp_path, capsys):
+    # about 1.7e9 planned steps for the bundled drive at T = 1e9: refused
+    # from the plan, where the stepper would have run for hours
+    start = time.monotonic()
+    assert main(["evolve", str(SCENARIOS / "landau_zener.json"), "--T",
+                 "1e9", "--out", str(tmp_path / "out.csv")]) == 3
+    assert time.monotonic() - start < 2.0
+    err = json.loads(capsys.readouterr().err)   # one object, no traceback
+    assert err["error"] == "StiffnessError"
+    assert err["details"]["s"] == 0.0
+    assert err["details"]["steps"] > _rk45.MAX_STEPS
+    assert not (tmp_path / "out.csv").exists()
+
+
+# peak resident memory of `evolve --grid 100001` on the bundled Landau-Zener
+# scenario above that of the bare import, in KiB: 100,300 with the
+# Runge-Kutta stepper and a CSV writer that held the table as text, about
+# 37,400 with the Magnus engine and a streaming writer
+EVOLVE_100001_PEAK_KIB = 100_300
+
+PEAK_RUNNER = """
+import resource, sys
+import adiakit.cli as cli
+base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+code = cli.main(["evolve", sys.argv[1], "--grid", "100001", "--out",
+                 sys.argv[2]])
+print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - base)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="ru_maxrss is in KiB on Linux")
+def test_dense_evolve_peak_memory(tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(cli.__file__).resolve().parents[1])]
+        + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run(
+        [sys.executable, "-c", PEAK_RUNNER, str(SCENARIOS /
+                                                "landau_zener.json"),
+         str(tmp_path / "out.csv")],
+        capture_output=True, text=True, env=env, timeout=120)
+    code, peak = map(int, proc.stdout.split())
+    assert code == 0, proc.stderr
+    assert peak <= EVOLVE_100001_PEAK_KIB
 
 
 def test_tolerances_below_float_range_terminate(tmp_path):

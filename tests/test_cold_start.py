@@ -5,7 +5,10 @@ is most of it.  Each case starts a fresh interpreter, runs commands
 through ``cli.main`` and reports the scipy modules in ``sys.modules``
 afterwards.  This checks what is imported, not how long it takes, so it
 does not depend on the speed of the machine.  A static scan backs this
-up: no module of the package imports scipy at module level.
+up: no module of the package imports scipy at module level.  The bare
+``import adiakit.cli`` is also held to a fixed set of package modules and
+kept free of the numpy and standard-library parts that only some paths
+use.
 """
 
 import ast
@@ -99,6 +102,34 @@ def loaded_after(commands, flows=()):
 
 def test_import_loads_no_scipy():
     assert loaded_after([]) == ([], set())
+
+
+# the package modules `import adiakit.cli` loads: the nine it loaded before
+# the Magnus engine of the closed flows; the engine's own module may join
+# them, though it is imported at first use
+IMPORTED = {"adiakit", "adiakit._rk45", "adiakit.cli", "adiakit.closed",
+            "adiakit.consistency", "adiakit.errors", "adiakit.numkit",
+            "adiakit.open_system", "adiakit.schedules"}
+ENGINE = "adiakit._magnus"
+# loaded at first use if at all: polynomial envelopes, a sweep pool, scipy
+NOT_ON_IMPORT = ("numpy.polynomial", "numpy.fft", "numpy.random",
+                 "concurrent.futures", "multiprocessing", "scipy")
+
+
+def test_import_path_adds_nothing():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run(
+        [sys.executable, "-c", "import json, sys\nimport adiakit.cli\n"
+         "print(json.dumps(sorted(sys.modules)))"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    modules = set(json.loads(proc.stdout))
+    assert not {m for m in modules for name in NOT_ON_IMPORT
+                if m == name or m.startswith(name + ".")}
+    package = {m for m in modules if m.split(".")[0] == "adiakit"}
+    assert IMPORTED <= package <= IMPORTED | {ENGINE}
 
 
 def test_closed_commands_load_no_scipy(tmp_path):

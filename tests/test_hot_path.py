@@ -2,14 +2,15 @@
 
 The right-hand sides handed to the Runge-Kutta stepper evaluate the
 generator from precompiled parts: scalar envelope closures, term matrices
-scaled once, the supermatrix parts applied without assembling L(s), and
-one spline over all the coefficient-flow data.  Each is checked here
-against the direct form -- ``Envelope.value``, ``SuperAssembler.matrix``,
-three separate splines -- and the stepper's work counters are pinned for
-a fixed workload.  The stacked H(s), dH/ds, L(s) and dL/ds of a whole
-grid, and the spectral track built from one stacked eigh, are checked bit
-for bit against the per-point forms, and the work of two open and two
-closed commands is counted.
+scaled once, the supermatrix parts applied without assembling L(s).  The
+coefficient flow's generator comes from one spline over all its sampled
+data.  Each is checked here against the direct form -- ``Envelope.value``,
+``SuperAssembler.matrix``, three separate splines -- and the stepper's
+work counters are pinned for a fixed workload on the Schrödinger flow,
+which the stepper still solves as the test oracle.  The stacked H(s),
+dH/ds, L(s) and dL/ds of a whole grid, and the spectral track built from
+one stacked eigh, are checked bit for bit against the per-point forms,
+and the work of two open and two closed commands is counted.
 """
 
 import functools
@@ -24,14 +25,14 @@ from scipy.interpolate import CubicSpline
 from adiakit import _rk45, cli
 from adiakit import numkit as nk
 from adiakit.cli import parse_scenario
-from adiakit.closed import (_coefficient_rhs, _melements, _schrodinger_rhs,
-                            integrate_schrodinger, track_spectrum)
+from adiakit.closed import _coefficient_flow, _melements, track_spectrum
 from adiakit.errors import StiffnessError
 from adiakit.open_system import (SuperAssembler, _coherent_part,
                                  _jump_part, integrate_master)
 from adiakit.schedules import (Envelope, GeneratorSpec, constant, cosine_ramp,
                                eval_generator, eval_generator_derivative,
-                               linear, make_model, polynomial, sinusoid)
+                               linear, linear_flow, make_model, polynomial,
+                               sinusoid)
 
 from test_open_fast_path import generated
 
@@ -41,6 +42,15 @@ SCENARIO_DIR = pathlib.Path(__file__).parent.parent / "scripts" / "scenarios"
 def bundled_spec(name):
     with open(SCENARIO_DIR / f"{name}.json") as fh:
         return parse_scenario(json.load(fh)).spec
+
+
+def schrodinger_rhs(spec, T):
+    """psi -> -i T H(s) psi for the Runge-Kutta oracle, with -i T folded
+    into the envelope weights."""
+    terms, D = spec.hamiltonian_terms, spec.dimension
+    return linear_flow([env.scalar() for _, env in terms],
+                       np.array([M for M, _ in terms]).reshape(-1, D, D),
+                       -1j * T)
 
 
 def random_hermitian(rng, D):
@@ -107,7 +117,7 @@ def test_scalar_envelopes_cover_every_kind():
 @pytest.mark.parametrize("T", [8.0, 1024.0])
 def test_schrodinger_rhs_matches_term_sum(name, T):
     spec = bundled_spec(name)
-    rhs = _schrodinger_rhs(spec, T)
+    rhs = schrodinger_rhs(spec, T)
     rng = np.random.default_rng(1)
     for s, y in random_states(rng, spec.dimension):
         old = np.zeros_like(y)
@@ -249,21 +259,17 @@ def test_stacked_track_is_pointwise_bit_for_bit(name):
 
 
 def three_spline_flow(grid, energies, conn, offdiag, T):
-    """The coefficient flow with one spline per sampled quantity."""
-    D = energies.shape[1]
+    """The flow of b = exp(-i T Phi) a with one spline per sampled
+    quantity, and the spline of the energies."""
     energy_spline = CubicSpline(grid, energies, axis=0)
     conn_spline = CubicSpline(grid, conn, axis=0)
     coupling_spline = CubicSpline(grid, offdiag, axis=0)
 
-    def rhs(s, y):
-        a, phi = y[:D], y[D:]
-        phases = np.exp(-1j * T * phi)
-        coupled = (coupling_spline(s) * phases[None, :]
-                   / phases[:, None]) @ a
-        da = -conn_spline(s) * a - coupled
-        return np.concatenate([da, energy_spline(s).astype(complex)])
+    def rhs(s, b):
+        return (-(1j * T * energy_spline(s) + conn_spline(s)) * b
+                - coupling_spline(s) @ b)
 
-    return rhs
+    return rhs, energy_spline
 
 
 @pytest.mark.parametrize("D", [2, 4])
@@ -276,19 +282,22 @@ def test_coefficient_rhs_matches_three_splines(D, T):
     conn = 1j * waves[:, D:2 * D]
     offdiag = (waves + 1j * waves ** 2).reshape(-1, D, D)
     offdiag[:, np.arange(D), np.arange(D)] = 0.0
-    new = _coefficient_rhs(grid, energies, conn, offdiag, T)
-    old = three_spline_flow(grid, energies, conn, offdiag, T)
-    for s in rng.uniform(0.0, 1.0, size=20):
-        y = np.concatenate([rng.normal(size=D) + 1j * rng.normal(size=D),
-                            rng.uniform(0.0, 2.0, size=D)])
-        assert relative(new(s, y), old(s, y)) <= 1e-13
+    generator, _, phi = _coefficient_flow(grid, energies, conn, offdiag, T)
+    old, energy_spline = three_spline_flow(grid, energies, conn, offdiag, T)
+    nodes = rng.uniform(0.0, 1.0, size=20)
+    for s, A in zip(nodes, generator(nodes)):
+        b = rng.normal(size=D) + 1j * rng.normal(size=D)
+        assert relative(A @ b, old(s, b)) <= 1e-13
+    # the dynamical phases are the exact integrals of the energy cubics
+    exact = np.array([energy_spline.integrate(0.0, s) for s in grid])
+    assert relative(phi, exact) <= 1e-13
 
 
 def test_flows_without_terms_are_zero():
     y = np.array([0.5, 0.1j, -0.1j, 0.5])
     open_rhs = SuperAssembler(GeneratorSpec(2, "open", [])).flow(3.0)
     assert np.array_equal(open_rhs(0.4, y), np.zeros(4))
-    closed_rhs = _schrodinger_rhs(GeneratorSpec(4, "closed", []), 3.0)
+    closed_rhs = schrodinger_rhs(GeneratorSpec(4, "closed", []), 3.0)
     assert np.array_equal(closed_rhs(0.4, y), np.zeros(4))
 
 
@@ -305,13 +314,13 @@ def test_lz_step_counts(T):
     spec = make_model("landau_zener", a=1.0, delta=0.25)
     grid = np.linspace(0.0, 1.0, 201)
     psi0 = track_spectrum(spec, grid).vectors[0, :, 0]
-    traj = integrate_schrodinger(spec, T, psi0, grid)
-    assert traj.rhs_evals == 6 * traj.steps + 2
-    assert traj.steps <= LZ_STEPS[T] * 1.01
-    assert 0 <= traj.rejected < traj.steps
-    assert traj.norm_drift() < 1e-6
-    assert 0.0 < traj.min_step <= 1.0
-    assert 0.0 <= traj.s_at_min_step <= 1.0
+    res = _rk45.integrate(schrodinger_rhs(spec, T), psi0, grid)
+    assert res.rhs_evals == 6 * res.steps + 2
+    assert res.steps <= LZ_STEPS[T] * 1.01
+    assert 0 <= res.rejected < res.steps
+    assert np.max(np.abs(np.linalg.norm(res.y, axis=1) - 1.0)) < 1e-6
+    assert 0.0 < res.min_step <= 1.0
+    assert 0.0 <= res.s_at_min_step <= 1.0
 
 
 def test_min_step_from_the_stage_nodes():
@@ -370,7 +379,7 @@ LZ_GRID_STEPS = {(8.0, 2): 64, (8.0, 201): 201, (8.0, 8001): 8000,
 def lz_solve(T, points):
     spec = make_model("landau_zener", a=1.0, delta=0.25)
     psi0 = track_spectrum(spec, np.linspace(0.0, 1.0, 201)).vectors[0, :, 0]
-    return _rk45.integrate(_schrodinger_rhs(spec, T), psi0,
+    return _rk45.integrate(schrodinger_rhs(spec, T), psi0,
                            np.linspace(0.0, 1.0, points))
 
 

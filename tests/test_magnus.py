@@ -1,0 +1,191 @@
+"""The Magnus engine of the closed flows against the Runge-Kutta path.
+
+Every closed flow -- the Schrödinger state, the coefficient propagator of
+the expansion and the moving-basis coefficient flow -- goes through
+:func:`adiakit._magnus.propagate`.  Each is checked here against
+``_rk45.integrate`` at (1e-13, 1e-15) on the same generator: the test
+replaces the engine with a Runge-Kutta solve of y' = A(s) y built from the
+generator the caller hands over, runs the same public function again and
+compares.  The engine must land within ten times the tolerance it was
+given, keep the norm to rounding, plan its work before it takes an
+exponential, and split long grids and long intervals into chunks without
+changing the answer.
+"""
+
+import functools
+
+import numpy as np
+import pytest
+
+from adiakit import _magnus, _rk45
+from adiakit.closed import (_track_propagator, coefficient_dynamics,
+                            integrate_schrodinger, track_spectrum)
+from adiakit.cli import parse_scenario
+from adiakit.errors import StiffnessError
+from adiakit.schedules import make_model
+
+from test_open_fast_path import generated
+
+TOL = (1e-8, 1e-10)
+BOUND = 10 * sum(TOL)
+
+SPECS = {
+    "landau_zener": lambda: make_model("landau_zener", a=1.0, delta=0.25),
+    "rotating_field": lambda: make_model("rotating_field", b=1.0,
+                                         theta=np.pi / 2),
+    "closed4_3": lambda: parse_scenario(generated("closed4", 3)).spec,
+    "closed4_7": lambda: parse_scenario(generated("closed4", 7)).spec,
+    "closed4_11": lambda: parse_scenario(generated("closed4", 11)).spec,
+}
+
+
+def rk_path(generator, width, s_eval, y0, rtol, atol):
+    """The engine's signature, solved by Runge-Kutta at (1e-13, 1e-15) on
+    the generator it is given, one column of ``y0`` at a time."""
+    def rhs(s, y):
+        return generator(np.array([s]))[0] @ y
+
+    y0 = np.asarray(y0, dtype=complex)
+    columns = [_rk45.integrate(rhs, column, s_eval, rtol=1e-13, atol=1e-15)
+               for column in y0.reshape(y0.shape[0], -1).T]
+    y = np.stack([res.y for res in columns], axis=-1)
+    return _rk45.IntegrationResult(
+        columns[0].s, y.reshape((len(s_eval),) + y0.shape),
+        sum(res.steps for res in columns),
+        sum(res.rhs_evals for res in columns),
+        sum(res.rejected for res in columns),
+        min(res.min_step for res in columns), columns[0].s_at_min_step)
+
+
+def through_rk(call):
+    """``call()`` with the engine replaced by :func:`rk_path`."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_magnus, "propagate", rk_path)
+        return call()
+
+
+@functools.cache
+def spec_of(name):
+    return SPECS[name]()
+
+
+@functools.cache
+def ground(name):
+    return track_spectrum(spec_of(name),
+                          np.linspace(0.0, 1.0, 201)).vectors[0, :, 0]
+
+
+@functools.cache
+def rk_states(name, T, points):
+    return through_rk(lambda: integrate_schrodinger(
+        spec_of(name), T, ground(name), np.linspace(0.0, 1.0, points),
+        TOL)).states
+
+
+# the Runge-Kutta reference runs on 8001 points for Landau-Zener and on
+# 201 for the rest; the coarser grids are subsets of it (every 40th point
+# of 8001 is a point of 201)
+CASES = ([("landau_zener", T, points) for T in (8.0, 40.0, 1024.0)
+          for points in (2, 201, 8001)]
+         + [(name, T, points) for name in ("rotating_field", "closed4_3",
+                                           "closed4_7", "closed4_11")
+            for T in (8.0, 40.0) for points in (2, 201)])
+
+
+@pytest.mark.parametrize("name, T, points", CASES)
+def test_schrodinger_matches_runge_kutta(name, T, points):
+    ref_points = 8001 if name == "landau_zener" else 201
+    ref = rk_states(name, T, ref_points)[::(ref_points - 1) // (points - 1)]
+    traj = integrate_schrodinger(spec_of(name), T, ground(name),
+                                 np.linspace(0.0, 1.0, points), TOL)
+    assert np.max(np.abs(traj.states - ref)) <= BOUND
+    assert traj.norm_drift() <= 1e-12
+    assert 0 <= traj.rejected <= points - 1
+    assert traj.steps >= points - 1
+    assert traj.min_step <= 1.0 / (points - 1) + 1e-15
+    assert traj.s_at_min_step in set(np.linspace(0.0, 1.0, points)[:-1])
+
+
+@pytest.mark.parametrize("name, T", [("landau_zener", 40.0),
+                                     ("closed4_3", 8.0)])
+def test_track_propagator_matches_runge_kutta(name, T):
+    track = track_spectrum(spec_of(name), np.linspace(0.0, 1.0, 201))
+    tol = (1e-10, 1e-12)
+    fast = _track_propagator(spec_of(name), T, track, tol)
+    slow = through_rk(lambda: _track_propagator(spec_of(name), T, track,
+                                                tol))
+    assert np.max(np.abs(fast - slow)) <= 10 * sum(tol)
+    # a propagator between unit vectors stays unitary
+    eye = np.eye(track.dim)
+    assert np.max(np.abs(fast.conj().swapaxes(1, 2) @ fast - eye)) <= 1e-12
+
+
+@pytest.mark.parametrize("name, T, points", [("landau_zener", 40.0, 401),
+                                             ("rotating_field", 8.0, 401),
+                                             ("closed4_7", 8.0, 201)])
+def test_coefficient_dynamics_matches_runge_kutta(name, T, points):
+    spec = spec_of(name)
+    a0 = np.zeros(spec.dimension, dtype=complex)
+    a0[:2] = 0.6, 0.8
+    grid = np.linspace(0.0, 1.0, points)
+    fast = coefficient_dynamics(spec, T, a0, grid, TOL)
+    slow = through_rk(lambda: coefficient_dynamics(spec, T, a0, grid, TOL))
+    assert np.max(np.abs(fast.coefficients - slow.coefficients)) <= BOUND
+    assert np.array_equal(fast.dynamical_phases, slow.dynamical_phases)
+    weight = np.sum(fast.populations(), axis=1)
+    assert np.max(np.abs(weight - 1.0)) <= 1e-12
+
+
+# Magnus steps and generator evaluations of the Landau-Zener ground state
+# on 201 output points at the default tolerances; the counts may only go
+# down
+LZ_COUNTS = {8.0: (400, 1200, 0), 1024.0: (6800, 26400, 200)}
+
+
+@pytest.mark.parametrize("T", sorted(LZ_COUNTS))
+def test_lz_engine_counts(T):
+    traj = integrate_schrodinger(spec_of("landau_zener"), T,
+                                 ground("landau_zener"),
+                                 np.linspace(0.0, 1.0, 201), TOL)
+    assert (traj.steps, traj.rhs_evals, traj.rejected) == LZ_COUNTS[T]
+
+
+@pytest.mark.parametrize("points", [2, 201])
+def test_chunks_do_not_change_the_answer(monkeypatch, points):
+    # chunks of two output intervals, or of two steps of a long interval,
+    # whose product then spans many chunks
+    spec, psi0 = spec_of("landau_zener"), ground("landau_zener")
+    grid = np.linspace(0.0, 1.0, points)
+    whole = integrate_schrodinger(spec, 64.0, psi0, grid, TOL)
+    monkeypatch.setattr(_magnus, "_STACK_ENTRIES", 8)
+    chunked = integrate_schrodinger(spec, 64.0, psi0, grid, TOL)
+    assert np.max(np.abs(chunked.states - whole.states)) <= BOUND
+    if points == 2:     # one interval: the same steps, other groupings
+        assert chunked.steps == whole.steps
+        assert np.max(np.abs(chunked.states - whole.states)) <= 1e-13
+
+
+def test_step_demand_refused_before_any_exponential(monkeypatch):
+    def no_exponentials(*args):
+        raise AssertionError("an exponential was taken")
+
+    monkeypatch.setattr(_magnus, "_exponentials", no_exponentials)
+    with pytest.raises(StiffnessError) as info:
+        integrate_schrodinger(spec_of("landau_zener"), 1e9,
+                              ground("landau_zener"),
+                              np.linspace(0.0, 1.0, 201), TOL)
+    assert info.value.details["s"] == 0.0
+    assert info.value.details["steps"] > _rk45.MAX_STEPS
+
+
+def test_step_budget_reports_where_it_runs_out(monkeypatch):
+    # the width bound of Landau-Zener is 2.5 T: at T = 5000 each of the 200
+    # intervals plans 2 x ceil(20.8) steps, and a budget of 1000 runs out
+    # in the 24th, which starts at s = 0.115
+    monkeypatch.setattr(_rk45, "MAX_STEPS", 1000)
+    with pytest.raises(StiffnessError) as info:
+        integrate_schrodinger(spec_of("landau_zener"), 5000.0,
+                              ground("landau_zener"),
+                              np.linspace(0.0, 1.0, 201), TOL)
+    assert info.value.details["s"] == pytest.approx(0.115, abs=1e-12)
+    assert info.value.details["steps"] == 2 * 21 * 200
