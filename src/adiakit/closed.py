@@ -36,8 +36,8 @@ import numpy as np
 
 from .errors import (ConfigError, DegeneracyError, DomainError, InputError,
                      NumericalError, ResolutionError)
-from .numkit import (_not_a_knot_spline, cumulative_trapezoid,
-                     min_cost_assignment)
+from .numkit import (_STACK_ENTRIES, _not_a_knot_spline,
+                     cumulative_trapezoid, min_cost_assignment)
 from .schedules import (GeneratorSpec, _weighted_sum, eval_generator,
                         eval_generator_derivative)
 
@@ -53,7 +53,8 @@ __all__ = [
 ]
 
 
-# 1/sqrt(2) = 0.7071 with a margin far beyond rounding (see track_spectrum)
+# 1/sqrt(2) = 0.7071 with a margin far beyond rounding (see
+# _transport_clear_prefix)
 _CLEAR_OVERLAP = 0.75
 
 
@@ -111,6 +112,14 @@ def track_spectrum(spec: GeneratorSpec, grid, gap_floor: float = 1e-9) -> Spectr
     phases are fixed by discrete parallel transport.  A gap that closes,
     either below ``gap_floor`` at a grid point or by changing sign between
     two points, raises :class:`DegeneracyError` locating the crossing.
+
+    The eigenpairs come from one stacked ``eigh``.  Where every level
+    overlaps its predecessor by more than ``_CLEAR_OVERLAP``, eigh's own
+    order is the assignment and the transport is stacked over the run of
+    such points (:func:`_transport_clear_prefix`, a running product of
+    the unit overlap phases renormalised to unit modulus, so the column
+    norms do not drift).  Only a point where some overlap is smaller goes
+    through the per-point assignment; the stacked transport resumes after it.
     """
     _require_closed(spec)
     g = _validate_grid(grid)
@@ -126,18 +135,17 @@ def track_spectrum(spec: GeneratorSpec, grid, gap_floor: float = 1e-9) -> Spectr
     energies[0], evecs = energies[0, order], vectors[0][:, order]
     anchors = evecs[np.argmax(np.abs(evecs), axis=0), np.arange(D)]
     vectors[0] = evecs * np.conj(anchors / np.abs(anchors))
-    for i in range(1, N):
+    i = _transport_clear_prefix(vectors)
+    while i < N:
+        # an unclear point: some level overlaps its predecessor too little
+        # to take eigh's order on trust, so assign by overlap
         evecs = vectors[i]
-        # the overlaps of two orthonormal bases are the moduli of a
-        # unitary matrix: when every level overlaps itself by more than
-        # 1/sqrt(2), eigh's order is the unique best assignment
-        overlaps = np.abs(vectors[i - 1].conj().T @ evecs)
-        if not all(v > _CLEAR_OVERLAP for v in overlaps.diagonal().tolist()):
-            order = min_cost_assignment(-overlaps)
-            energies[i], evecs = energies[i, order], evecs[:, order]
+        order = min_cost_assignment(-np.abs(vectors[i - 1].conj().T @ evecs))
+        energies[i], evecs = energies[i, order], evecs[:, order]
         ov = np.einsum("jn,jn->n", vectors[i - 1].conj(), evecs)
         phases = np.where(np.abs(ov) > 0, ov / np.abs(ov), 1.0)
         vectors[i] = evecs * np.conj(phases)
+        i += _transport_clear_prefix(vectors[i:])
 
     min_gap = np.inf
     for n in range(D):
@@ -159,6 +167,43 @@ def track_spectrum(spec: GeneratorSpec, grid, gap_floor: float = 1e-9) -> Spectr
                     gap=0.0)
             min_gap = min(min_gap, float(adiff[j]))
     return SpectralTrack(g, energies, vectors, min_gap)
+
+
+def _transport_clear_prefix(vectors: np.ndarray) -> int:
+    """Parallel-transport eigh's bases in place up to the first unclear
+    point, and return that point (``len(vectors)`` if there is none).
+
+    ``vectors[0]`` must already be ordered and transported.  A point is
+    clear when every level overlaps the previous point's vector by more
+    than ``_CLEAR_OVERLAP``: the overlaps of two orthonormal bases are the
+    moduli of a unitary matrix, so above 1/sqrt(2) eigh's order is the
+    unique best assignment.  The overlaps of a chunk are taken against the
+    previous point as it already stands, so point i turns by the running
+    product of the unit phases conj(ov/|ov|) since the chunk began.  That
+    product is divided by its modulus: its rounding would otherwise drift
+    the column norms by about one ulp a point, and summing the overlap
+    angles instead loses digits to the arbitrary phases of eigh's
+    vectors, whose sum grows with the grid.
+
+    The chunks double from 16 points up to ``_STACK_ENTRIES`` matrix
+    entries, so a grid with many unclear points, where each call ends
+    soon, does not pay for a full chunk of overlaps per call.
+    """
+    N, D = vectors.shape[:2]
+    a, step = 1, 16
+    while a < N:
+        b = min(a + step, N)
+        ov = np.einsum("ijn,ijn->in", vectors[a - 1:b - 1].conj(),
+                       vectors[a:b])
+        modulus = np.abs(ov)
+        unclear = np.flatnonzero(~np.all(modulus > _CLEAR_OVERLAP, axis=1))
+        stop = a + int(unclear[0]) if unclear.size else b
+        turn = np.cumprod(ov[:stop - a].conj() / modulus[:stop - a], axis=0)
+        vectors[a:stop] *= (turn / np.abs(turn))[:, None, :]
+        if stop < b:
+            return stop
+        a, step = b, max(step, min(2 * step, _STACK_ENTRIES // (D * D)))
+    return N
 
 
 @dataclass(frozen=True)

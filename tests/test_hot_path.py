@@ -8,9 +8,11 @@ data.  Each is checked here against the direct form -- ``Envelope.value``,
 ``SuperAssembler.matrix``, three separate splines -- and the stepper's
 work counters are pinned for a fixed workload on the Schrödinger flow,
 which the stepper still solves as the test oracle.  The stacked H(s),
-dH/ds, L(s) and dL/ds of a whole grid, and the spectral track built from
-one stacked eigh, are checked bit for bit against the per-point forms,
-and the work of two open and two closed commands is counted.
+dH/ds, L(s) and dL/ds of a whole grid are checked bit for bit against the
+per-point forms; the spectral track built from one stacked eigh and a
+stacked transport matches the per-point track, its energies bit for bit
+and its vectors to rounding.  The work of two open and two closed
+commands, and of the closed track, is counted.
 """
 
 import functools
@@ -22,7 +24,7 @@ import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
-from adiakit import _rk45, cli
+from adiakit import _rk45, cli, closed
 from adiakit import numkit as nk
 from adiakit.cli import parse_scenario
 from adiakit.closed import _coefficient_flow, _melements, track_spectrum
@@ -240,22 +242,72 @@ def pointwise_track(spec, grid):
     return energies, vectors
 
 
-@pytest.mark.parametrize("name", ["landau_zener", "rotating_field",
-                                  "generated_closed4_3", "closed4"])
-def test_stacked_track_is_pointwise_bit_for_bit(name):
-    """One stacked eigh and the batched couplings <k|dH/ds|n> against the
-    per-point eigh, transport and products they replace."""
+@pytest.mark.parametrize("name, points", [
+    pytest.param(name, 401, id=name) for name in
+    ("landau_zener", "rotating_field", "generated_closed4_3", "closed4")
+] + [pytest.param("rotating_field", 4001, id="rotating_field_4001")])
+def test_stacked_track_is_pointwise_bit_for_bit(name, points):
+    """One stacked eigh, the stacked transport and the batched couplings
+    <k|dH/ds|n> against the per-point eigh, transport and products they
+    replace.  The name is historical: the energies and the couplings are
+    bit for bit, the vectors equal to rounding (the transport multiplies
+    the phases in another order).  Summing the overlap angles instead of
+    multiplying the phases strays 8.7e-11 from the per-point loop on the
+    rotating field at 4001 points: eigh's raw phases are arbitrary, so
+    the summed angle grows with the grid."""
     spec = STACKED_SPECS[name]()
-    grid = np.linspace(0.0, 1.0, 401)
+    grid = np.linspace(0.0, 1.0, points)
     track = track_spectrum(spec, grid)
     energies, vectors = pointwise_track(spec, grid)
     assert np.array_equal(track.energies, energies)
-    assert np.array_equal(track.vectors, vectors)
+    assert np.max(np.abs(track.vectors - vectors)) <= 1e-13
     mel = _melements(track, spec)
     for i, s in enumerate(grid):
-        V = vectors[i]
+        V = track.vectors[i]
         assert np.array_equal(
             mel[i], V.conj().T @ eval_generator_derivative(spec, s) @ V)
+
+
+@pytest.mark.parametrize("name", ["landau_zener", "generated_closed4_3",
+                                  "generated_closed4_11"])
+def test_stacked_transport_keeps_unit_norms(name):
+    """A plain running product of the overlap phases drifts the column
+    norms by up to 4e-13 at 4001 points; renormalised, they stay at the
+    per-point loop's rounding."""
+    track = track_spectrum(STACKED_SPECS[name](), np.linspace(0.0, 1.0, 4001))
+    assert np.max(np.abs(np.linalg.norm(track.vectors, axis=1) - 1.0)) <= 1e-14
+
+
+def count_track_work(monkeypatch):
+    """Count the per-point assignments and the stacked transport runs of
+    the closed track."""
+    counts = Counter()
+    count_calls(monkeypatch, closed, "min_cost_assignment", counts)
+    count_calls(monkeypatch, closed, "_transport_clear_prefix", counts)
+    return counts
+
+
+@pytest.mark.parametrize("name", ["landau_zener", "rotating_field",
+                                  "closed4", "generated_closed4_3"])
+def test_clear_tracks_take_no_per_point_step(name, monkeypatch):
+    counts = count_track_work(monkeypatch)
+    track_spectrum(STACKED_SPECS[name](), np.linspace(0.0, 1.0, 4001))
+    assert counts == {"_transport_clear_prefix": 1}
+
+
+def test_coarse_step_takes_one_per_point_step(monkeypatch):
+    """One step across the LZ avoided crossing (delta = 0.1) overlaps by
+    0.743: too little for the stacked transport, the order still clear to
+    the assignment.  The points after it are stacked again."""
+    counts = count_track_work(monkeypatch)
+    spec = make_model("landau_zener", a=1.0, delta=0.1)
+    grid = np.concatenate([np.linspace(0.0, 0.455, 400),
+                           np.linspace(0.545, 1.0, 400)])
+    track = track_spectrum(spec, grid)
+    assert counts == {"min_cost_assignment": 1, "_transport_clear_prefix": 2}
+    energies, vectors = pointwise_track(spec, grid)
+    assert np.array_equal(track.energies, energies)
+    assert np.max(np.abs(track.vectors - vectors)) <= 1e-13
 
 
 def three_spline_flow(grid, energies, conn, offdiag, T):
