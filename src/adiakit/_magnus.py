@@ -1,16 +1,19 @@
-"""Fourth-order Magnus propagator for y' = A(s) y with anti-Hermitian A(s).
+"""Fourth-order Magnus propagator for the linear flow y' = A(s) y.
 
 One step of length h from t takes A at the two Gauss points
 t + (1/2 -+ sqrt(3)/6) h and exponentiates
 
     Omega = (h/2) (A1 + A2) + (sqrt(3) h^2 / 12) [A2, A1]
 
-through one Hermitian eigendecomposition of i Omega, so every step is
-unitary to rounding (Blanes, Casas, Oteo & Ros, Phys. Rep. 470 (2009)
-151, section 5; Iserles & Norsett, Phil. Trans. R. Soc. A 357 (1999)
-983).  Nothing runs per step in Python: the generator is evaluated at
-the nodes of a whole chunk of steps in one call, the chunk is
-exponentiated by one stacked ``eigh``, the steps of each output interval
+(Blanes, Casas, Oteo & Ros, Phys. Rep. 470 (2009) 151, section 5;
+Iserles & Norsett, Phil. Trans. R. Soc. A 357 (1999) 983).  For an
+anti-Hermitian A(s), a Schroedinger flow, the exponential is one
+Hermitian eigendecomposition of i Omega, so every step is unitary to
+rounding.  Any other A(s), such as the T L(s) of a master equation,
+takes the stacked Pade-13 scaling-and-squaring exponential
+``numkit.expm``.  Nothing runs per step in Python: the generator is
+evaluated at the nodes of a whole chunk of steps in one call, the chunk
+is exponentiated in one stacked call, the steps of each output interval
 are multiplied pairwise, and the interval products are chained with one
 matrix product per output point.  Chunks hold at most
 ``numkit._STACK_ENTRIES`` matrix entries, and products are kept only at
@@ -18,7 +21,8 @@ output points.
 
 Step control is deterministic.  Each output interval first gets the
 fewest equal steps whose phase, ``width`` times the step, stays below
-``_THETA``; ``width`` bounds the spectral width of i A over the span.  In
+``_THETA``; ``width`` bounds the spectral width of i A over the span,
+or for a generator that is not anti-Hermitian its spectral norm.  In
 one stacked pass every interval is then solved with those steps and with
 twice as many, and both solutions are chained through the output points.
 Their difference carries the local estimates of all intervals along the
@@ -30,9 +34,12 @@ steps multiplied by the factor that fourth order asks for to bring the
 summed estimate to half the tolerance.  Chunks of output intervals are
 controlled one after another, each against the share of its own length.
 The returned solution is the extrapolation (16 fine - coarse) / 15 of
-every interval, made unitary again: the step is symmetric, so its error
-has even powers of h only and the extrapolation is of order six, well
-inside the estimate that the finer solution meets.
+every interval, for an anti-Hermitian generator made unitary again by
+one Newton-Schulz step: the step is symmetric, so its error has even
+powers of h only and the extrapolation is of order six, well inside the
+estimate that the finer solution meets.  Without that step the
+extrapolation keeps every linear invariant that both its factors keep,
+such as the trace of a density matrix, since its weights sum to one.
 
 Both plans are checked against ``_rk45.MAX_STEPS`` before any exponential
 of them is taken; :class:`StiffnessError` then reports the start s of the
@@ -45,7 +52,7 @@ import numpy as np
 
 from . import _rk45
 from .errors import StiffnessError
-from .numkit import _STACK_ENTRIES
+from .numkit import _STACK_ENTRIES, expm
 
 _NODE = 3 ** 0.5 / 6            # Gauss nodes at 1/2 -+ _NODE
 _BRACKET = 3 ** 0.5 / 12        # weight of the commutator term
@@ -70,8 +77,10 @@ def _check_budget(starts, counts, done=0):
             f"of {budget} at s = {s:.6f}", s=s, steps=float(total[-1]))
 
 
-def _exponentials(generator, t, h):
-    """exp(Omega) of the steps of length ``h`` from ``t``, stacked."""
+def _exponentials(generator, t, h, unitary):
+    """exp(Omega) of the steps of length ``h`` from ``t``, stacked; by
+    ``eigh`` if the generator is anti-Hermitian (``unitary``), else by
+    the Pade kernel."""
     m = t.size
     A = generator(np.concatenate([t + (0.5 - _NODE) * h,
                                   t + (0.5 + _NODE) * h]))
@@ -81,6 +90,8 @@ def _exponentials(generator, t, h):
     A1, A2 = A[:m], A[m:]
     hh = h[:, None, None]
     omega = 0.5 * hh * (A1 + A2) + _BRACKET * hh * hh * (A2 @ A1 - A1 @ A2)
+    if not unitary:
+        return expm(omega)
     w, V = np.linalg.eigh(1j * omega)
     # I + V (exp(-i w) - 1) V^H, with exp(-i w) - 1 free of cancellation:
     # the rounding of V V^H then enters scaled by |w|, which keeps long
@@ -106,7 +117,7 @@ def _run_products(E, counts):
     return E
 
 
-def _products(generator, starts, lengths, counts, n, chunk):
+def _products(generator, starts, lengths, counts, n, chunk, unitary):
     """For every interval j, the product of ``counts[j]`` equal steps
     across [starts[j], starts[j] + lengths[j]], in chunks of steps."""
     ends = np.cumsum(counts)
@@ -116,7 +127,8 @@ def _products(generator, starts, lengths, counts, n, chunk):
         k = np.arange(k0, min(k0 + chunk, int(ends[-1])))
         j = np.searchsorted(ends, k, side="right")
         h = lengths[j] / counts[j]
-        E = _exponentials(generator, starts[j] + (k - first[j]) * h, h)
+        E = _exponentials(generator, starts[j] + (k - first[j]) * h, h,
+                          unitary)
         runs = np.flatnonzero(np.diff(j, prepend=-1))
         parts = _run_products(E, np.diff(np.append(runs, k.size)))
         if k0 > first[j[0]]:    # the interval began in the last chunk
@@ -134,27 +146,33 @@ def _chain(P, y):
     return states
 
 
-def _pairs(generator, starts, lengths, coarse, n, chunk):
+def _pairs(generator, starts, lengths, coarse, n, chunk, unitary):
     """Per interval: the products of ``coarse`` steps and of twice as
     many, and their extrapolation (16 fine - coarse) / 15, which removes
-    the h^4 term of the error of the symmetric fourth-order step; one
-    Newton-Schulz step takes the extrapolation back to a unitary."""
+    the h^4 term of the error of the symmetric fourth-order step; if the
+    flow is ``unitary``, one Newton-Schulz step takes the extrapolation
+    back to a unitary."""
     P = np.empty((coarse.size, 3, n, n), dtype=complex)
-    P[:, 0] = _products(generator, starts, lengths, coarse, n, chunk)
-    P[:, 1] = _products(generator, starts, lengths, 2 * coarse, n, chunk)
+    P[:, 0] = _products(generator, starts, lengths, coarse, n, chunk,
+                        unitary)
+    P[:, 1] = _products(generator, starts, lengths, 2 * coarse, n, chunk,
+                        unitary)
     X = (16.0 * P[:, 1] - P[:, 0]) / _RICHARDSON
-    P[:, 2] = 1.5 * X - 0.5 * X @ (X.conj().swapaxes(1, 2) @ X)
+    if unitary:
+        X = 1.5 * X - 0.5 * X @ (X.conj().swapaxes(1, 2) @ X)
+    P[:, 2] = X
     return P
 
 
 def propagate(generator, width: float, s_eval, y0, rtol: float,
-              atol: float) -> _rk45.IntegrationResult:
+              atol: float, unitary: bool = True) -> _rk45.IntegrationResult:
     """Solve y' = A(s) y through the points of ``s_eval``.
 
-    ``generator`` maps a 1-d array of s to the stack of A(s), each n x n
-    and anti-Hermitian; ``width`` bounds the spectral width of i A(s) on
-    the span.  ``y0`` is a state of shape (n,) or a block of columns,
-    shape (n, k); ``s_eval`` must be strictly increasing.
+    ``generator`` maps a 1-d array of s to the stack of A(s), each n x n;
+    if ``unitary``, every A(s) is anti-Hermitian and ``width`` bounds the
+    spectral width of i A(s) on the span, else ``width`` bounds the
+    spectral norm of A(s).  ``y0`` is a state of shape (n,) or a block of
+    columns, shape (n, k); ``s_eval`` must be strictly increasing.
 
     In the result, ``steps`` counts the steps of the finer solution,
     ``rhs_evals`` every evaluation of A (two per step, the coarser
@@ -178,7 +196,7 @@ def propagate(generator, width: float, s_eval, y0, rtol: float,
     for a in range(0, lengths.size, chunk):
         b = min(a + chunk, lengths.size)
         starts, L, c = pts[a:b], lengths[a:b], coarse[a:b]
-        P = _pairs(generator, starts, L, c, n, chunk)
+        P = _pairs(generator, starts, L, c, n, chunk, unitary)
         evals += 6 * int(c.sum())
         states = _chain(P, out[a])
         # the difference of the two solutions carries every local estimate
@@ -197,7 +215,7 @@ def propagate(generator, width: float, s_eval, y0, rtol: float,
                           steps + 2 * int(c.sum()) - 2 * int(c[redo].sum()))
             c[redo] = more.astype(np.int64)
             P[redo] = _pairs(generator, starts[redo], L[redo], c[redo], n,
-                             chunk)
+                             chunk, unitary)
             evals += 6 * int(c[redo].sum())
             rejected += redo.size
             states = _chain(P[:, 2:], out[a])

@@ -1,7 +1,8 @@
 """Explicit Dormand-Prince 5(4) stepper with PI step-size control.
 
-It solves the master equation, and the tests use it as the oracle for
-the closed flows, which :mod:`adiakit._magnus` solves.
+It solves the master equation of every system larger than a qubit, and
+the tests use it as the oracle for the flows that :mod:`adiakit._magnus`
+solves: the closed ones and the master equation of a qubit.
 
 Kept deliberately small: complex state, adaptive steps clipped to land
 exactly on every requested output point, no dense-output interpolant.
@@ -26,7 +27,7 @@ import numpy as np
 from .errors import InputError, StiffnessError
 
 # far above the ~12k steps of the largest solve in the benchmark; the
-# Magnus engine of the closed flows plans its steps against it too
+# Magnus engine plans its steps against it too
 MAX_STEPS = 1_000_000
 
 _C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)

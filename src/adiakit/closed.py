@@ -222,11 +222,12 @@ class Trajectory:
     interval.  Every sub-step is unitary, so :meth:`norm_drift` measures
     rounding only.
 
-    An open trajectory comes from the Runge-Kutta stepper: ``steps``
-    counts every attempted step, ``rejected`` those of them the error
-    control threw away; ``min_step`` is the smallest accepted step in s
-    and ``s_at_min_step`` where it began (see
-    :class:`adiakit._rk45.IntegrationResult`).
+    An open trajectory of a qubit comes from the same engine, with the
+    same counters; every step keeps the trace.  A larger open trajectory
+    comes from the Runge-Kutta stepper: ``steps`` counts every attempted
+    step, ``rejected`` those of them the error control threw away;
+    ``min_step`` is the smallest accepted step in s and ``s_at_min_step``
+    where it began (see :class:`adiakit._rk45.IntegrationResult`).
     """
 
     grid: np.ndarray
@@ -320,21 +321,23 @@ def adiabatic_condition_ratio(track: SpectralTrack, spec: GeneratorSpec,
     The time-derivative couplings use dH/dt = (1/T) dH/ds; the max and the
     min are taken independently over the whole grid, so the ratio bounds the
     worst coupling against the worst gap rather than a pointwise quotient.
+    r_nk and r_kn are equal, so each pair is computed once, with n < k, and
+    ``max_pair`` is the first such pair of the largest ratio.
     """
     if not T > 0:
         raise InputError(f"total time must be positive, got {T}")
     mel = _melements(track, spec)
-    ratios = {}
+    pair = {}
     worst, worst_pair = 0.0, None
     for n in range(track.dim):
-        for k in range(track.dim):
-            if n == k:
-                continue
+        for k in range(n + 1, track.dim):
             gap = track.gap(n, k)
             r = float(np.max(np.abs(mel[:, k, n] / gap)) / (T * np.min(np.abs(gap))))
-            ratios[(n, k)] = r
-            if r >= worst:
+            pair[(n, k)] = r
+            if worst_pair is None or r > worst:
                 worst, worst_pair = r, (n, k)
+    ratios = {(n, k): pair[min(n, k), max(n, k)] for n in range(track.dim)
+              for k in range(track.dim) if n != k}
     return ConditionRatios(float(T), ratios, worst, worst_pair)
 
 

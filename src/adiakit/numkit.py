@@ -2,10 +2,11 @@
 
 Provides square-matrix coercion, the finite-number check and the
 nested ``[re, im]`` matrix parser used at the scenario boundary, a
-scaling-and-squaring matrix exponential kept as an independent oracle
-for the integrators, the cumulative trapezoid and the minimum-cost
-assignment the trackers share, the coefficient flow's cubic spline, and
-a numerical Jordan canonical form with explicit dual left/right bases.
+scaling-and-squaring matrix exponential of one matrix or a stack (the
+Magnus steps of a qubit's master equation, and the tests' reference),
+the cumulative trapezoid and the minimum-cost assignment the trackers
+share, the coefficient flow's cubic spline, and a numerical Jordan
+canonical form with explicit dual left/right bases.
 
 scipy is imported at first use in two places only: its
 ``linear_sum_assignment`` for an assignment that strict row minima do not
@@ -75,15 +76,21 @@ _PADE13_THETA = 5.371920351148152
 
 
 def expm(M) -> np.ndarray:
-    """Matrix exponential by scaling-and-squaring with a degree-13 Pade kernel."""
-    A = as_square_matrix(M)
-    norm = np.linalg.norm(A, 1)
-    squarings = 0
-    if norm > _PADE13_THETA:
-        squarings = int(np.ceil(np.log2(norm / _PADE13_THETA)))
-        A = A / (2.0 ** squarings)
+    """Matrix exponential by scaling-and-squaring with a degree-13 Pade
+    kernel; for a stack of shape (..., n, n), of every matrix in it.
+
+    Each matrix is scaled by its own power of two and squared back as often,
+    so a matrix of a stack gets the same result as on its own."""
+    A = np.asarray(M, dtype=complex)
+    if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
+        raise ShapeError(f"matrix must be a square matrix, got shape {A.shape}",
+                         shape=list(A.shape))
+    norm = np.abs(A).sum(axis=-2).max(axis=-1)
+    squarings = np.where(norm > _PADE13_THETA, np.ceil(np.log2(
+        np.maximum(norm, _PADE13_THETA) / _PADE13_THETA)), 0.0)
+    A = A / (2.0 ** squarings)[..., None, None]
     b = _PADE13_B
-    eye = np.eye(A.shape[0], dtype=complex)
+    eye = np.eye(A.shape[-1], dtype=complex)
     A2 = A @ A
     A4 = A2 @ A2
     A6 = A2 @ A4
@@ -92,8 +99,9 @@ def expm(M) -> np.ndarray:
     V = (A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
          + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * eye)
     X = np.linalg.solve(V - U, V + U)
-    for _ in range(squarings):
-        X = X @ X
+    for k in range(int(squarings.max(initial=0.0))):
+        more = squarings > k
+        X[more] = X[more] @ X[more]
     return X
 
 

@@ -165,6 +165,21 @@ def test_step_demand_refused_up_front(tmp_path, capsys):
     assert not (tmp_path / "out.csv").exists()
 
 
+def test_qubit_master_step_demand_refused_up_front(tmp_path, capsys):
+    # the bundled dephasing qubit at T = 1e9: the Magnus plan of its master
+    # equation exceeds the budget, where the stepper ran out of it only
+    # after a million steps
+    start = time.monotonic()
+    assert main(["evolve", str(SCENARIOS / "dephasing_qubit.json"), "--T",
+                 "1e9", "--out", str(tmp_path / "out.csv")]) == 3
+    assert time.monotonic() - start < 2.0
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "StiffnessError"
+    assert err["details"]["s"] == 0.0
+    assert err["details"]["steps"] > _rk45.MAX_STEPS
+    assert not (tmp_path / "out.csv").exists()
+
+
 # peak resident memory of `evolve --grid 100001` on the bundled Landau-Zener
 # scenario above that of the bare import, in KiB: 100,300 with the
 # Runge-Kutta stepper and a CSV writer that held the table as text, about

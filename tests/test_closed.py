@@ -5,10 +5,13 @@ field models, where energies, gaps, couplings, and geometric phases all have
 closed forms.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from adiakit import closed
+from adiakit.cli import parse_scenario
 from adiakit.closed import (
     adiabatic_condition_ratio,
     adiabatic_state,
@@ -28,6 +31,8 @@ from adiakit.errors import (
 )
 from adiakit.numkit import expm
 from adiakit.schedules import SIGMA_X, SIGMA_Z, eval_generator, make_model
+
+from test_open_fast_path import generated
 
 
 GRID = np.linspace(0.0, 1.0, 2001)
@@ -204,7 +209,7 @@ class TestConditionRatio:
         track = track_spectrum(lz(), GRID)
         cond = adiabatic_condition_ratio(track, lz(), 8.0)
         assert cond.max_ratio == pytest.approx(1.0, abs=1e-9)
-        assert cond.max_pair == (1, 0)
+        assert cond.max_pair == (0, 1)
 
     def test_ratio_scales_inversely_with_time(self):
         track = track_spectrum(lz(), GRID)
@@ -217,6 +222,24 @@ class TestConditionRatio:
         cond = adiabatic_condition_ratio(track, lz(), 3.0)
         assert cond.ratio(0, 1) == pytest.approx(cond.ratio(1, 0), rel=1e-12)
         assert set(cond.ratios) == {(0, 1), (1, 0)}
+
+    def test_max_pair_does_not_follow_rounding(self):
+        """r_nk and r_kn are one number: a 1e-15 change of the track
+        vectors moves the ratios by rounding but not the reported pair,
+        which is the first pair n < k of the largest ratio."""
+        sc = parse_scenario(generated("closed4", 11))
+        track = track_spectrum(sc.spec, sc.grid())
+        cond = adiabatic_condition_ratio(track, sc.spec, sc.total_time)
+        n, k = cond.max_pair
+        assert n < k
+        assert all(r == cond.ratio(b, a) for (a, b), r in cond.ratios.items())
+        for seed in range(5):
+            noise = np.random.default_rng(seed).normal(
+                size=track.vectors.shape)
+            nudged = dataclasses.replace(
+                track, vectors=track.vectors * (1.0 + 1e-15 * noise))
+            again = adiabatic_condition_ratio(nudged, sc.spec, sc.total_time)
+            assert again.max_pair == cond.max_pair
 
     def test_ratio_near_one_at_estimated_time(self):
         """The self-consistency check: r evaluated at T_est is O(1)."""

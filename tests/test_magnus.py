@@ -1,4 +1,4 @@
-"""The Magnus engine of the closed flows against the Runge-Kutta path.
+"""The Magnus engine against the Runge-Kutta path.
 
 Every closed flow -- the Schrödinger state, the coefficient propagator of
 the expansion and the moving-basis coefficient flow -- goes through
@@ -10,18 +10,25 @@ compares.  The engine must land within ten times the tolerance it was
 given, keep the norm to rounding, plan its work before it takes an
 exponential, and split long grids and long intervals into chunks without
 changing the answer.
+
+The master equation of a qubit takes the engine too, with the Pade
+exponential in place of ``eigh``: it is checked against the stepper's
+solve of the supermatrix flow at (1e-12, 1e-14), and must keep the trace
+to rounding.  Larger master equations stay on the stepper.
 """
 
 import functools
+import pathlib
 
 import numpy as np
 import pytest
 
-from adiakit import _magnus, _rk45
+from adiakit import _magnus, _rk45, cli
 from adiakit.closed import (_track_propagator, coefficient_dynamics,
                             integrate_schrodinger, track_spectrum)
 from adiakit.cli import parse_scenario
 from adiakit.errors import StiffnessError
+from adiakit.open_system import SuperAssembler, integrate_master
 from adiakit.schedules import make_model
 
 from test_open_fast_path import generated
@@ -189,3 +196,69 @@ def test_step_budget_reports_where_it_runs_out(monkeypatch):
                               np.linspace(0.0, 1.0, 201), TOL)
     assert info.value.details["s"] == pytest.approx(0.115, abs=1e-12)
     assert info.value.details["steps"] == 2 * 21 * 200
+
+
+# the master equations of two qubits: the bundled dephasing one and a
+# transverse-driven one, each with its generated initial state
+QUBITS = {"dephasing": lambda: parse_scenario(generated("qubit_static", 3)),
+          "driven": lambda: parse_scenario(generated("qubit_driven", 3))}
+
+
+@functools.cache
+def qubit(name):
+    return QUBITS[name]()
+
+
+@pytest.mark.parametrize("T", [1.0, 10.0, 100.0])
+@pytest.mark.parametrize("name", sorted(QUBITS))
+def test_qubit_master_matches_runge_kutta(name, T):
+    sc = qubit(name)
+    grid = np.linspace(0.0, 1.0, 201)
+    traj = integrate_master(sc.spec, T, sc.initial_state, grid, TOL)
+    ref = _rk45.integrate(SuperAssembler(sc.spec).flow(T),
+                          sc.initial_state.reshape(-1), grid, rtol=1e-12,
+                          atol=1e-14)
+    assert np.max(np.abs(traj.states - ref.y)) <= BOUND
+    # every Magnus step and the extrapolation preserve the trace
+    trace = traj.states.reshape(-1, 2, 2).trace(axis1=1, axis2=2)
+    assert np.max(np.abs(trace - 1.0)) <= 1e-12
+    # the engine's counters: two generator evaluations per step of either
+    # solution, so three per step of the finer one it returns, and more
+    # where an interval was solved again
+    assert traj.rhs_evals >= 3 * traj.steps
+    assert (traj.rhs_evals == 3 * traj.steps) == (traj.rejected == 0)
+    assert traj.steps >= 2 * (grid.size - 1)
+
+
+def test_larger_master_equation_stays_on_runge_kutta():
+    # n = 16: the stepper's count, 6 evaluations per step and 2 to start
+    sc = parse_scenario(generated("open4", 3))
+    traj = integrate_master(sc.spec, 2.0, sc.initial_state,
+                            np.linspace(0.0, 1.0, 21), TOL)
+    assert traj.rhs_evals == 6 * traj.steps + 2
+
+
+def test_qubit_master_step_demand_refused_before_any_exponential(
+        monkeypatch):
+    def no_exponentials(*args):
+        raise AssertionError("an exponential was taken")
+
+    monkeypatch.setattr(_magnus, "_exponentials", no_exponentials)
+    sc = qubit("dephasing")
+    with pytest.raises(StiffnessError) as info:
+        integrate_master(sc.spec, 1e9, sc.initial_state,
+                         np.linspace(0.0, 1.0, 201), TOL)
+    assert info.value.details["s"] == 0.0
+    assert info.value.details["steps"] > _rk45.MAX_STEPS
+
+
+def test_constant_qubit_sweep_drift_stays_at_rounding():
+    # with a constant L every Magnus step is exp(h T L) itself, so the drift
+    # of the stripped block coefficients, exactly 0, shows rounding only;
+    # the stepper's error, amplified by exp(-T Re int lambda), read 1.01 at
+    # T = 206 on the same sweep
+    path = (pathlib.Path(__file__).resolve().parents[1] / "scripts"
+            / "scenarios" / "dephasing_qubit.json")
+    rows = cli.sweep_total_time(str(path), 10.0, 2000.0, 8, jobs=1)
+    assert len(rows) == 8
+    assert max(row[1] for row in rows) <= 10 * 1e-10

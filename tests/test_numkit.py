@@ -1,6 +1,6 @@
-"""Matrix exponential, the JSON matrix format, and the numpy forms of the
-cumulative trapezoid, the not-a-knot spline and the assignment, with scipy
-as their oracle."""
+"""Matrix exponential, of one matrix or a stack, the JSON matrix format,
+and the numpy forms of the cumulative trapezoid, the not-a-knot spline and
+the assignment, with scipy as their oracle."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adiakit import numkit as nk
-from adiakit.errors import InputError
+from adiakit.errors import InputError, ShapeError
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -42,6 +42,18 @@ class TestExpm:
         A = random_matrix(np.random.default_rng(seed), dim)
         prod = nk.expm(A) @ nk.expm(-A)
         assert np.allclose(prod, np.eye(dim), atol=1e-9 * max(1.0, np.max(np.abs(prod))))
+
+    def test_stack_equals_each_matrix_bit_for_bit(self):
+        # norms from 0 to about 500: no scaling for some, up to seven
+        # squarings for others, in one stack of shape (3, 4, 4, 4)
+        rng = np.random.default_rng(5)
+        scales = np.repeat([0.0, 0.01, 1.0, 3.0, 20.0, 100.0], 2)
+        stack = np.array([random_matrix(rng, 4, scale) for scale in scales])
+        got = nk.expm(stack.reshape(3, 4, 4, 4)).reshape(stack.shape)
+        for A, X in zip(stack, got):
+            assert np.array_equal(X, nk.expm(A))
+        with pytest.raises(ShapeError):
+            nk.expm(np.zeros((2, 3, 4)))
 
     def test_hermitian_generator_gives_unitary(self):
         rng = np.random.default_rng(11)
