@@ -300,24 +300,6 @@ class JordanTrack:
     def signature(self) -> tuple:
         return tuple(sorted(self.sizes, reverse=True))
 
-    def block_slice(self, b: int) -> slice:
-        return slice(self.offsets[b], self.offsets[b + 1])
-
-    def omega(self, b: int, a: int) -> np.ndarray:
-        """Eigenvalue difference curve lambda_b(s) - lambda_a(s)."""
-        return self.lambdas[:, b] - self.lambdas[:, a]
-
-    def omega_integral(self, b: int, a: int) -> np.ndarray:
-        """Accumulated int_0^s omega ds'; multiply by T for physical time."""
-        return self.lamint[:, b] - self.lamint[:, a]
-
-    def pairs(self):
-        """Ordered block pairs (a, b) whose eigenvalue groups differ."""
-        for a in range(self.nblocks):
-            for b in range(self.nblocks):
-                if self.clusters[a] != self.clusters[b]:
-                    yield a, b
-
     def export(self) -> dict:
         points = []
         for i, s in enumerate(self.grid):
@@ -541,8 +523,9 @@ class JordanCoefficients:
     ``raw[(b, j)]`` is the bare left-chain projection of |rho(s)>>;
     ``p[(b, j)]`` removes the accumulated eigenvalue exponential and doubles
     it, the quantity whose drift the time conditions bound.  Entries whose
-    exponent overflows are set to inf; reconstruction uses the raw
-    projections, which never involve the exponential.
+    exponent overflows are set to inf, never NaN, whatever the projection
+    there; reconstruction uses the raw projections, which never involve the
+    exponential.
     """
 
     grid: np.ndarray
@@ -552,11 +535,14 @@ class JordanCoefficients:
     track: JordanTrack = field(repr=False)
 
     def reconstruct(self) -> np.ndarray:
-        off = self.track.offsets
-        coeffs = np.zeros((self.grid.size, self.track.dim), dtype=complex)
-        for (b, j), proj in self.raw.items():
-            coeffs[:, off[b] + j] = proj
+        coeffs = np.stack([self.raw[key] for key in _chain_keys(self.track)],
+                          axis=1)
         return np.einsum("ikc,ic->ik", self.track.similarity, coeffs)
+
+
+def _chain_keys(jtrack):
+    """(block, chain position) of every column of S, in column order."""
+    return [(b, j) for b, size in enumerate(jtrack.sizes) for j in range(size)]
 
 
 def expand_jordan_coefficients(rho_traj: Trajectory, jtrack: JordanTrack,
@@ -565,25 +551,24 @@ def expand_jordan_coefficients(rho_traj: Trajectory, jtrack: JordanTrack,
     if not np.array_equal(rho_traj.grid, jtrack.grid):
         raise InputError("trajectory and track grids differ")
     proj = np.einsum("ick,ik->ic", jtrack.similarity_inv, rho_traj.states)
-    raw, p = {}, {}
-    for b in range(jtrack.nblocks):
-        expo = -T * jtrack.lamint[:, b]
-        grow = np.where(expo.real > _EXP_CAP, np.inf + 0j,
-                        np.exp(np.where(expo.real > _EXP_CAP, 0, expo)))
-        for j in range(jtrack.sizes[b]):
-            raw[(b, j)] = proj[:, jtrack.offsets[b] + j]
-            p[(b, j)] = 2.0 * grow * raw[(b, j)]
-    return JordanCoefficients(jtrack.grid, float(T), p, raw, jtrack)
+    keys = _chain_keys(jtrack)
+    expo = -T * jtrack.lamint[:, [blk for blk, _ in keys]]
+    over = expo.real > _EXP_CAP
+    p = np.where(over, np.inf, 2.0 * np.exp(np.where(over, 0, expo)) * proj)
+    return JordanCoefficients(jtrack.grid, float(T),
+                              {key: p[:, c] for c, key in enumerate(keys)},
+                              {key: proj[:, c] for c, key in enumerate(keys)},
+                              jtrack)
 
 
 def coupling_tensor(jtrack: JordanTrack, spec: GeneratorSpec) -> np.ndarray:
     """S^-1 dL/ds S at every track point, shape (N, n, n).
 
-    The ``(a, b)`` block ``[:, jtrack.block_slice(a), jtrack.block_slice(b)]``
-    pairs the left chains of block a with the right chains of block b
-    through dL/ds.  Every condition and regime routine reads its
-    couplings from this one tensor; build it once per track and hand it
-    to each of them.
+    The ``(a, b)`` block, rows ``offsets[a]:offsets[a + 1]`` and columns
+    ``offsets[b]:offsets[b + 1]`` of the track, pairs the left chains of
+    block a with the right chains of block b through dL/ds.  Every
+    condition and regime routine reads its couplings from this one
+    tensor; build it once per track and hand it to each of them.
     """
     dLs = SuperAssembler(spec).derivative(jtrack.grid)
     return jtrack.similarity_inv @ dLs @ jtrack.similarity
@@ -606,61 +591,79 @@ def time_term_count(n_alpha: int, n_beta: int, i: int, Lambda: int) -> int:
                      - n_beta - 1)
 
 
-def _metric_sum(B, omega, na, ii, jj):
-    """Signed nested sum for one (i, j) pair, and its largest single term.
-
-    The tuple sums over transition multi-indices collapse to a binomial
-    weight per total shift, because each summand depends on the k's only
-    through their sum.
-    """
-    total = np.zeros(B.shape[0], dtype=complex)
-    largest = 0.0
-    for pp in range(1, na - ii + 1):
-        for sig in range(jj + 1):
-            mult = math.comb(sig + pp - 1, pp - 1)
-            term = B[:, ii + pp - 1, jj - sig] / omega ** (pp + sig)
-            total += mult * (-1.0) ** sig * term
-            largest = max(largest, float(np.max(np.abs(term))))
-    return total, largest
+def _pairs(jtrack):
+    """Ordered block pairs whose eigenvalue groups differ: index arrays
+    (a, b), grouped by block sizes (n_a, n_b) and a-major within a group,
+    so that each size class is a contiguous run."""
+    groups, sizes = np.asarray(jtrack.clusters), np.asarray(jtrack.sizes)
+    a, b = np.nonzero(groups[:, None] != groups[None, :])
+    order = np.lexsort((sizes[b], sizes[a]))
+    return a[order], b[order]
 
 
-def _time_bracket(pcurves, B, omega, osc, grid, na, ii):
-    """Boundary-minus-integral brackets for one source block.
-
-    Returns the signed sum over chain positions and transition tuples, the
-    integral part alone, the largest single bracket magnitude, and the
-    number of summed terms.
-    """
-    npts = grid.size
-    total = np.zeros(npts, dtype=complex)
-    integral = np.zeros(npts, dtype=complex)
-    largest = 0.0
-    nterms = 0
-    for jj, pcurve in enumerate(pcurves):
-        for pp in range(1, na - ii + 1):
-            for sig in range(jj + 1):
-                mult = math.comb(sig + pp - 1, pp - 1)
-                V = pcurve * B[:, ii + pp - 1, jj - sig] \
-                    / omega ** (pp + sig + 1)
-                dV = _grid_derivative(V, grid)
-                intpart = cumulative_trapezoid(osc * dV, grid)
-                term = V[0] - V * osc + intpart
-                sign = mult * (-1.0) ** sig
-                total += sign * term
-                integral += sign * intpart
-                largest = max(largest, float(np.max(np.abs(term))))
-                nterms += mult
-    return total, integral, largest, nterms
-
-
-def _require_separated(omega, a, b, grid):
+def _require_separated(jtrack, a, b):
+    """The differences lambda_b - lambda_a of the pairs, shape (N, P); a
+    :class:`ConditioningError` names the first pair, a-major, and the
+    first s where one falls below 1e-10."""
+    omega = jtrack.lambdas[:, b] - jtrack.lambdas[:, a]
     small = np.abs(omega) < 1e-10
-    if np.any(small):
-        i = int(np.argmax(small))
+    if small.any():
+        hit = np.flatnonzero(small.any(axis=0))
+        k = hit[np.lexsort((b[hit], a[hit]))[0]]
+        s = float(jtrack.grid[np.argmax(small[:, k])])
+        pair = (int(a[k]), int(b[k]))
         raise ConditioningError(
-            f"eigenvalue difference of blocks {b} and {a} is below 1e-10 "
-            f"at s = {grid[i]:.6f}; the condition metric diverges",
-            s=float(grid[i]), pair=(a, b))
+            f"eigenvalue difference of blocks {pair[0]} and {pair[1]} is "
+            f"below 1e-10 at s = {s:.6f}; the condition metric diverges",
+            s=s, pair=pair)
+    return omega
+
+
+def _size_classes(jtrack, C, a, b):
+    """The pairs of :func:`_pairs` by block sizes (n_a, n_b).  Yields, per
+    class, the slice of its pairs, the columns of S spanned by their
+    target and source blocks, shapes (P, n_a) and (P, n_b), and the
+    (N, P, n_a, n_b) stack of their coupling blocks of C."""
+    sizes, offsets = np.asarray(jtrack.sizes), np.asarray(jtrack.offsets)
+    for na, nb in sorted(set(zip(sizes[a].tolist(), sizes[b].tolist()))):
+        idx = np.flatnonzero((sizes[a] == na) & (sizes[b] == nb))
+        pairs = slice(idx[0], idx[-1] + 1)
+        rows = offsets[a[pairs], None] + np.arange(na)
+        cols = offsets[b[pairs], None] + np.arange(nb)
+        yield pairs, rows, cols, C[:, rows[:, :, None], cols[:, None, :]]
+
+
+def _chain_terms(B, omega, p=None, osc=None, grid=None):
+    """The summands of the chain sums of one size class, stacked over its
+    P pairs.
+
+    ``B`` is the (N, P, n_a, n_b) stack of coupling blocks and ``omega``
+    the (N, P) differences lambda_b - lambda_a.  For target position i and
+    source position j the sum runs over transition tuples; they collapse
+    to a binomial weight per total shift (pp, sig), because each summand
+    depends on a tuple only through its sum.  Without ``p`` the summand is
+    the metric's B[..., i + pp - 1, j - sig] / omega^(pp + sig).  Given
+    the source coefficients ``p`` (N, P, n_b) and the oscillation ``osc``
+    = exp(T (Lambda_b - Lambda_a)) on ``grid``, it is the time bracket
+    V(0) - V osc + int_0^s osc dV of V = p_j B[...] / omega^(pp + sig + 1).
+
+    Yields (i, j, signed weight, summand, integral part of the bracket or
+    None), one (N, P) summand at a time.
+    """
+    na, nb = B.shape[2:]
+    for i, j in np.ndindex(na, nb):
+        for pp in range(1, na - i + 1):
+            for sig in range(j + 1):
+                sign = math.comb(sig + pp - 1, pp - 1) * (-1.0) ** sig
+                coupling = B[..., i + pp - 1, j - sig]
+                if p is None:
+                    yield i, j, sign, coupling / omega ** (pp + sig), None
+                    continue
+                V = p[..., j] * coupling
+                V /= omega ** (pp + sig + 1)
+                part = cumulative_trapezoid(
+                    osc * _grid_derivative(V, grid), grid)
+                yield i, j, sign, V[0] - V * osc + part, part
 
 
 @dataclass(frozen=True)
@@ -687,28 +690,34 @@ def open_condition_metric(jtrack: JordanTrack, spec: GeneratorSpec,
     summand couples a left chain vector of alpha to a right chain vector of
     beta through dL/ds and divides by a power of the eigenvalue difference;
     the metric is the worst absolute value of the signed sum over the grid.
-    ``couplings`` is :func:`coupling_tensor` of the track, built here when
-    not given.
+    Every block pair is evaluated at once, one stacked pass per class of
+    block sizes.  ``couplings`` is :func:`coupling_tensor` of the track,
+    built here when not given.
     """
-    g = jtrack.grid
     C = coupling_tensor(jtrack, spec) if couplings is None else couplings
+    a, b = _pairs(jtrack)
+    omega = _require_separated(jtrack, a, b)
+    entries = []
+    for pairs, _, _, B in _size_classes(jtrack, C, a, b):
+        total = np.zeros(B.shape[2:] + B.shape[:2], dtype=complex)
+        largest = np.zeros(B.shape[2:] + B.shape[1:2])
+        for i, j, sign, term, _ in _chain_terms(B, omega[:, pairs]):
+            total[i, j] += sign * term
+            np.maximum(largest[i, j], np.max(np.abs(term), axis=0),
+                       out=largest[i, j])
+        peak = np.max(np.abs(total), axis=2)
+        for (ii, jj, col), value in np.ndenumerate(peak):
+            k = pairs.start + col
+            entries.append(((int(a[k]), int(b[k]), ii, jj), float(value),
+                            condition_term_count(B.shape[2], ii, jj),
+                            float(largest[ii, jj, col])))
 
     metrics, simplified, counts = {}, {}, {}
     worst, worst_key = 0.0, None
-    for a, b in jtrack.pairs():
-        omega = jtrack.omega(b, a)
-        _require_separated(omega, a, b, g)
-        B = C[:, jtrack.block_slice(a), jtrack.block_slice(b)]
-        na, nb_ = jtrack.sizes[a], jtrack.sizes[b]
-        for ii in range(na):
-            for jj in range(nb_):
-                total, largest = _metric_sum(B, omega, na, ii, jj)
-                key = (a, b, ii, jj)
-                metrics[key] = float(np.max(np.abs(total)))
-                counts[key] = condition_term_count(na, ii, jj)
-                simplified[key] = counts[key] * largest
-                if metrics[key] >= worst:
-                    worst, worst_key = metrics[key], key
+    for key, value, count, big in sorted(entries):
+        metrics[key], counts[key], simplified[key] = value, count, count * big
+        if value >= worst:
+            worst, worst_key = value, key
     return OpenCondition(metrics, simplified, counts, worst, worst_key)
 
 
@@ -743,8 +752,10 @@ def open_time_condition(jtrack: JordanTrack, spec: GeneratorSpec, coeffs,
 
     ``coeffs`` is either one :class:`JordanCoefficients` used for every T
     or a callable T -> JordanCoefficients for self-consistent evaluation.
-    A real part of the accumulated exponent beyond the overflow cap makes
-    the bound infinite rather than raising.  ``couplings`` is
+    A real part of the accumulated exponent beyond the overflow cap, or a
+    non-finite coefficient of a source block, makes the bound infinite
+    rather than raising.  Per T, every block pair is evaluated at once,
+    one stacked pass per class of block sizes.  ``couplings`` is
     :func:`coupling_tensor` of the track, built here when not given.
     """
     T_vals = tuple(float(T) for T in T_grid)
@@ -752,61 +763,56 @@ def open_time_condition(jtrack: JordanTrack, spec: GeneratorSpec, coeffs,
         raise InputError("T_grid must hold positive total times")
     g = jtrack.grid
     C = coupling_tensor(jtrack, spec) if couplings is None else couplings
+    a, b = _pairs(jtrack)
+    omega = _require_separated(jtrack, a, b)
+    classes = list(_size_classes(jtrack, C, a, b))
+    keys = _chain_keys(jtrack)
+    owner = np.array([blk for blk, _ in keys], dtype=int)
+    nterms = np.zeros(len(keys))
+    for _, rows, cols, _ in classes:
+        na, nb = rows.shape[1], cols.shape[1]
+        counts = [time_term_count(na, nb, i, 1) for i in range(na)]
+        # not np.add.at: numpy 2.4.6's ufunc.at writes garbage when its
+        # values broadcast along the first axis of 2-D indices
+        nterms += np.bincount(rows.ravel(), np.tile(counts, len(rows)),
+                              len(keys))
 
-    pair_B, pair_omega = {}, {}
-    for a, b in jtrack.pairs():
-        omega = jtrack.omega(b, a)
-        _require_separated(omega, a, b, g)
-        pair_B[(a, b)] = C[:, jtrack.block_slice(a), jtrack.block_slice(b)]
-        pair_omega[(a, b)] = omega
-
-    bounds, integrals, simplified, satisfied = {}, {}, {}, {}
-    coeff_keys = [(a, ii) for a in range(jtrack.nblocks)
-                  for ii in range(jtrack.sizes[a])]
+    # bounds, integral terms and simplified bounds, per T and coefficient
+    out = np.empty((3, len(T_vals), len(keys)))
     for k, T in enumerate(T_vals):
         cset = coeffs(T) if callable(coeffs) else coeffs
-        for a, ii in coeff_keys:
-            na = jtrack.sizes[a]
-            total = np.zeros(g.size, dtype=complex)
-            integral = np.zeros(g.size, dtype=complex)
-            largest = 0.0
-            nterms = 0
-            overflow = False
-            for b in range(jtrack.nblocks):
-                if jtrack.clusters[b] == jtrack.clusters[a]:
-                    continue
-                expo = T * jtrack.omega_integral(b, a)
-                if np.max(expo.real) > _EXP_CAP:
-                    overflow = True
-                    break
-                osc = np.exp(expo)
-                pcurves = [cset.p[(b, jj)]
-                           for jj in range(jtrack.sizes[b])]
-                part, ipart, big, cnt = _time_bracket(
-                    pcurves, pair_B[(a, b)], pair_omega[(a, b)], osc, g,
-                    na, ii)
-                total += part
-                integral += ipart
-                largest = max(largest, big)
-                nterms += cnt
-            key = (a, ii)
-            if overflow:
-                bounds.setdefault(key, []).append(np.inf)
-                integrals.setdefault(key, []).append(np.inf)
-                simplified.setdefault(key, []).append(np.inf)
-                satisfied.setdefault(key, []).append(False)
-            else:
-                bound = float(np.max(np.abs(total)))
-                bounds.setdefault(key, []).append(bound)
-                integrals.setdefault(key, []).append(
-                    float(np.max(np.abs(integral))))
-                simplified.setdefault(key, []).append(nterms * largest)
-                satisfied.setdefault(key, []).append(T >= eta * bound)
+        p = np.stack([cset.p[key] for key in keys], axis=1)
+        finite = np.isfinite(p).all(axis=0)
+        expo = T * (jtrack.lamint[:, b] - jtrack.lamint[:, a])
+        # an exponent past the cap, or a source block with a non-finite
+        # coefficient, makes every bound of the target block infinite; the
+        # pairs of such a target then add nothing
+        blocked = ((np.max(expo.real, axis=0) > _EXP_CAP)
+                   | ~np.logical_and.reduceat(finite, jtrack.offsets[:-1])[b])
+        expo[:, np.isin(a, a[blocked])] = -np.inf
+        osc = np.exp(expo, out=expo)
+        p = np.where(finite, p, 0.0)
+        total = np.zeros((len(keys), g.size), dtype=complex)
+        integral = np.zeros_like(total)
+        largest = np.zeros(len(keys))
+        for pairs, rows, cols, B in classes:
+            for i, _, sign, term, part in _chain_terms(
+                    B, omega[:, pairs], p[:, cols], osc[:, pairs], g):
+                np.add.at(total, rows[:, i], (sign * term).T)
+                np.add.at(integral, rows[:, i], (sign * part).T)
+                np.maximum.at(largest, rows[:, i],
+                              np.max(np.abs(term), axis=0))
+        out[:, k] = np.where(np.isin(owner, a[blocked]), np.inf,
+                             [np.max(np.abs(total), axis=1),
+                              np.max(np.abs(integral), axis=1),
+                              nterms * largest])
 
-    bounds = {k: tuple(v) for k, v in bounds.items()}
-    integrals = {k: tuple(v) for k, v in integrals.items()}
-    simplified = {k: tuple(v) for k, v in simplified.items()}
-    satisfied = {k: tuple(v) for k, v in satisfied.items()}
+    bounds, integrals, simplified = (
+        {key: tuple(col) for key, col in zip(keys, table.T.tolist())}
+        for table in out)
+    satisfied = {key: tuple(T >= eta * bound
+                            for T, bound in zip(T_vals, bounds[key]))
+                 for key in keys}
     sat_all = tuple(all(satisfied[k][idx] for k in satisfied)
                     for idx in range(len(T_vals)))
     threshold = next((T_vals[idx] for idx in range(len(T_vals))
@@ -836,60 +842,51 @@ def classify_regime(jtrack: JordanTrack, coeffs: JordanCoefficients,
     guaranteed       no coupling at all between the blocks
     model-dependent  none of the clean shapes applies
 
-    ``couplings`` is :func:`coupling_tensor` of the track, built here when
-    not given.
+    All pairs are labelled at once.  ``couplings`` is
+    :func:`coupling_tensor` of the track, built here when not given.
     """
-    g = jtrack.grid
     C = coupling_tensor(jtrack, spec) if couplings is None else couplings
     T = coeffs.total_time
+    a, b = _pairs(jtrack)
+    # each ordered pair is one orientation: target a, source b
+    omega = jtrack.lambdas[:, b] - jtrack.lambdas[:, a]
+    rew = (jtrack.lamint[:, b] - jtrack.lamint[:, a]).real
+    pmag = np.abs(np.stack([coeffs.p[key] for key in _chain_keys(jtrack)],
+                           axis=1))
+    finite = np.isfinite(pmag)
+    pmag = np.where(finite, pmag, 0.0)
+    growth = np.exp(np.minimum(T * rew, _EXP_CAP))
+    vmax, q = np.zeros(a.size), np.zeros(rew.shape)
+    for pairs, _, cols, B in _size_classes(jtrack, C, a, b):
+        # coupling weight: |B| times the finite source coefficients
+        vmax[pairs] = np.max(np.abs(B) * pmag[:, cols][:, :, None, :],
+                             axis=(0, 2, 3))
+        # compensation: the source coefficients against the growth
+        q[:, pairs] = np.max(np.where(finite[:, cols],
+                                      pmag[:, cols] * growth[:, pairs, None],
+                                      np.inf), axis=2)
+    comp = np.max(q, axis=0) <= comp_factor * np.maximum(q[0], 1e-300)
+    risky = (np.max(rew, axis=0) > re_tol) & (vmax > v_tol)
+    danger, offset = risky & ~comp, risky & comp
+    uniform = np.all(omega.real >= -re_tol, axis=0)
 
-    def orientation(a, b):
-        """Growth, coupling weight, and compensation for source block b."""
-        rew = jtrack.omega_integral(b, a).real
-        B = C[:, jtrack.block_slice(a), jtrack.block_slice(b)]
-        vmax = 0.0
-        for jj in range(jtrack.sizes[b]):
-            pmag = np.abs(coeffs.p[(b, jj)])
-            finite = pmag[np.isfinite(pmag)]
-            if finite.size:
-                weight = float(np.max(np.abs(B[np.isfinite(pmag)][:, :, jj])
-                                      * finite[:, None]))
-                vmax = max(vmax, weight)
-        growth = np.exp(np.minimum(T * rew, _EXP_CAP))
-        q = np.zeros(g.size)
-        for jj in range(jtrack.sizes[b]):
-            pmag = np.abs(coeffs.p[(b, jj)])
-            q = np.maximum(q, np.where(np.isfinite(pmag),
-                                       pmag * growth, np.inf))
-        comp = bool(np.max(q) <= comp_factor * max(q[0], 1e-300))
-        uniform = bool(np.all(jtrack.omega(b, a).real >= -re_tol))
-        return float(np.max(rew)), vmax, comp, uniform
-
-    labels = {}
-    for a in range(jtrack.nblocks):
-        for b in range(a + 1, jtrack.nblocks):
-            if jtrack.clusters[a] == jtrack.clusters[b]:
-                continue
-            sides = {(a, b): orientation(a, b), (b, a): orientation(b, a)}
-            danger = [o for o, (rmax, vmax, comp, _) in sides.items()
-                      if rmax > re_tol and vmax > v_tol and not comp]
-            offset = [o for o, (rmax, vmax, comp, _) in sides.items()
-                      if rmax > re_tol and vmax > v_tol and comp]
-            if danger:
-                uniform = all(sides[o][3] for o in danger)
-                labels[(a, b)] = "finite-window" if uniform \
-                    else "model-dependent"
-            elif offset:
-                labels[(a, b)] = "compensated"
-            elif (max(np.max(np.abs(jtrack.omega_integral(b, a).real)),
-                      0.0) <= re_tol
-                  and np.min(np.abs(jtrack.omega(b, a).imag)) > 1e-10):
-                labels[(a, b)] = "oscillatory-RL"
-            elif any(np.all(jtrack.omega_integral(src, tgt).real[1:] < 0.0)
-                     for tgt, src in ((a, b), (b, a))):
-                labels[(a, b)] = "decaying"
-            elif all(v <= v_tol for _, v, _, _ in sides.values()):
-                labels[(a, b)] = "guaranteed"
-            else:
-                labels[(a, b)] = "model-dependent"
-    return labels
+    # unordered pairs a < b, and the index of each orientation
+    index = np.zeros((jtrack.nblocks,) * 2, dtype=int)
+    index[a, b] = np.arange(a.size)
+    fwd = np.flatnonzero(a < b)
+    back = index[b[fwd], a[fwd]]
+    either = danger[fwd] | danger[back]
+    labels = np.select(
+        [either & (uniform[fwd] | ~danger[fwd])
+         & (uniform[back] | ~danger[back]),
+         either,
+         offset[fwd] | offset[back],
+         (np.max(np.abs(rew[:, fwd]), axis=0) <= re_tol)
+         & (np.min(np.abs(omega[:, fwd].imag), axis=0) > 1e-10),
+         np.all(rew[1:, fwd] < 0.0, axis=0)
+         | np.all(rew[1:, back] < 0.0, axis=0),
+         (vmax[fwd] <= v_tol) & (vmax[back] <= v_tol)],
+        ["finite-window", "model-dependent", "compensated",
+         "oscillatory-RL", "decaying", "guaranteed"], "model-dependent")
+    return dict(sorted(((int(a[k]), int(b[k])), str(label))
+                       for k, label in zip(fwd, labels)))

@@ -180,6 +180,24 @@ def test_qubit_master_step_demand_refused_up_front(tmp_path, capsys):
     assert not (tmp_path / "out.csv").exists()
 
 
+def test_overflowed_coefficients_give_infinite_bounds(tmp_path):
+    # at T = 5000 the growth exp(-T int lambda) of the oscillating blocks
+    # passes the overflow cap: their stripped coefficients are infinite,
+    # and so is every bound they feed, never NaN and without a warning,
+    # though the couplings into the conserved blocks are exactly zero
+    out = tmp_path / "check.json"
+    proc = run_cli(["check", str(SCENARIOS / "dephasing_qubit.json"),
+                    "--T", "5000", "--out", str(out)], timeout=60)
+    assert proc.returncode == 0
+    assert "Warning" not in proc.stderr
+    text = out.read_text()
+    assert "NaN" not in text
+    tcond = json.loads(text)["results"]["time_condition"]
+    assert tcond["satisfied_all"] == [False]
+    assert tcond["bounds"] == {key: [math.inf]
+                               for key in ("0,0", "1,0", "2,0", "3,0")}
+
+
 # peak resident memory of `evolve --grid 100001` on the bundled Landau-Zener
 # scenario above that of the bare import, in KiB: 100,300 with the
 # Runge-Kutta stepper and a CSV writer that held the table as text, about

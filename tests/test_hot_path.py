@@ -26,6 +26,7 @@ from scipy.interpolate import CubicSpline
 
 from adiakit import _rk45, cli, closed
 from adiakit import numkit as nk
+from adiakit import open_system as osys
 from adiakit.cli import parse_scenario
 from adiakit.closed import _coefficient_flow, _melements, track_spectrum
 from adiakit.errors import StiffnessError
@@ -603,3 +604,26 @@ def test_open4_check_master_rhs_evaluations(monkeypatch, tmp_path):
                      "--out", str(tmp_path / "check.json")]) == 0
     assert len(evals) == len(doc["T_grid"])
     assert 0 < sum(evals) <= OPEN4_CHECK_RHS_EVALS
+
+
+# `check` on the generated open4 scenario of seed 3 (16 singleton blocks,
+# 240 ordered block pairs, three T values): the time condition takes one
+# grid derivative and one cumulative trapezoid per T for all pairs at
+# once, and the Jordan track one trapezoid for its eigenvalue integrals.
+# Per-pair brackets made 720 derivatives and 721 trapezoids.
+OPEN4_CHECK_DERIVATIVES = 3
+OPEN4_CHECK_TRAPEZOIDS = 4
+
+
+def test_open4_check_time_condition_is_one_pass_per_T(monkeypatch, tmp_path):
+    counts = Counter()
+    count_calls(monkeypatch, osys, "_grid_derivative", counts)
+    count_calls(monkeypatch, osys, "cumulative_trapezoid", counts)
+    path = tmp_path / "open4.json"
+    doc = generated("open4", 3)
+    path.write_text(json.dumps(doc))
+    assert cli.main(["check", str(path),
+                     "--out", str(tmp_path / "check.json")]) == 0
+    assert len(doc["T_grid"]) == 3
+    assert counts["_grid_derivative"] <= OPEN4_CHECK_DERIVATIVES
+    assert counts["cumulative_trapezoid"] <= OPEN4_CHECK_TRAPEZOIDS

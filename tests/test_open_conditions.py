@@ -2,10 +2,13 @@
 
 The nested transition sums are checked two ways.  On random data, the
 collapsed binomial-weight implementation is compared against a literal
-enumeration over transition tuples, the slow route it replaces.  On the
-dissipation-free two-level embedding the worst metric must land on the
-closed-system coupling-to-gap ratio, which ties the block formalism back to
-quantities the closed module measures independently.
+enumeration over transition tuples, the slow route it replaces, one block
+pair at a time; a track with a 3-chain, a 2-chain and singletons takes
+the public routines, which evaluate all pairs at once, through the same
+enumeration pair by pair.  On the dissipation-free two-level embedding the
+worst metric must land on the closed-system coupling-to-gap ratio, which
+ties the block formalism back to quantities the closed module measures
+independently.
 """
 
 import math
@@ -22,11 +25,12 @@ from adiakit.closed import (
 from adiakit.errors import ConditioningError, InputError
 from adiakit.numkit import JordanForm
 from adiakit.open_system import (
+    JordanCoefficients,
     JordanTrack,
-    _metric_sum,
-    _time_bracket,
+    _chain_terms,
     condition_term_count,
     expand_jordan_coefficients,
+    classify_regime,
     integrate_master,
     jordan_track,
     open_condition_metric,
@@ -114,14 +118,18 @@ def bracket_literal(pcurves, B, omega, osc, grid, na, ii):
     return total, integral, count
 
 
-def synthetic_track(lams, grid):
-    """Track with identity chains and prescribed eigenvalue curves."""
-    dim = lams.shape[1]
+def synthetic_track(lams, grid, sizes=None, clusters=None):
+    """Track with identity chains and prescribed eigenvalue curves, one
+    column of ``lams`` per block.  Blocks are singletons in groups of
+    their own unless ``sizes`` and ``clusters`` say otherwise."""
+    nblocks = lams.shape[1]
+    sizes = (1,) * nblocks if sizes is None else tuple(sizes)
+    clusters = tuple(range(nblocks)) if clusters is None else tuple(clusters)
+    dim = sum(sizes)
     eye = np.broadcast_to(np.eye(dim, dtype=complex), (grid.size, dim, dim))
-    jf = JordanForm(tuple((lams[0, b], 1) for b in range(dim)),
+    jf = JordanForm(tuple((lams[0, b], sizes[b]) for b in range(nblocks)),
                     eye[0], eye[0], 0.0)
-    return JordanTrack(grid, (jf,) * grid.size, lams, (1,) * dim,
-                       tuple(range(dim)),
+    return JordanTrack(grid, (jf,) * grid.size, lams, sizes, clusters,
                        cumulative_trapezoid(lams, grid, axis=0, initial=0.0),
                        0.0, eye, eye)
 
@@ -185,9 +193,15 @@ class TestMetricAgainstEnumeration:
                          + 1j * rng.normal(size=grid.size))
                 omega += 2.0 * np.sign(omega.real) \
                     + 2j * np.sign(omega.imag)
+                total = np.zeros((na, nb, grid.size), dtype=complex)
+                big = np.zeros((na, nb))
+                for ii, jj, sign, term, _ in _chain_terms(B[:, None],
+                                                          omega[:, None]):
+                    total[ii, jj] += sign * term[:, 0]
+                    big[ii, jj] = max(big[ii, jj], np.max(np.abs(term)))
                 for ii in range(na):
                     for jj in range(nb):
-                        got, largest = _metric_sum(B, omega, na, ii, jj)
+                        got, largest = total[ii, jj], big[ii, jj]
                         want, count = metric_literal(B, omega, na, ii, jj)
                         scale = np.max(np.abs(want))
                         assert np.max(np.abs(got - want)) < 1e-10 * scale
@@ -222,17 +236,27 @@ class TestBracketAgainstEnumeration:
                            + 1j * rng.normal(size=grid.size)
                            for _ in range(nb)]
                 osc = np.exp(1j * 0.1 * np.cumsum(rng.normal(size=grid.size)))
+                total = np.zeros((na, grid.size), dtype=complex)
+                integral = np.zeros_like(total)
+                big = np.zeros(na)
+                for ii, _, sign, term, part in _chain_terms(
+                        B[:, None], omega[:, None],
+                        np.stack(pcurves, axis=1)[:, None], osc[:, None],
+                        grid):
+                    total[ii] += sign * term[:, 0]
+                    integral[ii] += sign * part[:, 0]
+                    big[ii] = max(big[ii], np.max(np.abs(term)))
                 for ii in range(na):
-                    got, gotint, _, nterms = _time_bracket(
-                        pcurves, B, omega, osc, grid, na, ii)
+                    got, gotint = total[ii], integral[ii]
                     want, wantint, count = bracket_literal(
                         pcurves, B, omega, osc, grid, na, ii)
                     scale = np.max(np.abs(want))
                     assert np.max(np.abs(got - want)) < 1e-9 * scale
                     assert np.max(np.abs(gotint - wantint)) \
                         < 1e-9 * max(np.max(np.abs(wantint)), 1e-15)
-                    assert nterms == count
-                    assert nterms == time_term_count(na, nb, ii, 1)
+                    assert count == time_term_count(na, nb, ii, 1)
+                    assert count * big[ii] \
+                        >= np.max(np.abs(got)) * (1 - 1e-12)
 
 
 class TestClosedReduction:
@@ -268,6 +292,29 @@ class TestClosedReduction:
             open_condition_metric(track, make_model("dephasing_qubit",
                                                     omega=1.0, gamma=0.2))
         assert exc.value.details["pair"] == (0, 1)
+        assert exc.value.details["s"] == 0.0
+        assert "blocks 0 and 1 " in str(exc.value)
+
+    def test_first_degenerate_pair_in_pair_order(self):
+        """Pairs are scanned a-major, and s in grid order within a pair:
+        (0, 3) meets at s = 1 and is named before (1, 2), which meets at
+        s = 0.5."""
+        lams = np.array([[0.0, -1.0, -2.0, 1.0],
+                         [0.0, -1.0, -1.0 + 5e-11, 1.0],
+                         [0.0, -1.0, -2.0, 5e-11]], dtype=complex)
+        track = synthetic_track(lams, np.array([0.0, 0.5, 1.0]))
+        C = np.zeros((3, 4, 4), dtype=complex)
+        for evaluate in (
+                lambda: open_condition_metric(track, None, couplings=C),
+                lambda: open_time_condition(track, None, None, (1.0,),
+                                            couplings=C)):
+            with pytest.raises(ConditioningError) as exc:
+                evaluate()
+            assert exc.value.details["pair"] == (0, 3)
+            assert exc.value.details["s"] == 1.0
+            assert str(exc.value).startswith(
+                "eigenvalue difference of blocks 0 and 3 is below 1e-10 "
+                "at s = 1.000000")
 
 
 @pytest.fixture(scope="module")
@@ -370,3 +417,146 @@ class TestTimeCondition:
             open_time_condition(track, spec, None, ())
         with pytest.raises(InputError):
             open_time_condition(track, spec, None, (-1.0,))
+
+
+# a 3-chain, a 2-chain and four singletons; blocks 3 and 5 share the
+# eigenvalue 0 and so one group
+CHAIN_SIZES = (3, 2, 1, 1, 1, 1)
+CHAIN_CLUSTERS = (0, 1, 2, 3, 4, 3)
+CHAIN_GRID = np.linspace(0.0, 1.0, 61)
+CHAIN_T = (1.0, 10.0, 3000.0)
+
+
+@pytest.fixture(scope="module")
+def chains():
+    """A track with nontrivial chains, nonzero couplings and coefficient
+    curves, driven through the public routines.  At T = 3000 the growth of
+    block 3 against block 0 passes the overflow cap."""
+    s = CHAIN_GRID
+    lams = np.stack([
+        -0.3 - 0.1 * s + 1j * (1.0 + 0.2 * s),
+        -0.05 + 0.4j * s,
+        -0.3 - 0.1 * s - 1j * (1.0 + 0.2 * s),
+        0.0 * s,
+        0.2 * np.cos(2.0 * np.pi * s) + 0.7j,
+        0.0 * s,
+    ], axis=1)
+    track = synthetic_track(lams, s, CHAIN_SIZES, CHAIN_CLUSTERS)
+    rng = np.random.default_rng(23)
+    n = sum(CHAIN_SIZES)
+    C0, C1 = (rng.normal(size=(2, n, n)) + 1j * rng.normal(size=(2, n, n)))
+    C = C0[None] + s[:, None, None] * C1[None]
+    off = track.offsets
+    for a, b in ((1, 3), (3, 1), (3, 4), (4, 3), (4, 5), (5, 4)):
+        C[:, off[a]:off[a + 1], off[b]:off[b + 1]] = 0.0
+    p = {}
+    for b, size in enumerate(CHAIN_SIZES):
+        for j in range(size):
+            c = rng.normal(size=3) + 1j * rng.normal(size=3)
+            p[(b, j)] = c[0] + c[1] * s + c[2] * s ** 2
+    coeffs = JordanCoefficients(s, 10.0, p, p, track)
+    return track, C, coeffs
+
+
+def chain_pairs(track):
+    return [(a, b) for a in range(track.nblocks) for b in range(track.nblocks)
+            if track.clusters[a] != track.clusters[b]]
+
+
+def pair_data(track, C, a, b):
+    off = track.offsets
+    return (C[:, off[a]:off[a + 1], off[b]:off[b + 1]],
+            track.lambdas[:, b] - track.lambdas[:, a])
+
+
+class TestGeneralChains:
+    """The public routines on chains of every size class against the
+    literal enumeration, one block pair at a time."""
+
+    def test_metric_matches_enumeration(self, chains):
+        track, C, _ = chains
+        cond = open_condition_metric(track, None, couplings=C)
+        keys = []
+        for a, b in chain_pairs(track):
+            B, omega = pair_data(track, C, a, b)
+            for ii in range(CHAIN_SIZES[a]):
+                for jj in range(CHAIN_SIZES[b]):
+                    want, count = metric_literal(B, omega, CHAIN_SIZES[a],
+                                                 ii, jj)
+                    key = (a, b, ii, jj)
+                    keys.append(key)
+                    assert cond.metrics[key] == pytest.approx(
+                        np.max(np.abs(want)), rel=1e-10)
+                    assert cond.counts[key] == count
+                    assert cond.simplified[key] >= cond.metrics[key] - 1e-12
+        assert list(cond.metrics) == keys
+        assert cond.max_metric == max(cond.metrics.values())
+        assert cond.metrics[cond.max_key] == cond.max_metric
+
+    def test_time_condition_matches_enumeration(self, chains):
+        track, C, coeffs = chains
+        cond = open_time_condition(track, None, coeffs, CHAIN_T,
+                                   couplings=C)
+        keys = [(a, ii) for a in range(track.nblocks)
+                for ii in range(CHAIN_SIZES[a])]
+        assert list(cond.bounds) == keys
+        overflowed = set()
+        for k, T in enumerate(CHAIN_T):
+            for a, ii in keys:
+                total = np.zeros(CHAIN_GRID.size, dtype=complex)
+                integral = np.zeros(CHAIN_GRID.size, dtype=complex)
+                over = False
+                for b in range(track.nblocks):
+                    if track.clusters[b] == track.clusters[a]:
+                        continue
+                    expo = T * (track.lamint[:, b] - track.lamint[:, a])
+                    if np.max(expo.real) > 700.0:
+                        over = True
+                        continue
+                    B, omega = pair_data(track, C, a, b)
+                    pcurves = [coeffs.p[(b, jj)]
+                               for jj in range(CHAIN_SIZES[b])]
+                    part, ipart, _ = bracket_literal(
+                        pcurves, B, omega, np.exp(expo), CHAIN_GRID,
+                        CHAIN_SIZES[a], ii)
+                    total += part
+                    integral += ipart
+                if over:
+                    overflowed.add((T, a))
+                    assert cond.bounds[(a, ii)][k] == np.inf
+                    assert cond.simplified[(a, ii)][k] == np.inf
+                    assert cond.satisfied[(a, ii)][k] is False
+                else:
+                    bound = np.max(np.abs(total))
+                    assert cond.bounds[(a, ii)][k] == pytest.approx(
+                        bound, rel=1e-10)
+                    assert cond.integral_terms[(a, ii)][k] == pytest.approx(
+                        np.max(np.abs(integral)), rel=1e-10)
+                    assert cond.simplified[(a, ii)][k] \
+                        >= cond.bounds[(a, ii)][k] * (1 - 1e-12)
+                    assert cond.satisfied[(a, ii)][k] == (T >= 10.0 * bound)
+        assert (3000.0, 0) in overflowed and (1.0, 0) not in overflowed
+
+    def test_regime_labels(self, chains):
+        track, C, coeffs = chains
+        labels = classify_regime(track, coeffs, None, couplings=C)
+        assert labels == CHAIN_LABELS
+
+
+# classify_regime on the chain track, as the per-pair loops labelled it
+CHAIN_LABELS = {
+    (0, 1): "finite-window",
+    (0, 2): "oscillatory-RL",
+    (0, 3): "finite-window",
+    (0, 4): "finite-window",
+    (0, 5): "finite-window",
+    (1, 2): "finite-window",
+    (1, 3): "decaying",
+    (1, 4): "compensated",
+    (1, 5): "finite-window",
+    (2, 3): "finite-window",
+    (2, 4): "finite-window",
+    (2, 5): "finite-window",
+    (3, 4): "guaranteed",
+    (4, 5): "guaranteed",
+}
