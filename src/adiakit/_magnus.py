@@ -9,15 +9,16 @@ t + (1/2 -+ sqrt(3)/6) h and exponentiates
 Iserles & Norsett, Phil. Trans. R. Soc. A 357 (1999) 983).  For an
 anti-Hermitian A(s), a Schroedinger flow, the exponential is one
 Hermitian eigendecomposition of i Omega, so every step is unitary to
-rounding.  Any other A(s), such as the T L(s) of a master equation,
-takes the stacked Pade-13 scaling-and-squaring exponential
-``numkit.expm``.  Nothing runs per step in Python: the generator is
-evaluated at the nodes of a whole chunk of steps in one call, the chunk
-is exponentiated in one stacked call, the steps of each output interval
-are multiplied pairwise, and the interval products are chained with one
-matrix product per output point.  Chunks hold at most
-``numkit._STACK_ENTRIES`` matrix entries, and products are kept only at
-output points.
+rounding.  Any other A(s) up to size ``_PADE_MAX_DIM``, the T L(s) of a
+qubit, takes the stacked Pade-13 exponential ``numkit.expm``.  These run
+no Python per step: the generator is evaluated at the nodes of a chunk
+of steps in one call, the chunk is exponentiated in one stacked call,
+the steps of each output interval are multiplied pairwise, and the
+interval products are chained with one matrix product per output point.
+Chunks hold at most ``numkit._STACK_ENTRIES`` matrix entries.  A larger
+A(s) never has its exponential formed: each step applies it to the state
+by a Taylor polynomial whose degree and scaling a bound on the norm of
+Omega fixes (Al-Mohy & Higham, SIAM J. Sci. Comput. 33 (2011) 488).
 
 Step control is deterministic.  Each output interval first gets the
 fewest equal steps whose phase, ``width`` times the step, stays below
@@ -32,27 +33,34 @@ Otherwise the intervals whose own estimate exceeds their share of the
 tolerance, in proportion to their length, are solved again with their
 steps multiplied by the factor that fourth order asks for to bring the
 summed estimate to half the tolerance.  Chunks of output intervals are
-controlled one after another, each against the share of its own length.
-The returned solution is the extrapolation (16 fine - coarse) / 15 of
-every interval, for an anti-Hermitian generator made unitary again by
-one Newton-Schulz step: the step is symmetric, so its error has even
-powers of h only and the extrapolation is of order six, well inside the
-estimate that the finer solution meets.  Without that step the
-extrapolation keeps every linear invariant that both its factors keep,
-such as the trace of a density matrix, since its weights sum to one.
+controlled one after another, each against the share of its own length
+(one interval per chunk where the exponential is applied).  The returned
+solution is the extrapolation (16 fine - coarse) / 15 of every interval,
+for an anti-Hermitian generator made unitary again by one Newton-Schulz
+step: the step is symmetric, so its error has even powers of h only and
+the extrapolation is of order six, well inside the estimate that the
+finer solution meets.  Without that step the extrapolation keeps every
+linear invariant that both its factors keep, such as the trace of a
+density matrix, since its weights sum to one; so does a Taylor
+polynomial of Omega, whose powers all annihilate the trace.
 
-Both plans are checked against ``_rk45.MAX_STEPS`` before any exponential
-of them is taken; :class:`StiffnessError` then reports the start s of the
+Both plans are checked against ``MAX_STEPS`` before any exponential of
+them is taken; :class:`StiffnessError` then reports the start s of the
 output interval where the budget runs out and the steps planned.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from . import _rk45
 from .errors import StiffnessError
 from .numkit import _STACK_ENTRIES, expm
+from .schedules import _weighted_sum
+
+# far above the ~12k steps of the largest solve in the benchmark
+MAX_STEPS = 1_000_000
 
 _NODE = 3 ** 0.5 / 6            # Gauss nodes at 1/2 -+ _NODE
 _BRACKET = 3 ** 0.5 / 12        # weight of the commutator term
@@ -61,6 +69,37 @@ _BRACKET = 3 ** 0.5 / 12        # weight of the commutator term
 _THETA = 3.0
 # step-doubling estimate of the finer solution: (coarse - fine) / 15
 _RICHARDSON = 15.0
+# largest n whose general exponential is formed (README, "Integrators")
+_PADE_MAX_DIM = 4
+# Al-Mohy & Higham (2011), table 3.1: the largest norm of A for which the
+# Taylor polynomial of degree m = 1..55 meets exp(A) to a backward error
+# of the unit roundoff 2^-53
+_TAYLOR_THETA = np.array([
+    2.29e-16, 2.58e-8, 1.39e-5, 3.40e-4, 2.40e-3, 9.07e-3, 2.38e-2, 5.00e-2,
+    8.96e-2, 1.44e-1, 2.14e-1, 3.00e-1, 4.00e-1, 5.14e-1, 6.41e-1, 7.81e-1,
+    9.31e-1, 1.09, 1.26, 1.44, 1.62, 1.82, 2.01, 2.22, 2.43, 2.64, 2.86,
+    3.08, 3.31, 3.54, 3.78, 4.01, 4.25, 4.50, 4.74, 4.99, 5.25, 5.50, 5.76,
+    6.02, 6.28, 6.54, 6.81, 7.08, 7.35, 7.62, 7.89, 8.16, 8.44, 8.71, 8.99,
+    9.27, 9.55, 9.83, 10.1])
+_DEGREES = np.arange(1, _TAYLOR_THETA.size + 1)
+_INV_FACTORIAL = np.cumprod(np.append(1.0, 1.0 / _DEGREES))
+
+
+@dataclass
+class IntegrationResult:
+    """Solution at the output points and the work that produced it:
+    ``steps`` counts the steps of the finer solution, ``rhs_evals`` every
+    evaluation of the generator (two per step, the coarser solution's
+    included), ``rejected`` the output intervals solved again; ``min_step``
+    is the smallest step and ``s_at_min_step`` where its interval starts."""
+
+    s: np.ndarray
+    y: np.ndarray
+    steps: int
+    rhs_evals: int
+    rejected: int
+    min_step: float
+    s_at_min_step: float
 
 
 def _check_budget(starts, counts, done=0):
@@ -68,7 +107,7 @@ def _check_budget(starts, counts, done=0):
     steps already taken, that would exceed ``MAX_STEPS`` (or is not
     finite); the error names the interval start where it runs out."""
     total = done + np.cumsum(counts)
-    budget = _rk45.MAX_STEPS
+    budget = MAX_STEPS
     if not total[-1] <= budget:     # also catches NaN and inf
         j = int(np.argmax(~(total <= budget)))
         s = float(starts[j])
@@ -146,39 +185,115 @@ def _chain(P, y):
     return states
 
 
-def _pairs(generator, starts, lengths, coarse, n, chunk, unitary):
-    """Per interval: the products of ``coarse`` steps and of twice as
-    many, and their extrapolation (16 fine - coarse) / 15, which removes
-    the h^4 term of the error of the symmetric fourth-order step; if the
-    flow is ``unitary``, one Newton-Schulz step takes the extrapolation
-    back to a unitary."""
-    P = np.empty((coarse.size, 3, n, n), dtype=complex)
-    P[:, 0] = _products(generator, starts, lengths, coarse, n, chunk,
-                        unitary)
-    P[:, 1] = _products(generator, starts, lengths, 2 * coarse, n, chunk,
-                        unitary)
-    X = (16.0 * P[:, 1] - P[:, 0]) / _RICHARDSON
-    if unitary:
-        X = 1.5 * X - 0.5 * X @ (X.conj().swapaxes(1, 2) @ X)
-    P[:, 2] = X
-    return P
+def _formed(generator, n, chunk, unitary):
+    """The pairs of output intervals, exponentials formed: per interval the
+    products of ``coarse`` steps and of twice as many, and their
+    extrapolation (16 fine - coarse) / 15, made unitary again by one
+    Newton-Schulz step if the flow is ``unitary``."""
+    if not unitary:
+        factor, weights, parts, _ = generator
+
+        def generator(s):
+            return factor * _weighted_sum(s, weights(s), parts, n)
+
+    def pairs(starts, lengths, coarse, y):
+        P = np.empty((coarse.size, 3, n, n), dtype=complex)
+        P[:, 0] = _products(generator, starts, lengths, coarse, n, chunk,
+                            unitary)
+        P[:, 1] = _products(generator, starts, lengths, 2 * coarse, n, chunk,
+                            unitary)
+        X = (16.0 * P[:, 1] - P[:, 0]) / _RICHARDSON
+        if unitary:
+            X = 1.5 * X - 0.5 * X @ (X.conj().swapaxes(1, 2) @ X)
+        P[:, 2] = X
+        return P
+
+    return pairs
+
+
+def _omegas(factor, weights, parts, fixed, n):
+    """The map from steps of length ``h`` from ``t`` to their Omega / s,
+    Taylor degree m and scaling s (the fewest products m s for a bound on
+    the 1-norm of Omega), stacked, for A(s) = factor sum_k w_k(s) P_k.
+    The parts in ``fixed`` fold into one first.  [A2, A1] is sum_{k,l}
+    (w_k(s2) w_l(s1) - w_k(s1) w_l(s2)) P_k P_l, so Omega is one weighted
+    sum of the parts and their products, which are formed here once."""
+    first = weights(np.zeros(1))
+    moving = [k for k in range(len(parts)) if k not in fixed]
+    folded = _weighted_sum(0.0, [w[0] if k in fixed else 0.0
+                                 for k, w in enumerate(first)], parts, n)
+    P = factor * np.concatenate([folded[None], parts[moving]])
+    K = len(P)
+    B = np.concatenate([P, (P[:, None] @ P[None]).reshape(K * K, n, n)])
+    norms = np.abs(B).sum(axis=1).max(axis=1)
+    B = B.reshape(len(B), n * n)
+
+    def plan(t, h):
+        m = t.size
+        nodes = weights(np.concatenate([t + (0.5 - _NODE) * h,
+                                        t + (0.5 + _NODE) * h]))
+        W = np.ones((2 * m, K))
+        for col, k in enumerate(moving, 1):
+            W[:, col] = nodes[k]
+        G = W[m:, :, None] * W[:m, None, :]
+        coef = np.concatenate([0.5 * h[:, None] * (W[:m] + W[m:]),
+                               _BRACKET * (h * h)[:, None]
+                               * (G - G.swapaxes(1, 2)).reshape(m, K * K)],
+                              axis=1)
+        bound = np.abs(coef) @ norms
+        if not np.isfinite(bound).all():
+            raise StiffnessError("the generator is not finite at a Magnus "
+                                 "node", s=float(t[0]))
+        scaling = np.maximum(1.0, np.ceil(bound[:, None] / _TAYLOR_THETA))
+        best = np.argmin(_DEGREES * scaling, axis=1)
+        scaling = scaling[np.arange(m), best]
+        return ((coef / scaling[:, None]) @ B).reshape(m, n, n), best + 1, \
+            scaling.astype(int)
+
+    return plan
+
+
+def _applied(terms, shape, chunk):
+    """The pairs of one output interval, exponentials applied: the states
+    after it from ``y`` by ``coarse`` steps, by twice as many (each step
+    by its Taylor plan), and their extrapolation."""
+    plan = _omegas(*terms, shape[0])
+    powers = np.empty((_INV_FACTORIAL.size,) + shape, dtype=complex)
+    flat, rows = powers.reshape(len(powers), -1), list(powers)
+
+    def pairs(starts, lengths, coarse, y):
+        c = int(coarse[0])
+        k = np.arange(3 * c)
+        h = np.where(k < c, 1.0, 0.5) * (lengths[0] / c)
+        t = starts[0] + np.where(k < c, k, k - c) * h
+        states = [y, y]
+        for k0 in range(0, k.size, chunk):
+            O, degree, scaling = plan(t[k0:k0 + chunk], h[k0:k0 + chunk])
+            for i, (Oi, m, s) in enumerate(zip(O, degree, scaling), k0):
+                x = states[i >= c]
+                for _ in range(s):
+                    rows[0][...] = x
+                    for q in range(1, m + 1):
+                        Oi.dot(rows[q - 1], out=rows[q])
+                    x = (_INV_FACTORIAL[:m + 1] @ flat[:m + 1]).reshape(shape)
+                states[i >= c] = x
+        rough, fine = states
+        return np.array([[rough, fine, (16.0 * fine - rough) / _RICHARDSON]])
+
+    return pairs
 
 
 def propagate(generator, width: float, s_eval, y0, rtol: float,
-              atol: float, unitary: bool = True) -> _rk45.IntegrationResult:
+              atol: float) -> IntegrationResult:
     """Solve y' = A(s) y through the points of ``s_eval``.
 
-    ``generator`` maps a 1-d array of s to the stack of A(s), each n x n;
-    if ``unitary``, every A(s) is anti-Hermitian and ``width`` bounds the
-    spectral width of i A(s) on the span, else ``width`` bounds the
-    spectral norm of A(s).  ``y0`` is a state of shape (n,) or a block of
-    columns, shape (n, k); ``s_eval`` must be strictly increasing.
-
-    In the result, ``steps`` counts the steps of the finer solution,
-    ``rhs_evals`` every evaluation of A (two per step, the coarser
-    solution's included), ``rejected`` the intervals solved again, and
-    ``min_step`` is the smallest step and ``s_at_min_step`` the start of
-    its interval.
+    ``generator`` maps a 1-d array of s to the stack of A(s), each n x n
+    and anti-Hermitian, ``width`` bounding the spectral width of i A(s);
+    or it is the terms ``(factor, weights, parts, fixed)`` of any other
+    A(s) = factor sum_k weights(s)[k] parts[k], ``fixed`` listing the k
+    whose weight is constant, ``width`` bounding its spectral norm.  ``y0``
+    is a state of shape (n,) or a block of columns, shape (n, k);
+    ``s_eval`` must be strictly increasing.
     """
     pts = np.asarray(s_eval, dtype=float)
     y0 = np.asarray(y0, dtype=complex)
@@ -188,17 +303,23 @@ def propagate(generator, width: float, s_eval, y0, rtol: float,
     _check_budget(pts, 2 * coarse)
     coarse = coarse.astype(np.int64)
     share = (atol + rtol) * lengths / float(pts[-1] - pts[0])
-    chunk = max(1, _STACK_ENTRIES // (n * n))
     out = np.empty((pts.size, n, y0.size // n), dtype=complex)
     out[0] = y0.reshape(n, -1)
+    unitary = callable(generator)
+    chunk = max(1, _STACK_ENTRIES // (n * n))
+    if unitary or n <= _PADE_MAX_DIM:
+        pairs, span = _formed(generator, n, chunk, unitary), chunk
+        chain = _chain
+    else:   # one interval per chunk, whose pairs are its states
+        pairs, span, chain = _applied(generator, out.shape[1:], chunk), 1, None
     steps = evals = rejected = 0
     min_step, s_min = np.inf, np.nan
-    for a in range(0, lengths.size, chunk):
-        b = min(a + chunk, lengths.size)
+    for a in range(0, lengths.size, span):
+        b = min(a + span, lengths.size)
         starts, L, c = pts[a:b], lengths[a:b], coarse[a:b]
-        P = _pairs(generator, starts, L, c, n, chunk, unitary)
+        P = pairs(starts, L, c, out[a])
         evals += 6 * int(c.sum())
-        states = _chain(P, out[a])
+        states = chain(P, out[a]) if chain else P
         # the difference of the two solutions carries every local estimate
         # along the flow and sums them: it is 15 times the finer one's error
         summed = float(np.max(np.linalg.norm(states[:, 0] - states[:, 1],
@@ -214,16 +335,15 @@ def propagate(generator, width: float, s_eval, y0, rtol: float,
             _check_budget(starts[redo], 2 * more,
                           steps + 2 * int(c.sum()) - 2 * int(c[redo].sum()))
             c[redo] = more.astype(np.int64)
-            P[redo] = _pairs(generator, starts[redo], L[redo], c[redo], n,
-                             chunk, unitary)
+            P[redo] = pairs(starts[redo], L[redo], c[redo], out[a])
             evals += 6 * int(c[redo].sum())
             rejected += redo.size
-            states = _chain(P[:, 2:], out[a])
+            states = chain(P[:, 2:], out[a]) if chain else P[:, 2:]
         out[a + 1:b + 1] = states[:, -1]
         steps += 2 * int(c.sum())
         h = L / (2 * c)
         i = int(np.argmin(h))
         if h[i] < min_step:
             min_step, s_min = float(h[i]), float(starts[i])
-    return _rk45.IntegrationResult(pts, out.reshape((pts.size,) + y0.shape),
-                                   steps, evals, rejected, min_step, s_min)
+    return IntegrationResult(pts, out.reshape((pts.size,) + y0.shape),
+                             steps, evals, rejected, min_step, s_min)

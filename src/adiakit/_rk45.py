@@ -1,34 +1,20 @@
-"""Explicit Dormand-Prince 5(4) stepper with PI step-size control.
-
-It solves the master equation of every system larger than a qubit, and
-the tests use it as the oracle for the flows that :mod:`adiakit._magnus`
-solves: the closed ones and the master equation of a qubit.
-
-Kept deliberately small: complex state, adaptive steps clipped to land
-exactly on every requested output point, no dense-output interpolant.
-The embedded fourth-order solution is used only through the difference
-weights ``_E`` for the local error estimate; the first-same-as-last
-property recycles the seventh stage as the next step's first stage.
-
-Two guards bound the work of every call.  A step size that falls below
-``1e-14`` times the span, or that is not a number at all (a non-finite
-right-hand side or tolerances below the floating-point range make the
-controller produce NaN), raises :class:`StiffnessError`; so does running
-out of the step budget ``MAX_STEPS``.  Both report the s they reached.
+"""Explicit Dormand-Prince 5(4) stepper with PI step-size control: the
+reference the tests compare every engine flow against, which no module of
+the program imports.  Steps are clipped to land on every output point;
+the embedded fourth-order solution enters only through the difference
+weights ``_E``; the seventh stage is the next step's first.  A step below
+``1e-14`` times the span or not a number, and running out of the step
+budget ``MAX_STEPS``, raise :class:`StiffnessError` with the s reached.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._magnus import MAX_STEPS, IntegrationResult
 from .errors import InputError, StiffnessError
-
-# far above the ~12k steps of the largest solve in the benchmark; the
-# Magnus engine plans its steps against it too
-MAX_STEPS = 1_000_000
 
 _C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
 _A = np.array([
@@ -43,28 +29,6 @@ _A = np.array([
 ])
 _E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920,
                -17253 / 339200, 22 / 525, -1 / 40])
-
-
-@dataclass
-class IntegrationResult:
-    """Solution at the output points and the work that produced it.
-
-    ``steps`` counts every attempted step, ``rejected`` those the error
-    control threw away; ``rhs_evals`` is ``6 * steps + 2``.
-    ``min_step`` is the smallest accepted step and ``s_at_min_step`` the s
-    it started from, leaving out steps cut short to land on an output point
-    and those grown from one by the largest factor, 10; only if every step
-    was cut, the smallest of them.  :func:`adiakit._magnus.propagate`
-    returns the same fields with the meanings its docstring gives.
-    """
-
-    s: np.ndarray
-    y: np.ndarray
-    steps: int
-    rhs_evals: int
-    rejected: int
-    min_step: float
-    s_at_min_step: float
 
 
 def _rms(x) -> float:
@@ -90,7 +54,13 @@ def integrate(rhs, y0, s_eval, rtol: float = 1e-8,
     """Integrate ``dy/ds = rhs(s, y)`` through the points of ``s_eval``.
 
     ``s_eval`` must be strictly increasing; integration starts at
-    ``s_eval[0]`` and the solution is recorded at every entry.  Raises
+    ``s_eval[0]`` and the solution is recorded at every entry.  In the
+    result, ``steps`` counts every attempted step, ``rejected`` those the
+    error control threw away, and ``rhs_evals`` is ``6 * steps + 2``;
+    ``min_step`` is the smallest accepted step and ``s_at_min_step`` the s
+    it started from, leaving out steps cut short to land on an output point
+    and those grown from one by the largest factor, 10; only if every step
+    was cut, the smallest of them.  Raises
     :class:`StiffnessError` when the controller drives the step below
     ``1e-14`` times the span or to NaN, and when ``MAX_STEPS`` steps do
     not reach the last point.

@@ -93,10 +93,6 @@ class SpectralTrack:
     def dim(self) -> int:
         return self.energies.shape[1]
 
-    @property
-    def npoints(self) -> int:
-        return self.grid.size
-
     def gap(self, n: int, k: int) -> np.ndarray:
         """g_nk(s) = E_n(s) - E_k(s) sampled on the grid."""
         return self.energies[:, n] - self.energies[:, k]
@@ -213,21 +209,10 @@ class Trajectory:
     ``states[i]`` is the state vector at ``grid[i]`` (a coherence vector in
     the open-system case); ``times = total_time * grid``.
 
-    A closed trajectory comes from the Magnus engine
-    (:func:`adiakit._magnus.propagate`): ``steps`` counts the Magnus
-    sub-steps of the returned solution, ``rhs_evals`` every evaluation of
-    the generator, the error estimate's included, ``rejected`` the output
-    intervals the error control solved again, and ``min_step`` is the
-    smallest sub-step in s and ``s_at_min_step`` the start of its output
-    interval.  Every sub-step is unitary, so :meth:`norm_drift` measures
-    rounding only.
-
-    An open trajectory of a qubit comes from the same engine, with the
-    same counters; every step keeps the trace.  A larger open trajectory
-    comes from the Runge-Kutta stepper: ``steps`` counts every attempted
-    step, ``rejected`` those of them the error control threw away;
-    ``min_step`` is the smallest accepted step in s and ``s_at_min_step``
-    where it began (see :class:`adiakit._rk45.IntegrationResult`).
+    The counters are those of the Magnus engine
+    (:class:`adiakit._magnus.IntegrationResult`).  Every step of a closed
+    trajectory is unitary, so :meth:`norm_drift` measures rounding only;
+    every step of an open one keeps the trace.
     """
 
     grid: np.ndarray
@@ -258,7 +243,7 @@ def integrate_schrodinger(spec: GeneratorSpec, T: float, psi0, grid=None,
     the flow; ``tol`` is the (relative, absolute) pair its error estimate,
     summed over the grid, must meet.  The state is never renormalized; as
     every step is unitary, norm drift shows rounding only.  A total time
-    whose planned steps exceed ``_rk45.MAX_STEPS`` raises
+    whose planned steps exceed ``_magnus.MAX_STEPS`` raises
     :class:`adiakit.errors.StiffnessError` before the first step.
     """
     _require_closed(spec)
@@ -525,9 +510,6 @@ class CoefficientTrajectory:
     frames: np.ndarray
     total_time: float
     steps: int
-
-    def populations(self) -> np.ndarray:
-        return np.abs(self.coefficients) ** 2
 
     def reconstruct(self) -> np.ndarray:
         """States psi(s) = sum_n a_n exp(-i T Phi_n) |n(s)>."""

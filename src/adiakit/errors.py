@@ -53,7 +53,7 @@ class ConditioningError(AdiakitError):
 
 
 class StiffnessError(AdiakitError):
-    """The adaptive integrator drove the step size below its floor."""
+    """Planned steps exceed the budget, or a generator is not finite."""
 
 
 class ResolutionError(AdiakitError):

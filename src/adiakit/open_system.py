@@ -14,9 +14,8 @@ conjugation is folded into the row.  And every accumulated exponent is
 stored as an integral over the schedule variable s; the total time T
 multiplies it only at evaluation points, so one track serves any T.
 
-The master equation of a qubit is solved by :mod:`adiakit._magnus`,
-imported at first use as in :mod:`adiakit.closed`; larger ones by the
-Runge-Kutta stepper.
+Every master equation is solved by the Magnus engine
+:mod:`adiakit._magnus`, imported at first use as in :mod:`adiakit.closed`.
 """
 
 import math
@@ -24,7 +23,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._rk45 import integrate
 from .closed import Trajectory, _grid_derivative, _validate_grid
 from .errors import (
     ConditioningError,
@@ -42,8 +40,7 @@ from .numkit import (
     jordan_matrix_from_blocks,
     min_cost_assignment,
 )
-from .schedules import (GeneratorSpec, _weighted_sum, eval_generator,
-                        linear_flow)
+from .schedules import GeneratorSpec, _weighted_sum, eval_generator
 
 __all__ = [
     "build_supermatrix",
@@ -65,13 +62,6 @@ __all__ = [
 ]
 
 _EXP_CAP = 700.0  # largest real exponent handed to np.exp
-# largest L(s) (n = D^2) that the Magnus engine solves; RK takes the rest.
-# Best of five solves at (1e-8, 1e-10), one BLAS thread, x86_64 2 vCPU:
-# n = 4 (generated qubits, 201 points, T = 1..100) 8-9 ms against RK's
-# 20-98 ms; n = 9 (a D = 3 decay ladder, T = 2, 20) 26-27 ms against
-# 21-39 ms; n = 16 (open4, 41 points) 16 against 9 ms at T = 2 and 44
-# against 56 ms at T = 20; n = 64 (open8, T = 10) 620 against 109 ms
-_MAGNUS_MAX_DIM = 4
 
 
 def _coherent_part(H):
@@ -120,9 +110,7 @@ class SuperAssembler:
             raise ConfigError("supermatrix assembly needs an open-kind spec")
         self.dim = spec.dimension ** 2
         hterms, jterms = spec.hamiltonian_terms, spec.lindblad_terms
-        # one stack, filled part by part so no second copy is ever held:
-        # matrix() and derivative() weight it term by term, flow()
-        # applies it in a single product
+        # one stack, filled part by part so no second copy is ever held
         self._parts = np.empty((len(hterms) + len(jterms), self.dim,
                                 self.dim), dtype=complex)
         for k, (M, _) in enumerate(hterms):
@@ -132,38 +120,32 @@ class SuperAssembler:
         self._henvs = [env for _, env in hterms]
         self._jenvs = [env for _, env in jterms]
 
+    def _weights(self, s):
+        """Each part's weight at s: its envelope, squared for a jump."""
+        return ([env.value(s) for env in self._henvs]
+                + [env.value(s) ** 2 for env in self._jenvs])
+
     def matrix(self, s) -> np.ndarray:
         """L(s); for an array of s, the stack of L at every entry.
 
         Term by term the arithmetic is that of one point, so the stack
         equals the per-point matrices bit for bit.
         """
-        weights = ([env.value(s) for env in self._henvs]
-                   + [env.value(s) ** 2 for env in self._jenvs])
-        return _weighted_sum(s, weights, self._parts, self.dim)
-
-    def flow(self, T: float):
-        """The right-hand side y -> T L(s) y, without assembling L(s).
-
-        Coherent parts are weighted by their envelope, jump parts by its
-        square, exactly as in :meth:`matrix`; T rides on the weights.
-        """
-        scalars = [env.scalar() for env in self._henvs]
-        scalars += [lambda s, f=env.scalar(): f(s) ** 2
-                    for env in self._jenvs]
-        return linear_flow(scalars, self._parts, T)
+        return _weighted_sum(s, self._weights(s), self._parts, self.dim)
 
     def generator(self, T: float):
-        """The generator s -> T L(s), stacked over an array of s, and a
-        bound on its spectral norm on [0, 1]: T times the sum over parts
-        of the part's norm times the largest modulus of its weight.  A
-        coherent part's norm is the spectral width of its H, as in the
-        closed flows."""
+        """T L(s) as the terms ``(T, weights, parts, fixed)`` of
+        :func:`adiakit._magnus.propagate`, ``fixed`` the parts of constant
+        envelope, and a bound on its spectral norm on [0, 1]: T times the
+        sum of each part's norm (for a coherent part the spectral width of
+        its H) times the largest modulus of its weight."""
         bounds = ([env.bound() for env in self._henvs]
                   + [env.bound() ** 2 for env in self._jenvs])
         norms = np.linalg.norm(self._parts, 2, axis=(1, 2))
         width = T * float(np.dot(norms, bounds))
-        return (lambda s: T * self.matrix(s)), width
+        fixed = [k for k, env in enumerate(self._henvs + self._jenvs)
+                 if env.kind == "constant"]
+        return (T, self._weights, self._parts, fixed), width
 
     def derivative(self, s) -> np.ndarray:
         """dL/ds, stacked like :meth:`matrix` for an array of s."""
@@ -200,13 +182,10 @@ def integrate_master(spec: GeneratorSpec, T: float, rho0, grid=None,
     semidefinite within 1e-10; along the trajectory these properties are
     left to the integrator and can be inspected afterwards.
 
-    A qubit (L(s) of size at most ``_MAGNUS_MAX_DIM``) is solved by the
-    Magnus engine :func:`adiakit._magnus.propagate`, which plans its steps
-    up front and refuses a total time whose plan exceeds
-    ``_rk45.MAX_STEPS`` before the first step; every step preserves the
-    trace.  Larger generators take the Runge-Kutta stepper
-    :func:`adiakit._rk45.integrate`.  ``tol`` is the (relative, absolute)
-    pair of either.
+    The Magnus engine :func:`adiakit._magnus.propagate` solves it, with
+    ``tol`` as its (relative, absolute) pair; every step keeps the trace.
+    A total time whose planned steps exceed ``_magnus.MAX_STEPS`` is
+    refused before the first step.
     """
     asm = SuperAssembler(spec)
     if not T > 0:
@@ -214,13 +193,9 @@ def integrate_master(spec: GeneratorSpec, T: float, rho0, grid=None,
     rho0 = _check_density(rho0, spec.dimension)
     g = np.linspace(0.0, 1.0, 201) if grid is None else _validate_grid(grid)
     rtol, atol = tol
-    if asm.dim <= _MAGNUS_MAX_DIM:
-        from . import _magnus
-        res = _magnus.propagate(*asm.generator(T), g, rho0.reshape(-1),
-                                rtol, atol, unitary=False)
-    else:
-        res = integrate(asm.flow(T), rho0.reshape(-1), g, rtol=rtol,
-                        atol=atol)
+    from . import _magnus
+    res = _magnus.propagate(*asm.generator(T), g, rho0.reshape(-1), rtol,
+                            atol)
     return Trajectory(g, res.y, float(T), rtol, atol, res.steps,
                       res.rhs_evals, res.rejected, res.min_step,
                       res.s_at_min_step)
@@ -861,10 +836,12 @@ def classify_regime(jtrack: JordanTrack, coeffs: JordanCoefficients,
         # coupling weight: |B| times the finite source coefficients
         vmax[pairs] = np.max(np.abs(B) * pmag[:, cols][:, :, None, :],
                              axis=(0, 2, 3))
-        # compensation: the source coefficients against the growth
-        q[:, pairs] = np.max(np.where(finite[:, cols],
-                                      pmag[:, cols] * growth[:, pairs, None],
-                                      np.inf), axis=2)
+        # compensation: the source coefficients against the growth; a
+        # product past the float range is inf, "not compensated"
+        with np.errstate(over="ignore"):
+            weighed = pmag[:, cols] * growth[:, pairs, None]
+        q[:, pairs] = np.max(np.where(finite[:, cols], weighed, np.inf),
+                             axis=2)
     comp = np.max(q, axis=0) <= comp_factor * np.maximum(q[0], 1e-300)
     risky = (np.max(rew, axis=0) > re_tol) & (vmax > v_tol)
     danger, offset = risky & ~comp, risky & comp

@@ -15,7 +15,6 @@ over an array of s; a stack equals the per-point matrices bit for bit.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,37 +81,6 @@ class Envelope:
             out = p["amplitude"] * np.sin(2.0 * np.pi * p["frequency"] * arr
                                           + p["phase"]) + p["offset"]
         return float(out) if arr.ndim == 0 else out
-
-    def scalar(self):
-        """A float -> float callable equal to :meth:`value` at scalar s.
-
-        The parameters are bound once and the arithmetic mirrors
-        :meth:`value` operation by operation, so integrator right-hand
-        sides can evaluate the envelope without the array machinery.
-        """
-        p = dict(self.params)
-        if self.kind == "constant":
-            value = p["value"]
-            return lambda s: value
-        if self.kind == "linear":
-            start, slope = p["start"], p["end"] - p["start"]
-            return lambda s: start + slope * s
-        if self.kind == "polynomial":
-            top, *rest = reversed(p["coeffs"])
-
-            def horner(s):
-                acc = top
-                for c in rest:
-                    acc = c + acc * s
-                return acc
-
-            return horner
-        if self.kind == "cosine_ramp":
-            start, half = p["start"], (p["end"] - p["start"]) * 0.5
-            return lambda s: start + half * (1.0 - math.cos(math.pi * s))
-        amplitude, phase, offset = p["amplitude"], p["phase"], p["offset"]
-        w = 2.0 * math.pi * p["frequency"]
-        return lambda s: amplitude * math.sin(w * s + phase) + offset
 
     def bound(self) -> float:
         """An upper bound on |value(s)| for s in [0, 1]."""
@@ -292,25 +260,6 @@ def eval_generator(spec: GeneratorSpec, s):
     terms = spec.hamiltonian_terms
     return _weighted_sum(s, [env.value(s) for _, env in terms],
                          [M for M, _ in terms], spec.dimension)
-
-
-def linear_flow(scalars, parts, factor):
-    """The right-hand side y -> factor * sum_k scalars[k](s) * (parts[k] @ y).
-
-    ``scalars`` are K float -> float callables and ``parts`` the stack of
-    K square matrices, shape (K, n, n).  Each evaluation applies all parts
-    to y in a single product and weights the K results; ``factor`` rides
-    on the weights, so neither the weighted sum of the parts nor a scaled
-    copy of them is ever formed.
-    """
-    count, n = parts.shape[0], parts.shape[1]
-    flat = parts.reshape(count * n, n)
-
-    def rhs(s, y):
-        weights = np.array([factor * f(s) for f in scalars])
-        return weights @ (flat @ y).reshape(count, n)
-
-    return rhs
 
 
 def eval_generator_derivative(spec: GeneratorSpec, s):

@@ -29,9 +29,11 @@ from pathlib import Path
 
 import pytest
 
-from adiakit import _rk45, cli
+from adiakit import _magnus, cli
 from adiakit.cli import main, parse_scenario
 from adiakit.errors import InputError
+
+from test_open_fast_path import generated
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scripts" / "scenarios"
 
@@ -161,7 +163,7 @@ def test_step_demand_refused_up_front(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)   # one object, no traceback
     assert err["error"] == "StiffnessError"
     assert err["details"]["s"] == 0.0
-    assert err["details"]["steps"] > _rk45.MAX_STEPS
+    assert err["details"]["steps"] > _magnus.MAX_STEPS
     assert not (tmp_path / "out.csv").exists()
 
 
@@ -176,7 +178,24 @@ def test_qubit_master_step_demand_refused_up_front(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "StiffnessError"
     assert err["details"]["s"] == 0.0
-    assert err["details"]["steps"] > _rk45.MAX_STEPS
+    assert err["details"]["steps"] > _magnus.MAX_STEPS
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_larger_master_step_demand_refused_up_front(tmp_path, capsys):
+    # generated open4 (D = 4, n = 16) at T = 1e9: the engine refuses the
+    # plan before the first step, where the stepper ran its million steps
+    # for over a minute
+    path = tmp_path / "open4.json"
+    path.write_text(json.dumps(generated("open4", 7)))
+    start = time.monotonic()
+    assert main(["evolve", str(path), "--T", "1e9",
+                 "--out", str(tmp_path / "out.csv")]) == 3
+    assert time.monotonic() - start < 2.0
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "StiffnessError"
+    assert err["details"]["s"] == 0.0
+    assert err["details"]["steps"] > _magnus.MAX_STEPS
     assert not (tmp_path / "out.csv").exists()
 
 
@@ -196,6 +215,18 @@ def test_overflowed_coefficients_give_infinite_bounds(tmp_path):
     assert tcond["satisfied_all"] == [False]
     assert tcond["bounds"] == {key: [math.inf]
                                for key in ("0,0", "1,0", "2,0", "3,0")}
+
+
+def test_overflowed_compensation_warns_nothing(tmp_path):
+    # generated qubit_driven at T = 10000: a finite stripped coefficient
+    # times its growth passes the float range in the regime labels; the
+    # product reads inf, "not compensated", and stderr stays empty
+    path = tmp_path / "qubit_driven.json"
+    path.write_text(json.dumps(generated("qubit_driven", 7)))
+    proc = run_cli(["check", str(path), "--T", "10000",
+                    "--out", str(tmp_path / "check.json")], timeout=60)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
 
 
 # peak resident memory of `evolve --grid 100001` on the bundled Landau-Zener

@@ -413,20 +413,20 @@ class TestCoefficientDynamics:
         spec = lz()
         coeff = coefficient_dynamics(spec, 40.0, np.array([1.0, 0.0]),
                                      tol=(1e-10, 1e-12))
-        total = coeff.populations().sum(axis=1)
+        total = (np.abs(coeff.coefficients) ** 2).sum(axis=1)
         assert np.max(np.abs(total - 1.0)) < 1e-9
 
     def test_adiabatic_start_stays_put(self):
         """At T well past T_est the level-0 population never dips far."""
         spec = lz()
         coeff = coefficient_dynamics(spec, 160.0, np.array([1.0, 0.0]))
-        assert np.min(coeff.populations()[:, 0]) > 0.995
+        assert np.min(np.abs(coeff.coefficients[:, 0]) ** 2) > 0.995
 
     def test_superposition_runs_both_levels(self):
         spec = lz()
         a0 = np.array([1.0, 1.0]) / np.sqrt(2.0)
         coeff = coefficient_dynamics(spec, 40.0, a0)
-        pops = coeff.populations()
+        pops = np.abs(coeff.coefficients) ** 2
         assert pops[0, 0] == pytest.approx(0.5, abs=1e-12)
         assert np.all(pops[:, 0] > 0.4)
 

@@ -105,9 +105,9 @@ def test_import_loads_no_scipy():
 
 
 # the package modules `import adiakit.cli` loads, exactly: the Magnus
-# engine (`adiakit._magnus`) is not among them, as the closed flows and the
-# qubit master equation import it at first use
-IMPORTED = {"adiakit", "adiakit._rk45", "adiakit.cli", "adiakit.closed",
+# engine (`adiakit._magnus`) is not among them, as every flow imports it at
+# first use, nor is the Runge-Kutta reference of the tests
+IMPORTED = {"adiakit", "adiakit.cli", "adiakit.closed",
             "adiakit.consistency", "adiakit.errors", "adiakit.numkit",
             "adiakit.open_system", "adiakit.schedules"}
 # loaded at first use if at all: polynomial envelopes, a sweep pool, scipy
@@ -226,3 +226,34 @@ def test_scan_finds_planted_imports(tmp_path):
         "class A:\n    import scipy as sp\n")
     assert module_level_scipy_imports(tmp_path) == ["eager.py:3",
                                                     "eager.py:5"]
+
+
+def rk45_importers(root):
+    """``file:line`` of every import of ``_rk45``, at any depth, in the
+    modules under ``root`` other than ``_rk45.py`` itself."""
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        if path.name == "_rk45.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [f"{node.module}.{alias.name}"
+                                               for alias in node.names]
+            else:
+                continue
+            if any(n.split(".")[-1] == "_rk45" for n in names):
+                found.append(f"{path.relative_to(root)}:{node.lineno}")
+    return found
+
+
+def test_runge_kutta_stays_a_test_reference(tmp_path):
+    # the program solves every flow with the Magnus engine; the stepper
+    # is the reference the tests compare it against
+    assert rk45_importers(SRC / "adiakit") == []
+    (tmp_path / "a.py").write_text("def f():\n    from . import _rk45\n")
+    (tmp_path / "b.py").write_text("from adiakit._rk45 import integrate\n")
+    (tmp_path / "c.py").write_text("import adiakit._rk45 as rk\n")
+    (tmp_path / "_rk45.py").write_text("from . import _magnus\n")
+    assert rk45_importers(tmp_path) == ["a.py:2", "b.py:1", "c.py:1"]

@@ -1,18 +1,18 @@
 """The integrator hot path against the slow forms it replaces.
 
-The right-hand sides handed to the Runge-Kutta stepper evaluate the
-generator from precompiled parts: scalar envelope closures, term matrices
-scaled once, the supermatrix parts applied without assembling L(s).  The
-coefficient flow's generator comes from one spline over all its sampled
-data.  Each is checked here against the direct form -- ``Envelope.value``,
-``SuperAssembler.matrix``, three separate splines -- and the stepper's
-work counters are pinned for a fixed workload on the Schrödinger flow,
-which the stepper still solves as the test oracle.  The stacked H(s),
-dH/ds, L(s) and dL/ds of a whole grid are checked bit for bit against the
-per-point forms; the spectral track built from one stacked eigh and a
-stacked transport matches the per-point track, its energies bit for bit
-and its vectors to rounding.  The work of two open and two closed
-commands, and of the closed track, is counted.
+The generators handed to the Magnus engine evaluate from precompiled
+parts: term matrices scaled once, the supermatrix parts weighted by their
+envelopes.  The coefficient flow's generator comes from one spline over
+all its sampled data.  Each is checked here against the direct form --
+``Envelope.value``, ``SuperAssembler.matrix``, three separate splines.
+The Runge-Kutta stepper, the test oracle, takes its right-hand sides from
+the engine's generators, and its work counters are pinned for a fixed
+workload on the Schrödinger flow.  The stacked H(s), dH/ds, L(s) and
+dL/ds of a whole grid are checked bit for bit against the per-point
+forms; the spectral track built from one stacked eigh and a stacked
+transport matches the per-point track, its energies bit for bit and its
+vectors to rounding.  The work of two open and two closed commands, and
+of the closed track, is counted.
 """
 
 import functools
@@ -24,18 +24,19 @@ import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
-from adiakit import _rk45, cli, closed
+from adiakit import _magnus, _rk45, cli, closed
 from adiakit import numkit as nk
 from adiakit import open_system as osys
 from adiakit.cli import parse_scenario
-from adiakit.closed import _coefficient_flow, _melements, track_spectrum
+from adiakit.closed import (_coefficient_flow, _melements, _schrodinger_flow,
+                            track_spectrum)
 from adiakit.errors import StiffnessError
 from adiakit.open_system import (SuperAssembler, _coherent_part,
                                  _jump_part, integrate_master)
-from adiakit.schedules import (Envelope, GeneratorSpec, constant, cosine_ramp,
-                               eval_generator, eval_generator_derivative,
-                               linear, linear_flow, make_model, polynomial,
-                               sinusoid)
+from adiakit.schedules import (Envelope, GeneratorSpec, _weighted_sum,
+                               constant, cosine_ramp, eval_generator,
+                               eval_generator_derivative, linear, make_model,
+                               polynomial, sinusoid)
 
 from test_open_fast_path import generated
 
@@ -47,13 +48,24 @@ def bundled_spec(name):
         return parse_scenario(json.load(fh)).spec
 
 
+def engine_rhs(generator, n):
+    """y -> A(s) y for the Runge-Kutta oracle, with A(s) from a generator
+    in either form the Magnus engine takes."""
+    if not callable(generator):
+        factor, weights, parts, _ = generator
+
+        def generator(s):
+            return factor * _weighted_sum(s, weights(s), parts, n)
+
+    def rhs(s, y):
+        return generator(np.array([s]))[0] @ y
+
+    return rhs
+
+
 def schrodinger_rhs(spec, T):
-    """psi -> -i T H(s) psi for the Runge-Kutta oracle, with -i T folded
-    into the envelope weights."""
-    terms, D = spec.hamiltonian_terms, spec.dimension
-    return linear_flow([env.scalar() for _, env in terms],
-                       np.array([M for M, _ in terms]).reshape(-1, D, D),
-                       -1j * T)
+    """psi -> -i T H(s) psi from the engine's Schrödinger generator."""
+    return engine_rhs(_schrodinger_flow(spec, T)[0], spec.dimension)
 
 
 def random_hermitian(rng, D):
@@ -100,13 +112,11 @@ ENVELOPES = [
 
 @pytest.mark.parametrize("env", ENVELOPES, ids=lambda e: e.kind)
 def test_scalar_envelope_matches_value(env):
-    f = env.scalar()
-    grid = np.linspace(0.0, 1.0, 20001)
-    fast = np.array([f(float(s)) for s in grid])
-    slow = np.array([env.value(s) for s in grid])
-    ulps = np.abs(fast - slow) / np.spacing(np.maximum(np.abs(fast),
-                                                       np.abs(slow)))
-    assert np.max(ulps) <= 4
+    # an envelope at a scalar s, as L(s) and H(s) take it point by point,
+    # equals its stacked value at that s bit for bit
+    grid = np.linspace(0.0, 1.0, 2001)
+    for method in (env.value, env.derivative):
+        assert np.array_equal([method(float(s)) for s in grid], method(grid))
 
 
 def test_scalar_envelopes_cover_every_kind():
@@ -135,7 +145,7 @@ def test_schrodinger_rhs_matches_term_sum(name, T):
 @pytest.mark.parametrize("T", [8.0, 1024.0])
 def test_master_rhs_matches_supermatrix(spec, T):
     asm = SuperAssembler(spec)
-    rhs = asm.flow(T)
+    rhs = engine_rhs(asm.generator(T)[0], asm.dim)
     rng = np.random.default_rng(2)
     for s, y in random_states(rng, asm.dim):
         assert relative(rhs(s, y), T * (asm.matrix(s) @ y)) <= 1e-13
@@ -348,10 +358,17 @@ def test_coefficient_rhs_matches_three_splines(D, T):
 
 def test_flows_without_terms_are_zero():
     y = np.array([0.5, 0.1j, -0.1j, 0.5])
-    open_rhs = SuperAssembler(GeneratorSpec(2, "open", [])).flow(3.0)
+    open_rhs = engine_rhs(
+        SuperAssembler(GeneratorSpec(2, "open", [])).generator(3.0)[0], 4)
     assert np.array_equal(open_rhs(0.4, y), np.zeros(4))
     closed_rhs = schrodinger_rhs(GeneratorSpec(4, "closed", []), 3.0)
     assert np.array_equal(closed_rhs(0.4, y), np.zeros(4))
+    # the applied exponentials of a larger L(s) without terms: Omega is 0
+    terms = SuperAssembler(GeneratorSpec(3, "open", [])).generator(3.0)[0]
+    omega, degree, scaling = _magnus._omegas(*terms, 9)(np.array([0.4]),
+                                                        np.array([0.1]))
+    assert not omega.any()
+    assert degree.tolist() == scaling.tolist() == [1]
 
 
 # ------------------------------------------------------- stepper counters
@@ -523,15 +540,17 @@ def test_step_budget_raises_with_position(monkeypatch):
 
 
 def test_default_budget_far_above_largest_solve():
-    assert _rk45.MAX_STEPS >= 50 * 12000
+    assert _magnus.MAX_STEPS >= 50 * 12000
 
 
 # ------------------------------------------------------ open command work
 
-# master-equation right-hand side evaluations of `check` on the generated
-# open4 scenario of seed 3, over its three T values; the count may only go
-# down
-OPEN4_CHECK_RHS_EVALS = 4662
+# (steps, generator evaluations, refined intervals) of the master solves of
+# `check` on the generated open4 scenario of seed 3, per T value: the
+# engine's plan is deterministic, so the counts are exact.  The Runge-Kutta
+# stepper took 4662 right-hand side evaluations over the three solves.
+OPEN4_CHECK_COUNTS = {2.0: (80, 240, 0), 5.0: (160, 720, 40),
+                      20.0: (494, 1722, 40)}
 
 
 def count_calls(monkeypatch, owner, name, counts):
@@ -588,22 +607,20 @@ def test_lz_check_envelope_evaluations_do_not_grow_with_grid(monkeypatch,
 
 
 def test_open4_check_master_rhs_evaluations(monkeypatch, tmp_path):
-    evals = []
+    counts = {}
     original = cli.integrate_master
 
-    def counted(*args, **kwargs):
-        traj = original(*args, **kwargs)
-        evals.append(traj.rhs_evals)
+    def counted(spec, T, *args, **kwargs):
+        traj = original(spec, T, *args, **kwargs)
+        counts[T] = (traj.steps, traj.rhs_evals, traj.rejected)
         return traj
 
     monkeypatch.setattr(cli, "integrate_master", counted)
     path = tmp_path / "open4.json"
-    doc = generated("open4", 3)
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(generated("open4", 3)))
     assert cli.main(["check", str(path),
                      "--out", str(tmp_path / "check.json")]) == 0
-    assert len(evals) == len(doc["T_grid"])
-    assert 0 < sum(evals) <= OPEN4_CHECK_RHS_EVALS
+    assert counts == OPEN4_CHECK_COUNTS
 
 
 # `check` on the generated open4 scenario of seed 3 (16 singleton blocks,

@@ -1,20 +1,21 @@
-"""The Magnus engine against the Runge-Kutta path.
+"""The Magnus engine against the Runge-Kutta reference.
 
-Every closed flow -- the Schrödinger state, the coefficient propagator of
-the expansion and the moving-basis coefficient flow -- goes through
-:func:`adiakit._magnus.propagate`.  Each is checked here against
-``_rk45.integrate`` at (1e-13, 1e-15) on the same generator: the test
-replaces the engine with a Runge-Kutta solve of y' = A(s) y built from the
-generator the caller hands over, runs the same public function again and
-compares.  The engine must land within ten times the tolerance it was
-given, keep the norm to rounding, plan its work before it takes an
+Every flow -- the Schrödinger state, the coefficient propagator of the
+expansion, the moving-basis coefficient flow and the master equation --
+goes through :func:`adiakit._magnus.propagate`.  Each is checked here
+against ``_rk45.integrate`` on the same generator: the test replaces the
+engine with a Runge-Kutta solve of y' = A(s) y built from the generator
+the caller hands over, runs the same public function again and compares.
+The engine must land within ten times the tolerance it was given, keep
+the norm or the trace to rounding, plan its work before it takes an
 exponential, and split long grids and long intervals into chunks without
 changing the answer.
 
-The master equation of a qubit takes the engine too, with the Pade
-exponential in place of ``eigh``: it is checked against the stepper's
-solve of the supermatrix flow at (1e-12, 1e-14), and must keep the trace
-to rounding.  Larger master equations stay on the stepper.
+The master equation of a qubit takes the Pade exponential in place of
+``eigh``; a larger one applies each step's exponential to the state by a
+Taylor polynomial, from an Omega assembled out of the parts of L(s) and
+their products, which is checked against the Omega of the generator at
+the Gauss nodes.
 """
 
 import functools
@@ -29,8 +30,9 @@ from adiakit.closed import (_track_propagator, coefficient_dynamics,
 from adiakit.cli import parse_scenario
 from adiakit.errors import StiffnessError
 from adiakit.open_system import SuperAssembler, integrate_master
-from adiakit.schedules import make_model
+from adiakit.schedules import GeneratorSpec, constant, make_model
 
+from test_hot_path import ENVELOPES, engine_rhs, open4_spec
 from test_open_fast_path import generated
 
 TOL = (1e-8, 1e-10)
@@ -49,14 +51,12 @@ SPECS = {
 def rk_path(generator, width, s_eval, y0, rtol, atol):
     """The engine's signature, solved by Runge-Kutta at (1e-13, 1e-15) on
     the generator it is given, one column of ``y0`` at a time."""
-    def rhs(s, y):
-        return generator(np.array([s]))[0] @ y
-
     y0 = np.asarray(y0, dtype=complex)
+    rhs = engine_rhs(generator, y0.shape[0])
     columns = [_rk45.integrate(rhs, column, s_eval, rtol=1e-13, atol=1e-15)
                for column in y0.reshape(y0.shape[0], -1).T]
     y = np.stack([res.y for res in columns], axis=-1)
-    return _rk45.IntegrationResult(
+    return _magnus.IntegrationResult(
         columns[0].s, y.reshape((len(s_eval),) + y0.shape),
         sum(res.steps for res in columns),
         sum(res.rhs_evals for res in columns),
@@ -139,7 +139,7 @@ def test_coefficient_dynamics_matches_runge_kutta(name, T, points):
     slow = through_rk(lambda: coefficient_dynamics(spec, T, a0, grid, TOL))
     assert np.max(np.abs(fast.coefficients - slow.coefficients)) <= BOUND
     assert np.array_equal(fast.dynamical_phases, slow.dynamical_phases)
-    weight = np.sum(fast.populations(), axis=1)
+    weight = np.sum(np.abs(fast.coefficients) ** 2, axis=1)
     assert np.max(np.abs(weight - 1.0)) <= 1e-12
 
 
@@ -182,14 +182,14 @@ def test_step_demand_refused_before_any_exponential(monkeypatch):
                               ground("landau_zener"),
                               np.linspace(0.0, 1.0, 201), TOL)
     assert info.value.details["s"] == 0.0
-    assert info.value.details["steps"] > _rk45.MAX_STEPS
+    assert info.value.details["steps"] > _magnus.MAX_STEPS
 
 
 def test_step_budget_reports_where_it_runs_out(monkeypatch):
     # the width bound of Landau-Zener is 2.5 T: at T = 5000 each of the 200
     # intervals plans 2 x ceil(20.8) steps, and a budget of 1000 runs out
     # in the 24th, which starts at s = 0.115
-    monkeypatch.setattr(_rk45, "MAX_STEPS", 1000)
+    monkeypatch.setattr(_magnus, "MAX_STEPS", 1000)
     with pytest.raises(StiffnessError) as info:
         integrate_schrodinger(spec_of("landau_zener"), 5000.0,
                               ground("landau_zener"),
@@ -215,9 +215,9 @@ def test_qubit_master_matches_runge_kutta(name, T):
     sc = qubit(name)
     grid = np.linspace(0.0, 1.0, 201)
     traj = integrate_master(sc.spec, T, sc.initial_state, grid, TOL)
-    ref = _rk45.integrate(SuperAssembler(sc.spec).flow(T),
-                          sc.initial_state.reshape(-1), grid, rtol=1e-12,
-                          atol=1e-14)
+    ref = _rk45.integrate(engine_rhs(SuperAssembler(sc.spec).generator(T)[0],
+                                     4), sc.initial_state.reshape(-1), grid,
+                          rtol=1e-12, atol=1e-14)
     assert np.max(np.abs(traj.states - ref.y)) <= BOUND
     # every Magnus step and the extrapolation preserve the trace
     trace = traj.states.reshape(-1, 2, 2).trace(axis1=1, axis2=2)
@@ -230,26 +230,107 @@ def test_qubit_master_matches_runge_kutta(name, T):
     assert traj.steps >= 2 * (grid.size - 1)
 
 
-def test_larger_master_equation_stays_on_runge_kutta():
-    # n = 16: the stepper's count, 6 evaluations per step and 2 to start
-    sc = parse_scenario(generated("open4", 3))
-    traj = integrate_master(sc.spec, 2.0, sc.initial_state,
-                            np.linspace(0.0, 1.0, 21), TOL)
-    assert traj.rhs_evals == 6 * traj.steps + 2
+# open4 (n = 16, 41 points) and open8 (n = 64, 101 points) as the benchmark
+# solves them; the Runge-Kutta reference runs at (1e-13, 1e-15)
+LARGER = [("open4", 3, 2.0), ("open4", 3, 20.0), ("open4", 7, 2.0),
+          ("open4", 7, 20.0), ("open8", 7, 10.0)]
 
 
-def test_qubit_master_step_demand_refused_before_any_exponential(
-        monkeypatch):
+@pytest.mark.parametrize("family, seed, T", LARGER)
+def test_larger_master_matches_runge_kutta(family, seed, T):
+    doc = generated(family, seed)
+    sc = parse_scenario(doc)
+    grid = np.linspace(0.0, 1.0, doc["grid_points"])
+    traj = integrate_master(sc.spec, T, sc.initial_state, grid, TOL)
+    ref = through_rk(lambda: integrate_master(sc.spec, T, sc.initial_state,
+                                              grid, TOL))
+    assert np.max(np.abs(traj.states - ref.states)) <= BOUND
+    D = sc.spec.dimension
+    trace = traj.states.reshape(-1, D, D).trace(axis1=1, axis2=2)
+    assert np.max(np.abs(trace - 1.0)) <= 1e-12
+    # the engine's counters, as for a qubit
+    assert traj.rhs_evals >= 3 * traj.steps
+    assert (traj.rhs_evals == 3 * traj.steps) == (traj.rejected == 0)
+    assert traj.steps >= 2 * (grid.size - 1)
+
+
+def one_envelope_spec(env):
+    """D = 3: a constant level ladder and decay, plus a drive and a jump
+    operator under ``env``."""
+    rng = np.random.default_rng(8)
+    drive = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    return GeneratorSpec(3, "open", [
+        (np.diag([0.0, 1.0, 3.0]).astype(complex), constant(1.0)),
+        (drive + drive.conj().T, env),
+    ], [
+        (np.diag([0.4, 0.3], 1).astype(complex), constant(1.0)),
+        (rng.normal(size=(3, 3)) + 0j, env),
+    ])
+
+
+@pytest.mark.parametrize("spec", [
+    pytest.param(lambda: parse_scenario(generated("open8", 7)).spec,
+                 id="generated_open8"),
+    pytest.param(open4_spec, id="every_envelope")] + [
+    pytest.param(lambda env=env: one_envelope_spec(env), id=env.kind)
+    for env in ENVELOPES])
+def test_applied_omega_matches_the_nodes(spec):
+    # Omega from the folded constant parts, the others and their products
+    # against the Omega of the generator at the two Gauss nodes
+    spec = spec()
+    T, n = 7.0, spec.dimension ** 2
+    terms = SuperAssembler(spec).generator(T)[0]
+    t = np.linspace(0.0, 0.9, 7)
+    h = np.full(t.size, 0.1)
+    omega, degree, scaling = _magnus._omegas(*terms, n)(t, h)
+    nodes = np.concatenate([t + (0.5 - _magnus._NODE) * h,
+                            t + (0.5 + _magnus._NODE) * h])
+    A = T * SuperAssembler(spec).matrix(nodes)
+    A1, A2 = A[:t.size], A[t.size:]
+    hh = h[:, None, None]
+    direct = (0.5 * hh * (A1 + A2)
+              + _magnus._BRACKET * hh * hh * (A2 @ A1 - A1 @ A2))
+    got = omega * scaling[:, None, None]
+    assert np.max(np.abs(got - direct)) <= 1e-13 * np.max(np.abs(direct))
+    # the Taylor plan meets the 1-norm of Omega within the table
+    norm = np.abs(direct).sum(axis=1).max(axis=1)
+    assert np.all(norm / scaling <= _magnus._TAYLOR_THETA[degree - 1])
+
+
+def test_applied_chunks_do_not_change_the_answer(monkeypatch):
+    # chunks of a few steps split the coarse and the fine steps of an
+    # interval: the same steps in other groupings
+    sc = parse_scenario(generated("open4", 7))
+    grid = np.linspace(0.0, 1.0, 5)
+    whole = integrate_master(sc.spec, 20.0, sc.initial_state, grid, TOL)
+    monkeypatch.setattr(_magnus, "_STACK_ENTRIES", 3 * 256)
+    chunked = integrate_master(sc.spec, 20.0, sc.initial_state, grid, TOL)
+    assert chunked.steps == whole.steps
+    assert np.max(np.abs(chunked.states - whole.states)) <= 1e-14
+
+
+def refused_before_any_exponential(monkeypatch, sc):
     def no_exponentials(*args):
         raise AssertionError("an exponential was taken")
 
     monkeypatch.setattr(_magnus, "_exponentials", no_exponentials)
-    sc = qubit("dephasing")
+    monkeypatch.setattr(_magnus, "_omegas", no_exponentials)
     with pytest.raises(StiffnessError) as info:
         integrate_master(sc.spec, 1e9, sc.initial_state,
                          np.linspace(0.0, 1.0, 201), TOL)
     assert info.value.details["s"] == 0.0
-    assert info.value.details["steps"] > _rk45.MAX_STEPS
+    assert info.value.details["steps"] > _magnus.MAX_STEPS
+
+
+def test_qubit_master_step_demand_refused_before_any_exponential(
+        monkeypatch):
+    refused_before_any_exponential(monkeypatch, qubit("dephasing"))
+
+
+def test_larger_master_step_demand_refused_before_any_exponential(
+        monkeypatch):
+    refused_before_any_exponential(monkeypatch,
+                                   parse_scenario(generated("open4", 7)))
 
 
 def test_constant_qubit_sweep_drift_stays_at_rounding():
