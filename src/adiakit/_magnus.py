@@ -18,31 +18,34 @@ interval products are chained with one matrix product per output point.
 Chunks hold at most ``numkit._STACK_ENTRIES`` matrix entries.  A larger
 A(s) never has its exponential formed: each step applies it to the state
 by a Taylor polynomial whose degree and scaling a bound on the norm of
-Omega fixes (Al-Mohy & Higham, SIAM J. Sci. Comput. 33 (2011) 488).
+Omega fixes (Al-Mohy & Higham, SIAM J. Sci. Comput. 33 (2011) 488); the
+Omega of a chunk of steps, across output intervals, is planned at once.
 
-Step control is deterministic.  Each output interval first gets the
-fewest equal steps whose phase, ``width`` times the step, stays below
-``_THETA``; ``width`` bounds the spectral width of i A over the span,
-or for a generator that is not anti-Hermitian its spectral norm.  In
-one stacked pass every interval is then solved with those steps and with
-twice as many, and both solutions are chained through the output points.
-Their difference carries the local estimates of all intervals along the
+Step control is deterministic, one rule for both kinds of exponential.
+Each output interval first gets the fewest equal steps whose phase,
+``width`` times the step, stays below ``_THETA``; ``width`` bounds the
+spectral width of i A over the span, or for a generator that is not
+anti-Hermitian its spectral norm.  A run of intervals is solved with
+those steps and with twice as many, both solutions chained through its
+output points.  Their difference carries the local estimates along the
 flow and sums them; divided by 15 it estimates the error of the finer
-solution (order four), which has to stay within ``atol + rtol``.
-Otherwise the intervals whose own estimate exceeds their share of the
-tolerance, in proportion to their length, are solved again with their
-steps multiplied by the factor that fourth order asks for to bring the
-summed estimate to half the tolerance.  Chunks of output intervals are
-controlled one after another, each against the share of its own length
-(one interval per chunk where the exponential is applied).  The returned
-solution is the extrapolation (16 fine - coarse) / 15 of every interval,
-for an anti-Hermitian generator made unitary again by one Newton-Schulz
-step: the step is symmetric, so its error has even powers of h only and
-the extrapolation is of order six, well inside the estimate that the
-finer solution meets.  Without that step the extrapolation keeps every
-linear invariant that both its factors keep, such as the trace of a
-density matrix, since its weights sum to one; so does a Taylor
-polynomial of Omega, whose powers all annihilate the trace.
+solution (order four), which has to stay within the run's share of
+``atol + rtol``.  Otherwise the intervals whose own estimate exceeds
+their share are solved again with their steps multiplied by the factor
+that fourth order asks for to bring the summed estimate to half the
+tolerance.  A run of formed exponentials is a chunk of intervals, each
+estimated by the difference of its two products and refined alone; a
+run of applied ones keeps states only, so it is the whole grid, each
+interval is estimated by what it adds to the difference, and the run is
+solved again from its first refined interval.  The result is the
+extrapolation (16 fine - coarse) / 15, for an anti-Hermitian generator
+made unitary again by one Newton-Schulz step: the step is symmetric, so
+its error has even powers of h only and the extrapolation is of order
+six, well inside the estimate that the finer solution meets.  Without
+that step the extrapolation keeps every linear invariant that both its
+factors keep, such as the trace of a density matrix, since its weights
+sum to one; so does a Taylor polynomial of Omega, whose powers all
+annihilate the trace.
 
 Both plans are checked against ``MAX_STEPS`` before any exponential of
 them is taken; :class:`StiffnessError` then reports the start s of the
@@ -176,39 +179,40 @@ def _products(generator, starts, lengths, counts, n, chunk, unitary):
     return P
 
 
-def _chain(P, y):
-    """States after every interval of the q solutions whose interval
-    products are ``P[:, 0..q-1]``, all started from ``y`` (shape (n, k))."""
-    states = np.empty(P.shape[:2] + y.shape, dtype=complex)
-    for j in range(P.shape[0]):     # one product per output point
-        y = np.matmul(P[j], y, out=states[j])
-    return states
-
-
 def _formed(generator, n, chunk, unitary):
-    """The pairs of output intervals, exponentials formed: per interval the
-    products of ``coarse`` steps and of twice as many, and their
-    extrapolation (16 fine - coarse) / 15, made unitary again by one
-    Newton-Schulz step if the flow is ``unitary``."""
+    """The solve of a run of output intervals, exponentials formed: per
+    interval the products of ``coarse`` steps, of twice as many and their
+    extrapolation, chained from ``y``; a refinement forms them again for
+    the intervals in ``redo`` and chains the extrapolations only."""
     if not unitary:
         factor, weights, parts, _ = generator
 
         def generator(s):
             return factor * _weighted_sum(s, weights(s), parts, n)
 
-    def pairs(starts, lengths, coarse, y):
-        P = np.empty((coarse.size, 3, n, n), dtype=complex)
-        P[:, 0] = _products(generator, starts, lengths, coarse, n, chunk,
-                            unitary)
-        P[:, 1] = _products(generator, starts, lengths, 2 * coarse, n, chunk,
-                            unitary)
-        X = (16.0 * P[:, 1] - P[:, 0]) / _RICHARDSON
-        if unitary:
-            X = 1.5 * X - 0.5 * X @ (X.conj().swapaxes(1, 2) @ X)
-        P[:, 2] = X
-        return P
+    P = None
 
-    return pairs
+    def solve(starts, lengths, coarse, y, redo=None):
+        nonlocal P
+        j = slice(None) if redo is None else redo
+        if redo is None:
+            P = np.empty((coarse.size, 3, n, n), dtype=complex)
+        for q in range(2):
+            P[j, q] = _products(generator, starts[j], lengths[j],
+                                (q + 1) * coarse[j], n, chunk, unitary)
+        X = (16.0 * P[j, 1] - P[j, 0]) / _RICHARDSON
+        if unitary:     # one Newton-Schulz step
+            X = 1.5 * X - 0.5 * X @ (X.conj().swapaxes(1, 2) @ X)
+        P[j, 2] = X
+        local = np.linalg.norm(P[:, 0] - P[:, 1], axis=(1, 2))
+        # chained, every solution at once; refined, the extrapolation only
+        Q = P if redo is None else P[:, 2:]
+        states = np.empty(Q.shape[:2] + y.shape, dtype=complex)
+        for i in range(len(Q)):     # one product per output point
+            y = np.matmul(Q[i], y, out=states[i])
+        return states, local, coarse[j]
+
+    return solve
 
 
 def _omegas(factor, weights, parts, fixed, n):
@@ -254,33 +258,46 @@ def _omegas(factor, weights, parts, fixed, n):
 
 
 def _applied(terms, shape, chunk):
-    """The pairs of one output interval, exponentials applied: the states
-    after it from ``y`` by ``coarse`` steps, by twice as many (each step
-    by its Taylor plan), and their extrapolation."""
+    """The solve of a run of output intervals, exponentials applied: the
+    coarse and fine chains of states from ``y`` and their extrapolation; a
+    refinement solves again from the first interval in ``redo`` on."""
     plan = _omegas(*terms, shape[0])
     powers = np.empty((_INV_FACTORIAL.size,) + shape, dtype=complex)
     flat, rows = powers.reshape(len(powers), -1), list(powers)
+    states = None
 
-    def pairs(starts, lengths, coarse, y):
-        c = int(coarse[0])
-        k = np.arange(3 * c)
-        h = np.where(k < c, 1.0, 0.5) * (lengths[0] / c)
-        t = starts[0] + np.where(k < c, k, k - c) * h
-        states = [y, y]
-        for k0 in range(0, k.size, chunk):
+    def solve(starts, lengths, coarse, y, redo=None):
+        nonlocal states
+        a = 0 if redo is None else int(redo[0])
+        x, c = [states[a - 1, 2] if a else y] * 2, coarse[a:]
+        # slot 2 j holds the c[j] steps of the coarse chain in interval j,
+        # slot 2 j + 1 the 2 c[j] of the fine one
+        per = np.stack([c, 2 * c], axis=1).ravel()
+        slot = np.repeat(np.arange(per.size), per)
+        k = np.arange(slot.size) - np.repeat(np.cumsum(per) - per, per)
+        h = np.repeat(lengths[a:], 2)[slot] / per[slot]
+        t = np.repeat(starts[a:], 2)[slot] + k * h
+        ends, slot = np.empty((per.size,) + shape, complex), slot.tolist()
+        for k0 in range(0, len(slot), chunk):
             O, degree, scaling = plan(t[k0:k0 + chunk], h[k0:k0 + chunk])
-            for i, (Oi, m, s) in enumerate(zip(O, degree, scaling), k0):
-                x = states[i >= c]
+            for i, (Oi, m, s) in enumerate(zip(O, degree.tolist(),
+                                               scaling.tolist()), k0):
+                v = x[slot[i] % 2]
                 for _ in range(s):
-                    rows[0][...] = x
+                    rows[0][...] = v
                     for q in range(1, m + 1):
                         Oi.dot(rows[q - 1], out=rows[q])
-                    x = (_INV_FACTORIAL[:m + 1] @ flat[:m + 1]).reshape(shape)
-                states[i >= c] = x
-        rough, fine = states
-        return np.array([[rough, fine, (16.0 * fine - rough) / _RICHARDSON]])
+                    v = (_INV_FACTORIAL[:m + 1] @ flat[:m + 1]).reshape(shape)
+                x[slot[i] % 2] = ends[slot[i]] = v
+        rough, fine = ends[0::2], ends[1::2]
+        run = np.stack([rough, fine, (16.0 * fine - rough) / _RICHARDSON], 1)
+        states = np.concatenate([states[:a], run]) if a else run
+        # an interval's own estimate: what it adds to the difference
+        d = states[:, 0] - states[:, 1]
+        d = np.diff(d, axis=0, prepend=0 * d[:1])
+        return states, np.linalg.norm(d, axis=(1, 2)), c
 
-    return pairs
+    return solve
 
 
 def propagate(generator, width: float, s_eval, y0, rtol: float,
@@ -308,18 +325,15 @@ def propagate(generator, width: float, s_eval, y0, rtol: float,
     unitary = callable(generator)
     chunk = max(1, _STACK_ENTRIES // (n * n))
     if unitary or n <= _PADE_MAX_DIM:
-        pairs, span = _formed(generator, n, chunk, unitary), chunk
-        chain = _chain
-    else:   # one interval per chunk, whose pairs are its states
-        pairs, span, chain = _applied(generator, out.shape[1:], chunk), 1, None
-    steps = evals = rejected = 0
-    min_step, s_min = np.inf, np.nan
+        solve, span = _formed(generator, n, chunk, unitary), chunk
+    else:   # a run holds states only, so one run takes the whole grid
+        solve, span = _applied(generator, out.shape[1:], chunk), lengths.size
+    evals = rejected = 0
     for a in range(0, lengths.size, span):
         b = min(a + span, lengths.size)
         starts, L, c = pts[a:b], lengths[a:b], coarse[a:b]
-        P = pairs(starts, L, c, out[a])
-        evals += 6 * int(c.sum())
-        states = chain(P, out[a]) if chain else P
+        states, local, solved = solve(starts, L, c, out[a])
+        evals += 6 * int(solved.sum())
         # the difference of the two solutions carries every local estimate
         # along the flow and sums them: it is 15 times the finer one's error
         summed = float(np.max(np.linalg.norm(states[:, 0] - states[:, 1],
@@ -328,22 +342,18 @@ def propagate(generator, width: float, s_eval, y0, rtol: float,
         if summed > allowed:
             # refine the intervals whose own estimate exceeds their share,
             # all by the factor that brings the sum to half the tolerance
-            over = (np.linalg.norm(P[:, 0] - P[:, 1], axis=(1, 2))
-                    / _RICHARDSON > share[a:b])
+            over = local / _RICHARDSON > share[a:b]
             redo = np.flatnonzero(over) if over.any() else np.arange(L.size)
             more = np.ceil(c[redo] * (2.0 * summed / allowed) ** 0.25)
             _check_budget(starts[redo], 2 * more,
-                          steps + 2 * int(c.sum()) - 2 * int(c[redo].sum()))
+                          2 * int(coarse[:b].sum() - c[redo].sum()))
             c[redo] = more.astype(np.int64)
-            P[redo] = pairs(starts[redo], L[redo], c[redo], out[a])
-            evals += 6 * int(c[redo].sum())
+            states, _, solved = solve(starts, L, c, out[a], redo)
+            evals += 6 * int(solved.sum())
             rejected += redo.size
-            states = chain(P[:, 2:], out[a]) if chain else P[:, 2:]
         out[a + 1:b + 1] = states[:, -1]
-        steps += 2 * int(c.sum())
-        h = L / (2 * c)
-        i = int(np.argmin(h))
-        if h[i] < min_step:
-            min_step, s_min = float(h[i]), float(starts[i])
+    h = lengths / (2 * coarse)
+    i = int(np.argmin(h))
     return IntegrationResult(pts, out.reshape((pts.size,) + y0.shape),
-                             steps, evals, rejected, min_step, s_min)
+                             2 * int(coarse.sum()), evals, rejected,
+                             float(h[i]), float(pts[i]))

@@ -548,9 +548,14 @@ def test_default_budget_far_above_largest_solve():
 # (steps, generator evaluations, refined intervals) of the master solves of
 # `check` on the generated open4 scenario of seed 3, per T value: the
 # engine's plan is deterministic, so the counts are exact.  The Runge-Kutta
-# stepper took 4662 right-hand side evaluations over the three solves.
-OPEN4_CHECK_COUNTS = {2.0: (80, 240, 0), 5.0: (160, 720, 40),
-                      20.0: (494, 1722, 40)}
+# stepper took 4662 right-hand side evaluations over the three solves; the
+# Taylor path controlled one interval at a time took 2682, with (160, 720,
+# 40) at T = 5 and (494, 1722, 40) at T = 20.
+OPEN4_CHECK_COUNTS = {2.0: (80, 240, 0), 5.0: (80, 240, 0),
+                      20.0: (240, 960, 40)}
+# the same for `evolve` on the generated open8 scenario of seed 7 (n = 64,
+# 101 points, T = 10); one interval at a time it took (400, 1800, 100)
+OPEN8_EVOLVE_COUNTS = (200, 600, 0)
 
 
 def count_calls(monkeypatch, owner, name, counts):
@@ -606,7 +611,9 @@ def test_lz_check_envelope_evaluations_do_not_grow_with_grid(monkeypatch,
     assert totals[0] == totals[1] <= LZ_CHECK_ENVELOPE_EVALS
 
 
-def test_open4_check_master_rhs_evaluations(monkeypatch, tmp_path):
+def master_counts(monkeypatch, tmp_path, doc, argv):
+    """(steps, generator evaluations, refined intervals) per T of the
+    master solves of the command ``argv`` on the scenario ``doc``."""
     counts = {}
     original = cli.integrate_master
 
@@ -616,11 +623,24 @@ def test_open4_check_master_rhs_evaluations(monkeypatch, tmp_path):
         return traj
 
     monkeypatch.setattr(cli, "integrate_master", counted)
-    path = tmp_path / "open4.json"
-    path.write_text(json.dumps(generated("open4", 3)))
-    assert cli.main(["check", str(path),
-                     "--out", str(tmp_path / "check.json")]) == 0
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main([argv[0], str(path), *argv[1:]]) == 0
+    return counts
+
+
+def test_open4_check_master_rhs_evaluations(monkeypatch, tmp_path):
+    counts = master_counts(monkeypatch, tmp_path, generated("open4", 3),
+                           ["check", "--out", str(tmp_path / "check.json")])
     assert counts == OPEN4_CHECK_COUNTS
+
+
+def test_open8_evolve_master_counts(monkeypatch, tmp_path):
+    doc = generated("open8", 7)
+    counts = master_counts(monkeypatch, tmp_path, doc,
+                           ["evolve", "--format", "csv",
+                            "--out", str(tmp_path / "evolve.csv")])
+    assert counts == {doc["total_time"]: OPEN8_EVOLVE_COUNTS}
 
 
 # `check` on the generated open4 scenario of seed 3 (16 singleton blocks,
