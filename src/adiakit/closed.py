@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import (ConfigError, DegeneracyError, DomainError, InputError,
                      NumericalError, ResolutionError)
-from .numkit import (_STACK_ENTRIES, _not_a_knot_spline,
+from .numkit import (_STACK_ENTRIES, _not_a_knot_spline, _running_product,
                      cumulative_trapezoid, min_cost_assignment)
 from .schedules import (GeneratorSpec, _weighted_sum, eval_generator,
                         eval_generator_derivative)
@@ -175,11 +175,8 @@ def _transport_clear_prefix(vectors: np.ndarray) -> int:
     moduli of a unitary matrix, so above 1/sqrt(2) eigh's order is the
     unique best assignment.  The overlaps of a chunk are taken against the
     previous point as it already stands, so point i turns by the running
-    product of the unit phases conj(ov/|ov|) since the chunk began.  That
-    product is divided by its modulus: its rounding would otherwise drift
-    the column norms by about one ulp a point, and summing the overlap
-    angles instead loses digits to the arbitrary phases of eigh's
-    vectors, whose sum grows with the grid.
+    product of the unit phases conj(ov/|ov|) since the chunk began
+    (:func:`numkit._running_product`, which divides it by its modulus).
 
     The chunks double from 16 points up to ``_STACK_ENTRIES`` matrix
     entries, so a grid with many unclear points, where each call ends
@@ -194,8 +191,9 @@ def _transport_clear_prefix(vectors: np.ndarray) -> int:
         modulus = np.abs(ov)
         unclear = np.flatnonzero(~np.all(modulus > _CLEAR_OVERLAP, axis=1))
         stop = a + int(unclear[0]) if unclear.size else b
-        turn = np.cumprod(ov[:stop - a].conj() / modulus[:stop - a], axis=0)
-        vectors[a:stop] *= (turn / np.abs(turn))[:, None, :]
+        turn = _running_product(
+            (ov[:stop - a].conj() / modulus[:stop - a])[..., None, None])
+        vectors[a:stop] *= turn[:, None, :, 0, 0]
         if stop < b:
             return stop
         a, step = b, max(step, min(2 * step, _STACK_ENTRIES // (D * D)))

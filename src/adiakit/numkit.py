@@ -188,6 +188,30 @@ def min_cost_assignment(cost: np.ndarray) -> np.ndarray:
     return linear_sum_assignment(cost)[1]
 
 
+def _running_product(factors: np.ndarray) -> np.ndarray:
+    """Running products F_0, F_1 F_0, F_2 F_1 F_0, ... of unitary factors.
+
+    ``factors`` stacks k x k factors along axis 0, shape (N, ..., k, k).
+    The products are made unitary again: their rounding would otherwise
+    drift a transported basis off unit norm by about one ulp a factor.  A
+    1 x 1 factor is a phase, multiplied by ``cumprod`` and divided by its
+    modulus; larger factors are multiplied in log2(N) stacked rounds and
+    replaced by their polar factors.  Summing phase angles instead would
+    lose digits to the arbitrary phases of the factors, whose sum grows
+    with N.
+    """
+    if factors.shape[-1] == 1:
+        turn = np.cumprod(factors, axis=0)
+        return turn / np.abs(turn)
+    turn = factors.copy()
+    d = 1
+    while d < len(turn):
+        turn[d:] = turn[d:] @ turn[:-d]
+        d *= 2
+    U, _, Vh = np.linalg.svd(turn)
+    return U @ Vh
+
+
 def _finite_number(value, label: str, field: str,
                    positive: bool = False) -> float:
     """``value`` as a float if it is a finite number (and positive, if asked).

@@ -16,6 +16,8 @@ multiplies it only at evaluation points, so one track serves any T.
 
 Every master equation is solved by the Magnus engine
 :mod:`adiakit._magnus`, imported at first use as in :mod:`adiakit.closed`.
+The Jordan track glues its grid together with
+:mod:`adiakit._jordan_stitch`.
 """
 
 import math
@@ -38,8 +40,8 @@ from .numkit import (
     cumulative_trapezoid,
     is_hermitian,
     jordan_matrix_from_blocks,
-    min_cost_assignment,
 )
+from ._jordan_stitch import _stitch
 from .schedules import GeneratorSpec, _weighted_sum, eval_generator
 
 __all__ = [
@@ -295,49 +297,6 @@ def _partition(labels):
     return {frozenset(members) for members in groups.values()}
 
 
-def _align(lam_prev, lead_prev, sizes_prev, lam, sizes, S, Si):
-    """Reorder and rephase the blocks of one point to continue the previous.
-
-    Blocks are matched by eigenvalue distance, a large penalty for a size
-    mismatch, and the overlap of leading vectors; each matched chain is
-    then multiplied by conj(z) / |z|, where z is the overlap of its leading
-    vector with the previous one, so the new overlap |z| is real and
-    positive.  ``lam_prev``, ``lead_prev`` and ``sizes_prev`` are the
-    previous point's aligned eigenvalues, leading vectors and block sizes,
-    ``lam`` and ``sizes`` this point's blocks.  ``S`` and ``Si``, this
-    point's S and S^-1, are rewritten in place; returns the order: entry a
-    is this point's block that continues block a.
-    """
-    offsets = np.cumsum(sizes) - sizes
-    lead = S[:, offsets]
-    cost = (np.abs(lam_prev[:, None] - lam[None, :])
-            + np.where(sizes_prev[:, None] == sizes[None, :], 0.0, 1e6)
-            + 1e-2 * (1.0 - np.abs(lead_prev.conj().T @ lead)))
-    order = min_cost_assignment(cost)
-    z = np.einsum("ij,ij->j", lead_prev.conj(), lead[:, order])
-    phase = np.ones(order.size, dtype=complex)
-    keep = np.abs(z) > 1e-12
-    phase[keep] = np.conj(z[keep]) / np.abs(z[keep])
-    starts = np.cumsum(sizes[order]) - sizes[order]
-    columns = np.arange(S.shape[1]) + np.repeat(offsets[order] - starts,
-                                                sizes[order])
-    colphase = np.repeat(phase, sizes[order])
-    S[:] = S[:, columns] * colphase
-    Si[:] = Si[columns, :] / colphase[:, None]
-    return order
-
-
-def _polar_align(prev_S, S, Si, cols):
-    """Rotate the columns ``cols`` of S (rows of S^-1) within their span by
-    the polar factor of their overlap with ``prev_S``, so that the overlap
-    becomes Hermitian positive definite: the matrix form of the phase fix,
-    for a semisimple cluster whose basis within the cluster is free."""
-    U, _, Vh = np.linalg.svd(prev_S[:, cols].conj().T @ S[:, cols])
-    W = (U @ Vh).conj().T
-    S[:, cols] = S[:, cols] @ W
-    Si[cols, :] = W.conj().T @ Si[cols, :]
-
-
 def _first_collision(lambdas, pairs, tol):
     """First (pair, interval) where two eigenvalue curves come within tol.
 
@@ -363,44 +322,6 @@ def _first_collision(lambdas, pairs, tol):
     return p, i, float(t[p, i]), float(dist[p, i])
 
 
-def _stitch(g, blocks, S, Si):
-    """Align every point of ``blocks`` to its predecessor, rewriting ``S``
-    and ``Si`` in place.
-
-    All points hold as many blocks as point 0.  Returns the block orders
-    (row i: the blocks of point i that continue blocks 0, 1, ... of point
-    0), the aligned eigenvalue curves, and the :class:`CrossingError` of the
-    first point whose aligned block signature differs from point 0's, the
-    rows stopping before it, or None.
-    """
-    lam = np.array([[value for value, _ in b] for b in blocks])
-    size = np.array([[k for _, k in b] for b in blocks])
-    sizes = tuple(size[0].tolist())
-    starts = np.cumsum(size[0]) - size[0]
-    # blocks of size 1 sharing one eigenvalue, which no larger block shares
-    shared = {}
-    for b, value in enumerate(lam[0].tolist()):
-        shared.setdefault(value, []).append(b)
-    semisimple = [np.array(m) for m in shared.values()
-                  if len(m) > 1 and all(sizes[b] == 1 for b in m)]
-    orders = np.empty(lam.shape, dtype=int)
-    orders[0] = np.arange(lam.shape[1])
-    for i in range(1, len(blocks)):
-        order = orders[i] = _align(lam[i - 1, orders[i - 1]],
-                                   S[i - 1][:, starts], size[0], lam[i],
-                                   size[i], S[i], Si[i])
-        got = tuple(size[i, order].tolist())
-        if got != sizes:
-            return (orders[:i], np.take_along_axis(lam[:i], orders[:i], 1),
-                    CrossingError(f"block signature changed from {sizes} to "
-                                  f"{got} at s = {g[i]:.6f}", s=float(g[i]),
-                                  signature=got))
-        for members in semisimple:
-            if np.all(lam[i, order[members]] == lam[i, order[members[0]]]):
-                _polar_align(S[i - 1], S[i], Si[i], starts[members])
-    return orders, np.take_along_axis(lam, orders, axis=1), None
-
-
 def jordan_track(spec: GeneratorSpec, grid, cluster_tol: float = 1e-7,
                  rank_tol: float = 1e-9, cond_cap: float = 1e12,
                  collision_tol: float = 1e-8, analytic=None) -> JordanTrack:
@@ -410,7 +331,9 @@ def jordan_track(spec: GeneratorSpec, grid, cluster_tol: float = 1e-7,
     stacked pass.  Blocks are then matched to the previous point by
     eigenvalue distance, with the block size and the overlap of leading
     vectors breaking ties, and each chain is rephased so its leading
-    vector stays aligned (a semisimple cluster is rotated as a whole).
+    vector stays aligned (a semisimple cluster is rotated as a whole),
+    stacked over the grid; only a point whose match is not clear takes a
+    per-point assignment (:func:`_stitch`).
     The first failing grid point raises: a failed decomposition there,
     then a change of block count, of block signature or of eigenvalue
     grouping (:class:`CrossingError` naming the schedule point).  After

@@ -282,12 +282,16 @@ class TestRunScenario:
         assert results["min_fid_illegal"] < 0.01
 
     def test_reruns_byte_identical(self, tmp_path):
-        path = write_doc(tmp_path, "lz.json", LZ_DOC)
-        out1, out2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
-        assert run_scenario(path, "check", out=out1) == 0
-        assert run_scenario(path, "check", out=out2) == 0
-        assert (tmp_path / "a.json").read_bytes() == \
-            (tmp_path / "b.json").read_bytes()
+        # the open runs go through the stacked Jordan stitch
+        dephasing = str(SCENARIO_DIR / "dephasing_qubit.json")
+        for path, pipeline in ((write_doc(tmp_path, "lz.json", LZ_DOC),
+                                "check"),
+                               (dephasing, "jordan"), (dephasing, "check")):
+            out1, out2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
+            assert run_scenario(path, pipeline, out=out1) == 0
+            assert run_scenario(path, pipeline, out=out2) == 0
+            assert (tmp_path / "a.json").read_bytes() == \
+                (tmp_path / "b.json").read_bytes()
 
     def test_missing_file_exit_two(self, tmp_path, capsys):
         assert run_scenario(str(tmp_path / "nope.json")) == 2

@@ -11,8 +11,9 @@ workload on the Schrödinger flow.  The stacked H(s), dH/ds, L(s) and
 dL/ds of a whole grid are checked bit for bit against the per-point
 forms; the spectral track built from one stacked eigh and a stacked
 transport matches the per-point track, its energies bit for bit and its
-vectors to rounding.  The work of two open and two closed commands, and
-of the closed track, is counted.
+vectors to rounding; the Jordan track's stacked stitch matches the
+per-point assignment and rephasing loop it replaced.  The work of two
+open and two closed commands, and of both tracks, is counted.
 """
 
 import functools
@@ -23,14 +24,15 @@ from collections import Counter
 import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
+from scipy.linalg import expm
 
-from adiakit import _magnus, _rk45, cli, closed
+from adiakit import _jordan_stitch, _magnus, _rk45, cli, closed
 from adiakit import numkit as nk
 from adiakit import open_system as osys
 from adiakit.cli import parse_scenario
 from adiakit.closed import (_coefficient_flow, _melements, _schrodinger_flow,
                             track_spectrum)
-from adiakit.errors import StiffnessError
+from adiakit.errors import CrossingError, StiffnessError
 from adiakit.open_system import (SuperAssembler, _coherent_part,
                                  _jump_part, integrate_master)
 from adiakit.schedules import (Envelope, GeneratorSpec, _weighted_sum,
@@ -39,6 +41,7 @@ from adiakit.schedules import (Envelope, GeneratorSpec, _weighted_sum,
                                polynomial, sinusoid)
 
 from test_open_fast_path import generated
+from test_open_super import scaled_damped_qubit
 
 SCENARIO_DIR = pathlib.Path(__file__).parent.parent / "scripts" / "scenarios"
 
@@ -319,6 +322,280 @@ def test_coarse_step_takes_one_per_point_step(monkeypatch):
     energies, vectors = pointwise_track(spec, grid)
     assert np.array_equal(track.energies, energies)
     assert np.max(np.abs(track.vectors - vectors)) <= 1e-13
+
+
+# ------------------------------------------------------ the Jordan stitch
+
+def pointwise_stitch(g, blocks, S, Si):
+    """The Jordan track's stitch as a per-point loop does it, rewriting
+    ``S`` and ``Si`` in place: at every point an assignment against the
+    aligned predecessor, a phase for every chain, and the polar factor for
+    a semisimple cluster whose eigenvalues are equal there."""
+
+    def align(lam_prev, lead_prev, sizes_prev, lam, sizes, S, Si):
+        offsets = np.cumsum(sizes) - sizes
+        lead = S[:, offsets]
+        cost = (np.abs(lam_prev[:, None] - lam[None, :])
+                + np.where(sizes_prev[:, None] == sizes[None, :], 0.0, 1e6)
+                + 1e-2 * (1.0 - np.abs(lead_prev.conj().T @ lead)))
+        order = nk.min_cost_assignment(cost)
+        z = np.einsum("ij,ij->j", lead_prev.conj(), lead[:, order])
+        phase = np.ones(order.size, dtype=complex)
+        keep = np.abs(z) > 1e-12
+        phase[keep] = np.conj(z[keep]) / np.abs(z[keep])
+        starts = np.cumsum(sizes[order]) - sizes[order]
+        columns = np.arange(S.shape[1]) + np.repeat(offsets[order] - starts,
+                                                    sizes[order])
+        colphase = np.repeat(phase, sizes[order])
+        S[:] = S[:, columns] * colphase
+        Si[:] = Si[columns, :] / colphase[:, None]
+        return order
+
+    def polar_align(prev_S, S, Si, cols):
+        U, _, Vh = np.linalg.svd(prev_S[:, cols].conj().T @ S[:, cols])
+        W = (U @ Vh).conj().T
+        S[:, cols] = S[:, cols] @ W
+        Si[cols, :] = W.conj().T @ Si[cols, :]
+
+    lam = np.array([[value for value, _ in b] for b in blocks])
+    size = np.array([[k for _, k in b] for b in blocks])
+    sizes = tuple(size[0].tolist())
+    starts = np.cumsum(size[0]) - size[0]
+    semisimple = semisimple_clusters(blocks[0])
+    orders = np.empty(lam.shape, dtype=int)
+    orders[0] = np.arange(lam.shape[1])
+    for i in range(1, len(blocks)):
+        order = orders[i] = align(lam[i - 1, orders[i - 1]],
+                                  S[i - 1][:, starts], size[0], lam[i],
+                                  size[i], S[i], Si[i])
+        got = tuple(size[i, order].tolist())
+        if got != sizes:
+            return (orders[:i], np.take_along_axis(lam[:i], orders[:i], 1),
+                    CrossingError(
+                        f"block signature changed from {sizes} to {got} at "
+                        f"s = {g[i]:.6f}", s=float(g[i]), signature=got))
+        for members in semisimple:
+            if np.all(lam[i, order[members]] == lam[i, order[members[0]]]):
+                polar_align(S[i - 1], S[i], Si[i], starts[members])
+    return orders, np.take_along_axis(lam, orders, axis=1), None
+
+
+def semisimple_clusters(blocks):
+    """Blocks of size 1 sharing one eigenvalue, which no larger block
+    shares."""
+    shared = {}
+    for b, (value, _) in enumerate(blocks):
+        shared.setdefault(value, []).append(b)
+    return [np.array(m) for m in shared.values()
+            if len(m) > 1 and all(blocks[b][1] == 1 for b in m)]
+
+
+def decomposed(spec, grid, cluster_tol=1e-7, rank_tol=1e-9):
+    """L(s) on the grid decomposed in one stacked pass, as
+    ``jordan_track`` takes it."""
+    blocks, S, Si, _, errors = nk._decompose_stack(
+        SuperAssembler(spec).matrix(grid), cluster_tol, rank_tol, 1e12)
+    assert errors == [None] * grid.size
+    return grid, blocks, S, Si
+
+
+def planted_stack(grid, curves, sizes, seed=0):
+    """Jordan forms with eigenvalue curves ``curves(s)`` and block sizes
+    ``sizes(s)``, their blocks sorted as the decomposition sorts them, on
+    columns of V(s) = exp(sK) B that turn smoothly; every chain carries a
+    random phase at every point."""
+    rng = np.random.default_rng(seed)
+    n = int(np.sum(sizes(0.0)))
+    A, Qa, Qb = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+                 for _ in range(3))
+    K = 0.5 * (A - A.conj().T)
+    B = (np.linalg.qr(Qa)[0] @ np.diag(np.linspace(1.0, 3.0, n))
+         @ np.linalg.qr(Qb)[0])
+    blocks, S = [], []
+    for s in grid:
+        lam, size = np.asarray(curves(s)), np.asarray(sizes(s))
+        order = np.lexsort((-size, -lam.imag, -lam.real))
+        starts = np.cumsum(size) - size
+        cols = np.concatenate([np.arange(starts[b], starts[b] + size[b])
+                               for b in order])
+        phase = np.exp(2j * np.pi * rng.uniform(size=order.size))
+        S.append((expm(s * K) @ B)[:, cols] * np.repeat(phase, size[order]))
+        blocks.append(tuple(zip(lam[order].tolist(), size[order].tolist())))
+    S = np.array(S)
+    return np.asarray(grid), blocks, S, np.linalg.inv(S)
+
+
+def spun(stack, cols, seed=1):
+    """A planted stack with its columns ``cols`` (the blocks of one
+    semisimple cluster) mixed by a random unitary at every point."""
+    g, blocks, S, Si = stack
+    rng = np.random.default_rng(seed)
+    for i in range(len(S)):
+        U = np.linalg.qr(rng.normal(size=(len(cols),) * 2)
+                         + 1j * rng.normal(size=(len(cols),) * 2))[0]
+        S[i][:, cols] = S[i][:, cols] @ U
+        Si[i][cols, :] = U.conj().T @ Si[i][cols, :]
+    return g, blocks, S, Si
+
+
+def generated_spec(family, seed):
+    return parse_scenario(generated(family, seed)).spec
+
+
+def generated_stack(family, seed, points):
+    return decomposed(generated_spec(family, seed),
+                      np.linspace(0.0, 1.0, points))
+
+
+GRID_201 = np.linspace(0.0, 1.0, 201)
+# one coarse step (0.45 -> 0.55) after which both of two blocks lie nearest
+# to one block: only the assignment over all blocks matches them
+GAP_GRID = np.concatenate([np.linspace(0.0, 0.45, 100),
+                           np.linspace(0.55, 1.0, 100)])
+STITCH_CASES = {
+    "dephasing": lambda: decomposed(bundled_spec("dephasing_qubit"),
+                                    GRID_201),
+    **{f"{family}_{seed}": functools.partial(generated_stack, family, seed,
+                                             201)
+       for family in ("qubit_static", "qubit_driven") for seed in (3, 7, 11)},
+    **{f"open4_{seed}": functools.partial(generated_stack, "open4", seed, 41)
+       for seed in (3, 7)},
+    # the (Re, Im)-sorted order of a 2-chain and a singleton swaps at
+    # s = 0.5, which moves the chains' columns
+    "raw_order_swap": lambda: planted_stack(
+        GRID_201, lambda s: [-0.5 + 0.5 * s + 0.3j, -0.25 - 0.3j, -1.0],
+        lambda s: [2, 1, 1]),
+    "unclear_step": lambda: planted_stack(
+        GAP_GRID, lambda s: [-2.0 + 2.0 * s, -1.0 - 0.05j, -2.5 + 1j,
+                             -2.5 - 1j], lambda s: [1, 1, 1, 1]),
+    # a semisimple cluster whose basis is arbitrary at every point
+    "spun_cluster": lambda: spun(planted_stack(
+        GRID_201, lambda s: [-0.3 + 0.1 * s, -0.3 + 0.1 * s, -1.0 + 1j,
+                             -1.0 - 1j], lambda s: [1, 1, 1, 1]), [0, 1]),
+    # a block within 1e-2 of that cluster: no point is clear
+    "cluster_near_block": lambda: spun(planted_stack(
+        GRID_201, lambda s: [-0.3 + 0.1 * s, -0.3 + 0.1 * s,
+                             -0.303 + 0.1 * s, -1.0 + 1j],
+        lambda s: [1, 1, 1, 1]), [0, 1]),
+    # a defective 2-chain, taken through the sorted Schur form
+    "defective_schur": lambda: decomposed(scaled_damped_qubit(), GRID_201,
+                                          cluster_tol=1e-5, rank_tol=1e-7),
+    "signature_change": lambda: planted_stack(
+        GRID_201, lambda s: [-0.5, -1.5 + 0.5j],
+        lambda s: [3, 1] if s < 0.5 else [2, 2]),
+}
+
+
+def canonical_orders(orders, blocks0):
+    """``orders`` with each semisimple cluster's entries sorted."""
+    out = orders.copy()
+    for members in semisimple_clusters(blocks0):
+        out[:, members] = np.sort(out[:, members], axis=1)
+    return out
+
+
+def stitch_both(g, blocks, S, Si):
+    """The stacked stitch and the per-point loop, each on its own copy."""
+    S1, Si1, S2, Si2 = S.copy(), Si.copy(), S.copy(), Si.copy()
+    return (_jordan_stitch._stitch(g, blocks, S1, Si1), S1, Si1,
+            pointwise_stitch(g, blocks, S2, Si2), S2, Si2)
+
+
+@pytest.mark.parametrize("name", list(STITCH_CASES))
+def test_stacked_stitch_matches_pointwise_loop(name):
+    """The stacked match and transport against the per-point assignment,
+    rephasing and polar rotation they replace: the same eigenvalue curves
+    and blocks, the same orders up to order within a semisimple cluster,
+    S and S^-1 equal to rounding, and the same error at the same point."""
+    g, blocks, S, Si = STITCH_CASES[name]()
+    (orders, lambdas, error), S1, Si1, want, S2, Si2 = stitch_both(
+        g, blocks, S, Si)
+    assert str(error) == str(want[2])
+    if error is not None:
+        assert error.details == want[2].details
+    rows = len(want[0])
+    assert np.array_equal(lambdas, want[1])
+    assert np.array_equal(canonical_orders(orders, blocks[0]),
+                          canonical_orders(want[0], blocks[0]))
+    assert [[blocks[i][b] for b in orders[i]] for i in range(rows)] == \
+        [[blocks[i][b] for b in want[0][i]] for i in range(rows)]
+    assert np.max(np.abs(S1[:rows] - S2[:rows])) <= 1e-13
+    assert np.max(np.abs(Si1[:rows] - Si2[:rows])) <= 1e-13
+
+
+def test_stitch_cases_cover_their_paths():
+    """The planted cases do what they are named for."""
+    _, blocks, _, _ = STITCH_CASES["raw_order_swap"]()
+    assert blocks[0][0][0] == -0.25 - 0.3j and blocks[-1][0][0] == 0.3j
+    error = stitch_both(*STITCH_CASES["signature_change"]())[0][2]
+    assert str(error) == \
+        "block signature changed from (3, 1) to (2, 2) at s = 0.500000"
+    _, blocks, _, _ = STITCH_CASES["defective_schur"]()
+    assert sorted(k for _, k in blocks[0]) == [1, 1, 2]
+    _, blocks, _, _ = STITCH_CASES["dephasing"]()
+    assert [len(m) for m in semisimple_clusters(blocks[0])] == [2]
+
+
+def count_stitch_work(monkeypatch):
+    """Count the per-point assignments and the stacked runs of the Jordan
+    stitch."""
+    counts = Counter()
+    count_calls(monkeypatch, _jordan_stitch, "min_cost_assignment", counts)
+    count_calls(monkeypatch, _jordan_stitch, "_stitch_clear_prefix",
+                counts)
+    return counts
+
+
+@pytest.mark.parametrize("points", [201, 4001])
+@pytest.mark.parametrize("name", ["dephasing", "qubit_static",
+                                  "qubit_driven", "open4"])
+def test_clear_open_tracks_take_no_per_point_step(name, points, monkeypatch):
+    spec = (bundled_spec("dephasing_qubit") if name == "dephasing"
+            else generated_spec(name, 3))
+    counts = count_stitch_work(monkeypatch)
+    osys.jordan_track(spec, np.linspace(0.0, 1.0, points))
+    assert counts == {"_stitch_clear_prefix": 1}
+
+
+def test_unclear_point_takes_one_per_point_step(monkeypatch):
+    counts = count_stitch_work(monkeypatch)
+    g, blocks, S, Si = STITCH_CASES["unclear_step"]()
+    assert _jordan_stitch._stitch(g, blocks, S, Si)[2] is None
+    assert counts == {"min_cost_assignment": 1, "_stitch_clear_prefix": 2}
+
+
+@pytest.mark.parametrize("name", ["dephasing", "qubit_driven_7",
+                                  "raw_order_swap", "spun_cluster",
+                                  "unclear_step"])
+def test_stitch_chunks_do_not_change_the_answer(name, monkeypatch):
+    """Chunks of 3 points: the running products restart at every chunk
+    boundary from the point before as it stands."""
+    g, blocks, S, Si = STITCH_CASES[name]()
+    S1, Si1 = S.copy(), Si.copy()
+    want = _jordan_stitch._stitch(g, blocks, S1, Si1)
+    monkeypatch.setattr(_jordan_stitch, "_STACK_ENTRIES",
+                        3 * S.shape[1] ** 2)
+    counts = count_stitch_work(monkeypatch)
+    got = _jordan_stitch._stitch(g, blocks, S, Si)
+    assert counts["_stitch_clear_prefix"] == 1 + counts["min_cost_assignment"]
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    assert np.max(np.abs(S - S1)) <= 1e-14
+    assert np.max(np.abs(Si - Si1)) <= 1e-14
+
+
+@pytest.mark.parametrize("name", ["dephasing", "qubit_static",
+                                  "qubit_driven", "open4"])
+def test_stacked_stitch_keeps_unit_norms(name):
+    """At 4001 points the transported columns keep unit norm and S^-1 S
+    stays the identity at the per-point loop's rounding (each at most
+    1e-14; the loop reads up to 2.5e-15)."""
+    spec = (bundled_spec("dephasing_qubit") if name == "dephasing"
+            else generated_spec(name, 7))
+    _, S1, Si1, _, S2, Si2 = stitch_both(
+        *decomposed(spec, np.linspace(0.0, 1.0, 4001)))
+    for S, Si in ((S1, Si1), (S2, Si2)):
+        assert np.max(np.abs(np.linalg.norm(S, axis=1) - 1.0)) <= 1e-14
+        assert np.max(np.abs(Si @ S - np.eye(S.shape[1]))) <= 1e-14
 
 
 def three_spline_flow(grid, energies, conn, offdiag, T):

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from adiakit import cli
+from adiakit import _jordan_stitch, cli
 from adiakit import numkit as nk
 from adiakit import open_system as osys
 from adiakit.errors import ConditioningError, NumericalError
@@ -340,9 +340,9 @@ class TestStitching:
 
 
     def test_alignment_removes_the_overlap_phase(self):
-        """Chains rephased by planted phases, then shuffled, come back with
-        every leading-vector overlap real and positive: the alignment
-        removes the overlap phase instead of doubling it."""
+        """Chains rephased by planted phases, then shuffled, come back from
+        the stitch with every leading-vector overlap real and positive: the
+        transport removes the overlap phase instead of doubling it."""
         rng = np.random.default_rng(12)
         for blocks in ([(0.0, 1), (-1.0, 1), (-0.5 + 1j, 1), (-0.5 - 1j, 1)],
                        [(0.0, 1), (-1.0, 2), (-2.0 + 1j, 1)]):
@@ -370,17 +370,21 @@ def permuted(jf, order):
 
 
 def align(prev, jf):
-    """``osys._align`` of ``jf`` to ``prev``, on copies of its arrays."""
-    S, Si = jf.similarity.copy(), jf.similarity_inv.copy()
-    lead_prev = prev.similarity[:, prev.offsets[:-1]]
-    order = osys._align(prev.eigenvalues, lead_prev, np.array(prev.sizes),
-                        jf.eigenvalues, np.array(jf.sizes), S, Si)
-    return nk.JordanForm(tuple(jf.blocks[b] for b in order), S, Si,
+    """``jf`` aligned to ``prev`` by the stitch of the two points, on copies
+    of their arrays."""
+    S = np.array([prev.similarity, jf.similarity])
+    Si = np.array([prev.similarity_inv, jf.similarity_inv])
+    orders, _, error = _jordan_stitch._stitch(
+        np.array([0.0, 1.0]), [prev.blocks, jf.blocks], S, Si)
+    assert error is None
+    return nk.JordanForm(tuple(jf.blocks[b] for b in orders[1]), S[1], Si[1],
                          jf.residual)
 
 
 def align_loop(prev, jf):
-    """Block matching by a per-entry cost loop, then per-block rephasing."""
+    """Block matching by a per-entry cost loop, then per-block rephasing;
+    a semisimple cluster (size-1 blocks sharing an eigenvalue) is then
+    rotated as one by the polar factor of its overlap."""
     nb = jf.block_count
     cost = np.empty((nb, nb))
     for a in range(nb):
@@ -401,6 +405,16 @@ def align_loop(prev, jf):
         if abs(z) > 1e-12:
             S[:, sl] *= np.conj(z) / abs(z)
             Sinv[sl, :] /= np.conj(z) / abs(z)
+    for value in {lam for lam, _ in prev.blocks}:
+        members = [b for b in range(nb) if prev.blocks[b][0] == value]
+        if (len(members) > 1 and all(prev.blocks[b][1] == 1 for b in members)
+                and all(jf.blocks[b][0] == jf.blocks[members[0]][0]
+                        for b in members)):
+            c = [prev.offsets[b] for b in members]
+            U, _, Vh = np.linalg.svd(prev.similarity[:, c].conj().T @ S[:, c])
+            W = (U @ Vh).conj().T
+            S[:, c] = S[:, c] @ W
+            Sinv[c, :] = W.conj().T @ Sinv[c, :]
     return nk.JordanForm(jf.blocks, S, Sinv, jf.residual)
 
 
