@@ -8,13 +8,15 @@ t + (1/2 -+ sqrt(3)/6) h and exponentiates
 (Blanes, Casas, Oteo & Ros, Phys. Rep. 470 (2009) 151, section 5;
 Iserles & Norsett, Phil. Trans. R. Soc. A 357 (1999) 983).  For an
 anti-Hermitian A(s), a Schroedinger flow, the exponential is one
-Hermitian eigendecomposition of i Omega, so every step is unitary to
+Hermitian eigendecomposition of i Omega, or for a two-level flow its
+closed form in i Omega = a I + b.sigma, so every step is unitary to
 rounding.  Any other A(s) up to size ``_PADE_MAX_DIM``, the T L(s) of a
 qubit, takes the stacked Pade-13 exponential ``numkit.expm``.  These run
 no Python per step: the generator is evaluated at the nodes of a chunk
 of steps in one call, the chunk is exponentiated in one stacked call,
-the steps of each output interval are multiplied pairwise, and the
-interval products are chained with one matrix product per output point.
+the steps of each output interval are multiplied pairwise (2 x 2
+products entry by entry), and the interval products are chained with
+one matrix product per output point.
 Chunks hold at most ``numkit._STACK_ENTRIES`` matrix entries.  A larger
 A(s) never has its exponential formed: each step applies it to the state
 by a Taylor polynomial whose degree and scaling a bound on the norm of
@@ -119,10 +121,55 @@ def _check_budget(starts, counts, done=0):
             f"of {budget} at s = {s:.6f}", s=s, steps=float(total[-1]))
 
 
+def _mul(A, B):
+    """A @ B for stacks of n x n matrices; for n = 2 entry by entry, eight
+    products of whole stacks where a stacked matmul pays a call per
+    matrix."""
+    if A.shape[-1] != 2:
+        return A @ B
+    C = np.empty(np.broadcast_shapes(A.shape, B.shape), dtype=complex)
+    for i in range(2):
+        for k in range(2):
+            C[..., i, k] = (A[..., i, 0] * B[..., 0, k]
+                            + A[..., i, 1] * B[..., 1, k])
+    return C
+
+
+def _expm1i(x):
+    """exp(-i x) - 1 free of cancellation: the rounding of what it scales
+    enters scaled by |x|, which keeps long products unitary to rounding."""
+    return -2.0 * np.sin(0.5 * x) ** 2 - 1j * np.sin(x)
+
+
+def _two_level(H):
+    """exp(-i H) of a stack of Hermitian 2 x 2 H, from the triangle that
+    ``eigh`` reads.  With H = a I + b.sigma and r = |b| the eigenvalues are
+    a -+ r, the projectors (I -+ b.sigma / r) / 2, and
+
+        exp(-i H) = I + g I + c b.sigma,   c = -i exp(-i a) sin(r) / r,
+
+    g = exp(-i a) cos(r) - 1 = (exp(-i a) - 1) cos(r) - 2 sin(r / 2)^2
+    free of cancellation.  Both take the phase exp(-i a) from one a, so
+    the rounding of a large a moves the phase alone, and ``np.sinc``
+    takes sin(r) / r to 1 at r = 0 with no branch."""
+    d0, d1, low = H[:, 0, 0].real, H[:, 1, 1].real, H[:, 1, 0]
+    a, z = 0.5 * (d0 + d1), 0.5 * (d0 - d1)
+    r = np.sqrt(z * z + low.real ** 2 + low.imag ** 2)
+    phase = _expm1i(a)
+    g = phase * np.cos(r) - 2.0 * np.sin(0.5 * r) ** 2
+    c = -1j * (1.0 + phase) * np.sinc(r / np.pi)
+    E = np.empty(H.shape, dtype=complex)
+    E[:, 0, 0] = 1.0 + (g + c * z)
+    E[:, 1, 1] = 1.0 + (g - c * z)
+    E[:, 1, 0] = c * low
+    E[:, 0, 1] = c * low.conj()
+    return E
+
+
 def _exponentials(generator, t, h, unitary):
-    """exp(Omega) of the steps of length ``h`` from ``t``, stacked; by
-    ``eigh`` if the generator is anti-Hermitian (``unitary``), else by
-    the Pade kernel."""
+    """exp(Omega) of the steps of length ``h`` from ``t``, stacked; if the
+    generator is anti-Hermitian (``unitary``) in closed form for n = 2 and
+    by ``eigh`` above, else by the Pade kernel."""
     m = t.size
     A = generator(np.concatenate([t + (0.5 - _NODE) * h,
                                   t + (0.5 + _NODE) * h]))
@@ -130,17 +177,17 @@ def _exponentials(generator, t, h, unitary):
         raise StiffnessError("the generator is not finite at a Magnus "
                              "node", s=float(t[0]))
     A1, A2 = A[:m], A[m:]
-    hh = h[:, None, None]
-    omega = 0.5 * hh * (A1 + A2) + _BRACKET * hh * hh * (A2 @ A1 - A1 @ A2)
+    n, hh = A.shape[1], h[:, None, None]
+    omega = 0.5 * hh * (A1 + A2) + _BRACKET * hh * hh * (_mul(A2, A1)
+                                                         - _mul(A1, A2))
     if not unitary:
         return expm(omega)
+    if n == 2:
+        return _two_level(1j * omega)
     w, V = np.linalg.eigh(1j * omega)
-    # I + V (exp(-i w) - 1) V^H, with exp(-i w) - 1 free of cancellation:
-    # the rounding of V V^H then enters scaled by |w|, which keeps long
-    # products unitary to rounding
-    E = (V * (-2.0 * np.sin(0.5 * w) ** 2 - 1j * np.sin(w))[:, None, :]
-         ) @ V.conj().swapaxes(1, 2)
-    E[:, range(w.shape[1]), range(w.shape[1])] += 1.0
+    # I + V (exp(-i w) - 1) V^H
+    E = (V * _expm1i(w)[:, None, :]) @ V.conj().swapaxes(1, 2)
+    E[:, range(n), range(n)] += 1.0
     return E
 
 
@@ -154,7 +201,7 @@ def _run_products(E, counts):
         paired = head & (local + 1 < np.repeat(counts, counts))
         left = np.flatnonzero(paired)
         halved = E[head]
-        halved[paired[head]] = E[left + 1] @ E[left]
+        halved[paired[head]] = _mul(E[left + 1], E[left])
         E, counts = halved, (counts + 1) // 2
     return E
 
@@ -202,7 +249,7 @@ def _formed(generator, n, chunk, unitary):
                                 (q + 1) * coarse[j], n, chunk, unitary)
         X = (16.0 * P[j, 1] - P[j, 0]) / _RICHARDSON
         if unitary:     # one Newton-Schulz step
-            X = 1.5 * X - 0.5 * X @ (X.conj().swapaxes(1, 2) @ X)
+            X = 1.5 * X - 0.5 * _mul(X, _mul(X.conj().swapaxes(1, 2), X))
         P[j, 2] = X
         local = np.linalg.norm(P[:, 0] - P[:, 1], axis=(1, 2))
         # chained, every solution at once; refined, the extrapolation only

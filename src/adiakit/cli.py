@@ -291,13 +291,13 @@ def _write_text(path, text):
         fh.write(text)
 
 
-def _write_csv(path, columns, rows):
-    """One line per row, written as it is formatted, so no copy of the
-    whole table is held as text."""
+def _write_csv(path, columns, rows, cell=repr):
+    """One line per row of Python floats, or of values ``cell`` formats,
+    written as it is formatted, so no copy of the table is held as text."""
     with open(path, "w", newline="") as fh:
         fh.write(",".join(columns) + "\n")
         for row in rows:
-            fh.write(",".join(_cell(x) for x in row) + "\n")
+            fh.write(",".join(map(cell, row)) + "\n")
 
 
 def _cell(x):
@@ -597,7 +597,7 @@ def sweep_total_time(path, T_min, T_max, points, spacing: str = "log",
             rows = list(pool.map(_pooled_sweep_point, T_values))
     if out is not None:
         _write_csv(out, ["T", "infidelity", "condition_ratio",
-                         "bound_satisfied"], rows)
+                         "bound_satisfied"], rows, _cell)
     return rows
 
 
@@ -661,7 +661,7 @@ def _execute(path, verb, T, grid_points, order, out, fmt):
     table, report = _PIPELINE_FUNCS[verb](sc, T, order)
     out = _resolve_out(out, sc.out_path, f"{verb}.{fmt}")
     if table is not None and fmt == "csv":
-        _write_csv(out, table[0], map(np.ndarray.tolist, table[1]))
+        _write_csv(out, table[0], table[1].tolist())
         return out
     if report is None:
         report = {"columns": table[0], "rows": table[1].tolist()}

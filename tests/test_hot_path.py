@@ -13,12 +13,14 @@ forms; the spectral track built from one stacked eigh and a stacked
 transport matches the per-point track, its energies bit for bit and its
 vectors to rounding; the Jordan track's stacked stitch matches the
 per-point assignment and rephasing loop it replaced.  The work of two
-open and two closed commands, and of both tracks, is counted.
+open and two closed commands, and of both tracks, is counted, and so are
+the ``eigh`` calls of the engine's closed flows: none for two levels.
 """
 
 import functools
 import json
 import pathlib
+import sys
 from collections import Counter
 
 import numpy as np
@@ -871,6 +873,68 @@ def test_lz_spectrum_is_one_stacked_eigh(monkeypatch, tmp_path):
     assert cli.main(["spectrum", str(SCENARIO_DIR / "landau_zener.json"),
                      "--out", str(tmp_path / "spectrum.csv")]) == 0
     assert counts == {"eigh": 1}
+
+
+def closed_solve(job, spec, tmp_path):
+    """One closed solve of the Magnus engine: a state, a coefficient flow,
+    the exact propagator on a track, or a sweep row of a bundled scenario
+    (``spec`` then names it)."""
+    grid = np.linspace(0.0, 1.0, 201)
+    if job == "sweep":
+        assert cli.main(["sweep", str(SCENARIO_DIR / f"{spec}.json"),
+                         "--T-min", "4", "--T-max", "64", "--points", "2",
+                         "--jobs", "1", "--out", str(tmp_path / "s.csv")]) == 0
+        return
+    track = track_spectrum(spec, grid)
+    if job == "integrate_schrodinger":
+        closed.integrate_schrodinger(spec, 40.0, track.vectors[0, :, 0], grid)
+    elif job == "coefficient_dynamics":
+        a0 = np.zeros(spec.dimension)
+        a0[0] = 1.0
+        closed.coefficient_dynamics(spec, 40.0, a0, grid)
+    else:
+        closed._track_propagator(spec, 40.0, track)
+
+
+def magnus_work(monkeypatch, run):
+    """The ``np.linalg.eigh`` calls made from ``_magnus`` and the calls of
+    its two-level closed form while ``run()`` runs."""
+    counts = Counter()
+    original = np.linalg.eigh
+
+    def eigh(*args, **kwargs):
+        if sys._getframe(1).f_globals["__name__"] == _magnus.__name__:
+            counts["eigh"] += 1
+        return original(*args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "eigh", eigh)
+        count_calls(patch, _magnus, "_two_level", counts)
+        run()
+    return counts
+
+
+CLOSED_JOBS = ["integrate_schrodinger", "coefficient_dynamics",
+               "_track_propagator", "sweep"]
+
+
+@pytest.mark.parametrize("job", CLOSED_JOBS)
+def test_two_level_solves_take_no_eigh(monkeypatch, tmp_path, job):
+    for name in ("landau_zener", "rotating_field"):
+        spec = name if job == "sweep" else bundled_spec(name)
+        counts = magnus_work(monkeypatch,
+                             lambda: closed_solve(job, spec, tmp_path))
+        assert counts["eigh"] == 0
+        assert counts["_two_level"] > 0
+
+
+@pytest.mark.parametrize("job", CLOSED_JOBS[:3])
+def test_larger_closed_solves_keep_eigh(monkeypatch, tmp_path, job):
+    spec = parse_scenario(generated("closed4", 3)).spec
+    counts = magnus_work(monkeypatch,
+                         lambda: closed_solve(job, spec, tmp_path))
+    assert counts["eigh"] > 0
+    assert counts["_two_level"] == 0
 
 
 def test_lz_check_envelope_evaluations_do_not_grow_with_grid(monkeypatch,
