@@ -24,12 +24,11 @@ def main():
     ap.add_argument("--t-min", type=float, default=4.0)
     ap.add_argument("--t-max", type=float, default=1024.0)
     ap.add_argument("--points", type=int, default=9)
-    ap.add_argument("--jobs", type=int, default=None)
     ap.add_argument("--out", default=None, help="also write the CSV here")
     args = ap.parse_args()
 
     rows = sweep_total_time(str(SCENARIO), args.t_min, args.t_max,
-                            args.points, "log", args.jobs, args.out)
+                            args.points, "log", out=args.out)
     print(f"{'T':>10}  {'infidelity':>12}  {'ratio':>10}  satisfied")
     for T, infid, ratio, ok in rows:
         print(f"{T:10.3f}  {infid:12.4e}  {ratio:10.4f}  {ok}")

@@ -494,13 +494,12 @@ PIPELINES = (*_PIPELINE_FUNCS, "sweep")
 
 # --------------------------------------------------------------------- sweep
 
-def _sweep_point(context, T):
+def _sweep_point(sc, grid, track, couplings, T):
     """One sweep row.
 
-    ``context`` holds what every T shares: the parsed scenario, its grid
-    and track, and for an open scenario the coupling tensor.
+    Every T shares the parsed scenario, its grid and track, and for an
+    open scenario the coupling tensor.
     """
-    sc, grid, track, couplings = context
     if sc.kind == "closed":
         traj = integrate_schrodinger(sc.spec, T, track.vectors[0, :, 0],
                                      grid, (sc.rtol, sc.atol))
@@ -524,30 +523,6 @@ def _sweep_point(context, T):
     return T, drift / scale, ratio, bool(tcond.satisfied_all[0])
 
 
-# The sweep context inside a pool worker.  Only the pool initializer sets
-# it, so it lives exactly as long as the worker, which exits before
-# sweep_total_time returns; a worker started by fork inherits the context
-# instead of receiving a pickled copy with every T.
-_worker_context = None
-
-
-def _init_sweep_worker(context):
-    global _worker_context
-    _worker_context = context
-
-
-def _pooled_sweep_point(T):
-    return _sweep_point(_worker_context, T)
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the platform
-    has one, else the machine's count."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def sweep_total_time(path, T_min, T_max, points, spacing: str = "log",
                      jobs: int = None, out: str = None):
     """Run the same scenario at many total times and tabulate the outcome.
@@ -555,10 +530,12 @@ def sweep_total_time(path, T_min, T_max, points, spacing: str = "log",
     Returns rows (T, infidelity, condition ratio, bound satisfied) sorted
     by T; for open systems the infidelity column reports the worst
     relative drift of the stripped block coefficients, the quantity the
-    adiabatic statement actually bounds.  The T values are shared among at
-    most ``jobs`` worker processes (by default no limit), never more than
-    there are T values or CPUs this process may use; with one worker the
-    sweep runs in this process.
+    adiabatic statement actually bounds.  The rows are computed in this
+    process, in T order.
+
+    ``jobs`` is still accepted and validated (an integer >= 1), but it
+    changes nothing: the benchmark's traced sweeps pass ``--jobs 1``, and
+    the parameter and the flag go once they stop doing so (ROADMAP item 9).
     """
     if spacing not in ("linear", "log"):
         raise InputError(f"spacing must be linear or log, got {spacing!r}",
@@ -576,25 +553,14 @@ def sweep_total_time(path, T_min, T_max, points, spacing: str = "log",
     _, sc = _load_scenario(path)
     grid = sc.grid()
     if sc.kind == "closed":
-        context = (sc, grid, track_spectrum(sc.spec, grid), None)
+        track, couplings = track_spectrum(sc.spec, grid), None
     else:
         _default_state(sc)
         track = _open_track(sc, grid)
-        context = (sc, grid, track, coupling_tensor(track, sc.spec))
-    if spacing == "log":
-        T_values = np.geomspace(T_min, T_max, points)
-    else:
-        T_values = np.linspace(T_min, T_max, points)
-    T_values = [float(T) for T in T_values]
-    workers = min(jobs or points, points, _usable_cpus())
-    if workers == 1:
-        rows = [_sweep_point(context, T) for T in T_values]
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers,
-                                 initializer=_init_sweep_worker,
-                                 initargs=(context,)) as pool:
-            rows = list(pool.map(_pooled_sweep_point, T_values))
+        couplings = coupling_tensor(track, sc.spec)
+    space = np.geomspace if spacing == "log" else np.linspace
+    rows = [_sweep_point(sc, grid, track, couplings, T)
+            for T in space(T_min, T_max, points).tolist()]
     if out is not None:
         _write_csv(out, ["T", "infidelity", "condition_ratio",
                          "bound_satisfied"], rows, _cell)
@@ -717,7 +683,8 @@ def main(argv=None) -> int:
     sweep.add_argument("--points", type=int, required=True)
     sweep.add_argument("--spacing", choices=("linear", "log"),
                        default="log")
-    sweep.add_argument("--jobs", type=int, default=None)
+    sweep.add_argument("--jobs", type=int, default=None,
+                       help="accepted and ignored: rows run in this process")
     sweep.add_argument("--out", default=None)
 
     def run():

@@ -396,8 +396,11 @@ def _stack_labels(values: np.ndarray, tol: float):
 
     Labels depend on the closeness pattern alone, so they are taken once
     per distinct pattern, from its first row; the patterns are found in
-    chunks of rows like a stacked decomposition.  Returns the label tuple
-    of each pattern and the pattern index of each row.
+    chunks of rows like a stacked decomposition.  Each pattern's n*n flags
+    are packed into bytes and deduplicated as one opaque value, whose
+    bytewise order is the rows' lexicographic order, so the patterns come
+    out as ``np.unique(..., axis=0)`` orders them.  Returns the label
+    tuple of each pattern and the pattern index of each row.
     """
     N, n = values.shape
     close = np.empty((N, n, n), dtype=bool)
@@ -405,8 +408,9 @@ def _stack_labels(values: np.ndarray, tol: float):
     for k in range(0, N, step):
         v = values[k:k + step]
         close[k:k + step] = np.abs(v[:, :, None] - v[:, None, :]) <= tol
-    _, rows, which = np.unique(close.reshape(N, n * n), axis=0,
-                               return_index=True, return_inverse=True)
+    packed = np.packbits(close.reshape(N, n * n), axis=1)
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).reshape(N)
+    _, rows, which = np.unique(keys, return_index=True, return_inverse=True)
     return [_cluster_labels(values[i], tol) for i in rows], which.reshape(N)
 
 

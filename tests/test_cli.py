@@ -6,7 +6,6 @@ library calls directly.  Exit codes and the machine readable stderr
 objects are part of the contract and are asserted literally.
 """
 
-import concurrent.futures
 import hashlib
 import json
 import os
@@ -337,7 +336,7 @@ class TestSweep:
     def test_infidelity_collapse_on_log_grid(self, tmp_path):
         path = write_doc(tmp_path, "lz.json", LZ_DOC)
         out = str(tmp_path / "sweep.csv")
-        rows = sweep_total_time(path, 8.0, 400.0, 3, "log", jobs=2, out=out)
+        rows = sweep_total_time(path, 8.0, 400.0, 3, "log", out=out)
         Ts = [row[0] for row in rows]
         assert Ts == sorted(Ts)
         assert Ts[0] == pytest.approx(8.0) and Ts[-1] == pytest.approx(400.0)
@@ -361,49 +360,17 @@ class TestSweep:
             traces = traj.states.reshape(-1, 2, 2).trace(axis1=1, axis2=2)
             assert np.max(np.abs(traces - 1.0)) <= 1e-9
 
-    def test_serial_matches_pool(self, tmp_path):
-        path = write_doc(tmp_path, "lz.json", LZ_DOC)
-        serial = sweep_total_time(path, 4.0, 8.0, 2, "linear", jobs=1)
-        pooled = sweep_total_time(path, 4.0, 8.0, 2, "linear", jobs=2)
-        assert serial == pooled
+    @pytest.mark.parametrize("doc", [LZ_DOC, DEPHASING_DOC],
+                             ids=["lz", "dephasing"])
+    def test_sweep_starts_no_process(self, tmp_path, monkeypatch, doc):
+        def refuse():
+            raise AssertionError("a sweep started a process")
 
-    @pytest.mark.parametrize("affinity, cpus, workers", [
-        ({0}, 8, None),            # pinned to one CPU: no pool at all
-        ({0, 1, 2}, 8, 3),         # the mask, not the machine, sizes it
-        (None, 4, 4),              # no mask on this platform: the count
-        (None, None, None),        # nothing known: serial
-    ])
-    def test_default_pool_size(self, tmp_path, monkeypatch, affinity, cpus,
-                               workers):
-        if affinity is None:
-            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        else:
-            monkeypatch.setattr(os, "sched_getaffinity",
-                                lambda pid: set(affinity), raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        monkeypatch.setattr(cli, "_worker_context", None)
-        started = []
-
-        class InlinePool:
-            def __init__(self, max_workers, initializer, initargs):
-                started.append(max_workers)
-                initializer(*initargs)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return list(map(fn, items))
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                            InlinePool)
-        path = write_doc(tmp_path, "lz.json", LZ_DOC)
-        rows = sweep_total_time(path, 4.0, 8.0, 5, "linear")
-        assert started == ([] if workers is None else [workers])
-        assert rows == sweep_total_time(path, 4.0, 8.0, 5, "linear", jobs=1)
+        monkeypatch.setattr(os, "fork", refuse)
+        path = write_doc(tmp_path, "scenario.json", doc)
+        assert main(["sweep", path, "--T-min", "1", "--T-max", "50",
+                     "--points", "3",
+                     "--out", str(tmp_path / "sweep.csv")]) == 0
 
     def test_bad_spacing(self, tmp_path):
         path = write_doc(tmp_path, "lz.json", LZ_DOC)

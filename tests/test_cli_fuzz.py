@@ -124,7 +124,7 @@ def test_cli_contract_holds_for_mutated_scenarios(doc, verb, edits):
         if verb == "sweep":
             argv += ["--T-min", "1", "--T-max", "20", "--points", "2"]
         # the edits never reach --out or --jobs, so the output stays in
-        # tmp and no process pool starts
+        # tmp and --jobs stays valid
         argv = edited(argv, edits) + ["--out", str(Path(tmp) / "out")]
         if verb == "sweep":
             argv += ["--jobs", "1"]

@@ -11,13 +11,12 @@ The same boundary checks an open initial state against the master
 solver's own limits, refuses grids and sweeps above the work bounds, and
 turns every command line error into the same one stderr JSON object.
 Caps are tested just above their limits, which are refused before
-anything is allocated; no test runs a huge value or starts a process pool.
+anything is allocated; no test runs a huge value.
 A total time whose planned integrator steps exceed the step budget is
 refused before the first step, and a dense grid's peak memory is
 measured in a child process.
 """
 
-import concurrent.futures
 import importlib.util
 import json
 import math
@@ -523,37 +522,3 @@ def test_sweep_points_just_over_cap_refused(tmp_path, capsys):
                  "--points", str(cli.MAX_SWEEP_POINTS + 1), "--jobs", "1",
                  "--out", str(tmp_path / "sweep.csv")]) == 2
     assert field_of(capsys.readouterr().err) == "points"
-
-
-@pytest.mark.parametrize("jobs, cpus, points, workers", [
-    (8, 2, 3, 2),       # more jobs than CPUs: the CPUs
-    (8, 8, 3, 3),       # more jobs than T values: the T values
-    (2, 8, 5, 2),       # fewer jobs than either: the jobs
-], ids=["cpus", "points", "jobs"])
-def test_pool_never_exceeds_cpus_or_points(tmp_path, monkeypatch, jobs,
-                                           cpus, points, workers):
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
-    monkeypatch.setattr(cli, "_worker_context", None)
-    started = []
-
-    class InlinePool:
-        """Records the pool size and runs the work in this process."""
-
-        def __init__(self, max_workers, initializer, initargs):
-            started.append(max_workers)
-            initializer(*initargs)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return list(map(fn, items))
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                        InlinePool)
-    path = write_doc(tmp_path, LZ_DOC)
-    cli.sweep_total_time(path, 4.0, 8.0, points, "linear", jobs=jobs)
-    assert started == [workers]

@@ -3,9 +3,10 @@
 Loading the package is the largest single cost of a short run, and scipy
 is most of it.  Each case starts a fresh interpreter, runs commands
 through ``cli.main`` and reports the scipy modules in ``sys.modules``
-afterwards.  This checks what is imported, not how long it takes, so it
-does not depend on the speed of the machine.  A static scan backs this
-up: no module of the package imports scipy at module level.  The bare
+afterwards; sweeps are also held to load no process pool.  This checks
+what is imported, not how long it takes, so it does not depend on the
+speed of the machine.  A static scan backs this up: no module of the
+package imports scipy at module level.  The bare
 ``import adiakit.cli`` is also held to a fixed set of package modules and
 kept free of the numpy and standard-library parts that only some paths
 use.
@@ -79,15 +80,14 @@ for path, T, points in flows:
     with open(path) as fh:
         spec = cli.parse_scenario(json.load(fh)).spec
     coefficient_dynamics(spec, T, [1.0, 0.0], np.linspace(0.0, 1.0, points))
-print(json.dumps({"codes": codes, "scipy": sorted(
-    m for m in sys.modules if m == "scipy" or m.startswith("scipy."))}))
+print(json.dumps({"codes": codes, "modules": sorted(sys.modules)}))
 """
 
 
-def loaded_after(commands, flows=()):
-    """Exit codes of ``commands`` and the scipy modules loaded after them
-    and after the coefficient flows ``(scenario, T, grid points)``, all in
-    one fresh interpreter."""
+def loaded_after(commands, flows=(), package="scipy"):
+    """Exit codes of ``commands`` and the modules of ``package`` loaded
+    after them and after the coefficient flows ``(scenario, T, grid
+    points)``, all in one fresh interpreter."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
@@ -97,7 +97,8 @@ def loaded_after(commands, flows=()):
                           timeout=300)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
-    return result["codes"], set(result["scipy"])
+    return result["codes"], {m for m in result["modules"]
+                             if m == package or m.startswith(package + ".")}
 
 
 def test_import_loads_no_scipy():
@@ -143,6 +144,17 @@ def test_closed_commands_load_no_scipy(tmp_path):
     codes, scipy = loaded_after(commands)
     assert codes == [0, 0, 0, 0]
     assert scipy == set()
+
+
+def test_sweeps_start_no_process_pool(tmp_path):
+    # every sweep row runs in the calling interpreter
+    out = str(tmp_path / "out")
+    commands = [["sweep", scenario, "--T-min", "1", "--T-max", "50",
+                 "--points", "3", "--out", out]
+                for scenario in (LZ, DEPHASING)]
+    codes, pool = loaded_after(commands, package="concurrent.futures.process")
+    assert codes == [0, 0]
+    assert pool == set()
 
 
 def test_dense_closed_work_loads_no_scipy(tmp_path):

@@ -191,6 +191,55 @@ class TestClusterLabels:
         assert nk._cluster_labels([], 1.0) == ()
 
 
+def planted_stack(rng, N, n, tol):
+    """N rows of n complex values.  Each row follows one of a few cluster
+    plans, which copy some entries, within ``tol``, from others, so many
+    rows share a closeness pattern."""
+    values = rng.normal(size=(N, n)) + 1j * rng.normal(size=(N, n))
+    plans = [[(k, rng.integers(n)) for k in range(n) if rng.random() < 0.4]
+             for _ in range(6)]
+    for i, plan in enumerate(rng.integers(len(plans), size=N)):
+        for k, src in plans[plan]:
+            values[i, k] = values[i, src] + 0.1 * tol
+    return values
+
+
+class TestStackLabels:
+    @staticmethod
+    def unique_rows(values, tol):
+        """The dedupe the packed-byte one replaced: np.unique over the
+        closeness rows, then the labels of each pattern's first row."""
+        close = np.abs(values[:, :, None] - values[:, None, :]) <= tol
+        _, rows, which = np.unique(close.reshape(len(values), -1), axis=0,
+                                   return_index=True, return_inverse=True)
+        return ([nk._cluster_labels(values[i], tol) for i in rows],
+                which.reshape(len(values)))
+
+    @pytest.mark.parametrize("n", [1, 3, 4, 16])
+    def test_matches_unique_rows(self, n):
+        rng = np.random.default_rng(n)
+        tol = 1e-3
+        for N in (1, 2, 37, 300):
+            values = planted_stack(rng, N, n, tol)
+            patterns, which = nk._stack_labels(values, tol)
+            want, want_which = self.unique_rows(values, tol)
+            assert patterns == want
+            assert np.array_equal(which, want_which)
+
+    def test_identical_rows_share_one_pattern(self):
+        row = planted_stack(np.random.default_rng(2), 1, 16, 1e-3)
+        values = np.repeat(row, 50, axis=0)
+        patterns, which = nk._stack_labels(values, 1e-3)
+        assert patterns == self.unique_rows(values, 1e-3)[0]
+        assert len(patterns) == 1 and not which.any()
+
+    def test_one_row(self):
+        values = np.array([[1.0, 1.0 + 1e-9, 2.0]])
+        patterns, which = nk._stack_labels(values, 1e-6)
+        assert patterns == [(0, 0, 1)]
+        assert which.tolist() == [0]
+
+
 def generated(family, seed):
     """A document from the benchmark's seeded scenario generator."""
     path = ROOT / "perfbench" / "gen.py"
@@ -454,11 +503,4 @@ class TestComputeOnce:
                          "--out", str(tmp_path / "sweep.csv")]) == 0
         assert len(tracks) == 1
         assert len(derivs) <= grid_points
-
-    def test_pooled_sweep_matches_serial(self, tmp_path):
-        rows = {}
-        for jobs in (1, 2):
-            rows[jobs] = cli.sweep_total_time(str(DEPHASING), 1.0, 50.0, 3,
-                                              jobs=jobs)
-        assert rows[1] == rows[2]
 
