@@ -6,22 +6,34 @@ t + (1/2 -+ sqrt(3)/6) h and exponentiates
     Omega = (h/2) (A1 + A2) + (sqrt(3) h^2 / 12) [A2, A1]
 
 (Blanes, Casas, Oteo & Ros, Phys. Rep. 470 (2009) 151, section 5;
-Iserles & Norsett, Phil. Trans. R. Soc. A 357 (1999) 983).  For an
-anti-Hermitian A(s), a Schroedinger flow, the exponential is one
-Hermitian eigendecomposition of i Omega, or for a two-level flow its
-closed form in i Omega = a I + b.sigma, so every step is unitary to
-rounding.  Any other A(s) up to size ``_PADE_MAX_DIM``, the T L(s) of a
-qubit, takes the stacked Pade-13 exponential ``numkit.expm``.  These run
-no Python per step: the generator is evaluated at the nodes of a chunk
-of steps in one call, the chunk is exponentiated in one stacked call,
-the steps of each output interval are multiplied pairwise (2 x 2
-products entry by entry), and the interval products are chained with
-one matrix product per output point.
-Chunks hold at most ``numkit._STACK_ENTRIES`` matrix entries.  A larger
-A(s) never has its exponential formed: each step applies it to the state
-by a Taylor polynomial whose degree and scaling a bound on the norm of
-Omega fixes (Al-Mohy & Higham, SIAM J. Sci. Comput. 33 (2011) 488); the
-Omega of a chunk of steps, across output intervals, is planned at once.
+Iserles & Norsett, Phil. Trans. R. Soc. A 357 (1999) 983).  Where A(s)
+comes as terms factor sum_k w_k(s) P_k and is anti-Hermitian or too
+large to form, Omega is one weighted sum of the parts and their pairwise
+products, which are formed once per solve; otherwise A is evaluated at
+the nodes of a chunk of steps in one call.  The exponential takes four
+forms:
+
+* an anti-Hermitian A(s), a Schroedinger flow, of two levels: the closed
+  form in i Omega = a I + b.sigma;
+* an anti-Hermitian A(s) of one or three and more levels: the trace
+  phase split off and a Taylor polynomial of the traceless rest,
+  evaluated in real arithmetic on its 2n x 2n real embedding and squared
+  back, degree and squarings from a 1-norm bound (Al-Mohy & Higham, SIAM
+  J. Sci. Comput. 33 (2011) 488, whose table of bounds serves every
+  Taylor polynomial here); neither of these calls LAPACK;
+* any other A(s) up to size ``_PADE_MAX_DIM``, the T L(s) of a qubit:
+  the stacked Pade-13 exponential ``numkit.expm``;
+* any larger A(s) never has its exponential formed: each step applies it
+  to the state by a Taylor polynomial whose degree and scaling the norm
+  bound fixes; the Omega of a chunk of steps, across output intervals,
+  is planned at once.
+
+So every step of a Schroedinger flow is unitary to rounding.  The formed
+paths run no Python per step: a chunk of steps is exponentiated in one
+stacked call, the steps of each output interval are multiplied pairwise
+(2 x 2 products entry by entry), and the interval products are chained
+with one matrix product per output point.  Chunks hold at most
+``numkit._STACK_ENTRIES`` matrix entries.
 
 Step control is deterministic, one rule for both kinds of exponential.
 Each output interval first gets the fewest equal steps whose phase,
@@ -88,6 +100,11 @@ _TAYLOR_THETA = np.array([
     9.27, 9.55, 9.83, 10.1])
 _DEGREES = np.arange(1, _TAYLOR_THETA.size + 1)
 _INV_FACTORIAL = np.cumprod(np.append(1.0, 1.0 / _DEGREES))
+# Paterson-Stockmeyer: blocks of p powers, and the products for degree m
+_PS_BLOCK = np.ceil(np.sqrt(_DEGREES)).astype(int)
+_PS_PRODUCTS = _PS_BLOCK - 2 + -(-_DEGREES // _PS_BLOCK)
+# for each count of products the highest degree it reaches
+_PS_DEGREES = _DEGREES[np.diff(_PS_PRODUCTS, append=np.inf) > 0][::-1]
 
 
 @dataclass
@@ -142,9 +159,10 @@ def _expm1i(x):
 
 
 def _two_level(H):
-    """exp(-i H) of a stack of Hermitian 2 x 2 H, from the triangle that
-    ``eigh`` reads.  With H = a I + b.sigma and r = |b| the eigenvalues are
-    a -+ r, the projectors (I -+ b.sigma / r) / 2, and
+    """exp(-i H) of a stack of Hermitian 2 x 2 H, from its lower triangle
+    and the real part of its diagonal.  With H = a I + b.sigma and
+    r = |b| the eigenvalues are a -+ r, the projectors (I -+ b.sigma / r)
+    / 2, and
 
         exp(-i H) = I + g I + c b.sigma,   c = -i exp(-i a) sin(r) / r,
 
@@ -166,29 +184,131 @@ def _two_level(H):
     return E
 
 
-def _exponentials(generator, t, h, unitary):
-    """exp(Omega) of the steps of length ``h`` from ``t``, stacked; if the
-    generator is anti-Hermitian (``unitary``) in closed form for n = 2 and
-    by ``eigh`` above, else by the Pade kernel."""
-    m = t.size
-    A = generator(np.concatenate([t + (0.5 - _NODE) * h,
-                                  t + (0.5 + _NODE) * h]))
-    if not np.isfinite(A).all():
-        raise StiffnessError("the generator is not finite at a Magnus "
-                             "node", s=float(t[0]))
-    A1, A2 = A[:m], A[m:]
-    n, hh = A.shape[1], h[:, None, None]
-    omega = 0.5 * hh * (A1 + A2) + _BRACKET * hh * hh * (_mul(A2, A1)
-                                                         - _mul(A1, A2))
+def _unitary(omega, work=None):
+    """exp(Omega) of a stack of anti-Hermitian n x n Omega without LAPACK,
+    and the workspace it used.
+
+    The trace phase exp(tr Omega / n) splits off, as in ``_two_level``,
+    and the traceless rest X enters its real embedding R = [[Re X, -Im X],
+    [Im X, Re X]], whose products are those of X.  Each matrix takes the
+    Taylor polynomial of degree m of R / 2^j squared j times, with (m, j)
+    the fewest products for its own 1-norm bound within the table, the
+    polynomial by ``_paterson_stockmeyer``; so a matrix of a stack comes
+    out bit for bit as it would alone.  The matrices of one (m, j) go in
+    sub-chunks of ``_STACK_ENTRIES`` entries of R.  R and the stacks of
+    the polynomial live in ``work``, a flat buffer that grows when a
+    stack needs more; a solve hands it from chunk to chunk, since a fresh
+    one pays for mapping its pages every time (on a 2-vCPU x86_64 box 2.3
+    of the 6.7 ms that the polynomials of 4,096 closed4 steps took)."""
+    k, n = omega.shape[:2]
+    N = 2 * n
+    tau = np.trace(omega, axis1=1, axis2=2).imag / n
+    rest = omega.imag.copy()
+    rest[:, range(n), range(n)] -= tau[:, None]
+    # the 1-norm of R: a column of R holds a column of X, Re and Im apart
+    entries = np.abs(omega.real) + np.abs(rest)
+    bound = np.max(sum(entries[:, i] for i in range(n)), axis=1)
+    halvings = np.ceil(np.log2(np.maximum(
+        1.0, bound[:, None] / _TAYLOR_THETA[_PS_DEGREES - 1])))
+    best = np.argmin(_PS_PRODUCTS[_PS_DEGREES - 1] + halvings, axis=1)
+    plan = best + _PS_DEGREES.size * halvings[np.arange(k), best].astype(int)
+    keys = np.unique(plan)
+    sub = min(k, max(1, _STACK_ENTRIES // (N * N)))
+    p = int(np.max(_PS_BLOCK[_PS_DEGREES[keys % _PS_DEGREES.size] - 1]))
+    size = (k + sub * (2 * p + 2)) * N * N
+    if work is None or work.size < size:
+        work = np.empty(size)
+    R = work[:k * N * N].reshape(k, N, N)
+    R[:, :n, :n] = R[:, n:, n:] = omega.real
+    R[:, n:, :n] = rest
+    R[:, :n, n:] = -rest
+    for key in keys.tolist():
+        j, m = divmod(key, _PS_DEGREES.size)
+        m, at = int(_PS_DEGREES[m]), np.flatnonzero(plan == key)
+        for a in range(0, at.size, sub):
+            i = at[a:a + sub]
+            P, spare = _paterson_stockmeyer(np.ldexp(R[i], -j), m,
+                                            work[R.size:])
+            for _ in range(j):
+                P, spare = np.matmul(P, P, out=spare), P
+            R[i] = P
+    E = np.empty(omega.shape, dtype=complex)
+    E.real, E.imag = R[:, :n, :n], R[:, n:, :n]
+    E *= np.exp(1j * tau)[:, None, None]
+    return E, work
+
+
+def _paterson_stockmeyer(X, m, work):
+    """sum_{k <= m} X^k / k! for a real stack X (Paterson & Stockmeyer,
+    SIAM J. Comput. 2 (1973) 60): the powers X^0 .. X^p, p = ceil(sqrt m),
+    weighted into blocks by one small product per matrix, and Horner's
+    rule in X^p over the blocks; ``_PS_PRODUCTS[m - 1]`` products of X's
+    size in all.  ``work`` holds at least 2 p + 2 stacks the size of X;
+    the sum and a spare stack of its size come back as views into it."""
+    p, (k, N) = int(_PS_BLOCK[m - 1]), X.shape[:2]
+    blocks = -(-m // p)
+    W = work[:(p + 1) * X.size].reshape((p + 1,) + X.shape)
+    B = work[W.size:W.size + blocks * X.size].reshape((blocks,) + X.shape)
+    spare = work[W.size + B.size:W.size + B.size + X.size].reshape(X.shape)
+    W[0] = np.eye(N)
+    W[1] = X
+    for q in range(2, p + 1):
+        np.matmul(W[q - 1], X, out=W[q])
+    # block b weights X^q by 1/(p b + q)!, q < p, the top block X^p too
+    b, q = np.arange(blocks)[:, None], np.arange(p + 1)
+    degree = p * b + q
+    C = np.where((degree <= m) & ((q < p) | (b == blocks - 1)),
+                 _INV_FACTORIAL[np.minimum(degree, m)], 0.0)
+    np.matmul(C, W.reshape(p + 1, k, N * N).transpose(1, 0, 2),
+              out=B.reshape(blocks, k, N * N).transpose(1, 0, 2))
+    P = B[-1]
+    for b in range(blocks - 2, -1, -1):
+        P, spare = np.matmul(W[p], P, out=spare), P
+        P += B[b]
+    return P, spare
+
+
+def _kernel(n, unitary):
+    """The exponential of a stack of Omega for one solve: for an
+    anti-Hermitian generator the two-level closed form (n = 2) or
+    ``_unitary``, which keeps one workspace for the solve; for any other
+    the Pade kernel."""
     if not unitary:
-        return expm(omega)
+        return expm
     if n == 2:
-        return _two_level(1j * omega)
-    w, V = np.linalg.eigh(1j * omega)
-    # I + V (exp(-i w) - 1) V^H
-    E = (V * _expm1i(w)[:, None, :]) @ V.conj().swapaxes(1, 2)
-    E[:, range(n), range(n)] += 1.0
-    return E
+        return lambda omega: _two_level(1j * omega)
+    work = None
+
+    def taylor(omega):
+        nonlocal work
+        E, work = _unitary(omega, work)
+        return E
+
+    return taylor
+
+
+def _exponentials(omegas, t, h, kernel):
+    """exp(Omega) of the steps of length ``h`` from ``t``, stacked, by the
+    solve's ``kernel``."""
+    return kernel(omegas(t, h))
+
+
+def _node_omegas(generator):
+    """The map from steps of length ``h`` from ``t`` to their Omega, from
+    the generator at both Gauss nodes of every step in one call."""
+    def omegas(t, h):
+        m = t.size
+        A = generator(np.concatenate([t + (0.5 - _NODE) * h,
+                                      t + (0.5 + _NODE) * h]))
+        if not np.isfinite(A).all():
+            raise StiffnessError("the generator is not finite at a Magnus "
+                                 "node", s=float(t[0]))
+        A1, A2 = A[:m], A[m:]
+        hh = h[:, None, None]
+        return 0.5 * hh * (A1 + A2) + _BRACKET * hh * hh * (_mul(A2, A1)
+                                                            - _mul(A1, A2))
+
+    return omegas
 
 
 def _run_products(E, counts):
@@ -206,7 +326,7 @@ def _run_products(E, counts):
     return E
 
 
-def _products(generator, starts, lengths, counts, n, chunk, unitary):
+def _products(omegas, kernel, starts, lengths, counts, n, chunk):
     """For every interval j, the product of ``counts[j]`` equal steps
     across [starts[j], starts[j] + lengths[j]], in chunks of steps."""
     ends = np.cumsum(counts)
@@ -216,8 +336,7 @@ def _products(generator, starts, lengths, counts, n, chunk, unitary):
         k = np.arange(k0, min(k0 + chunk, int(ends[-1])))
         j = np.searchsorted(ends, k, side="right")
         h = lengths[j] / counts[j]
-        E = _exponentials(generator, starts[j] + (k - first[j]) * h, h,
-                          unitary)
+        E = _exponentials(omegas, starts[j] + (k - first[j]) * h, h, kernel)
         runs = np.flatnonzero(np.diff(j, prepend=-1))
         parts = _run_products(E, np.diff(np.append(runs, k.size)))
         if k0 > first[j[0]]:    # the interval began in the last chunk
@@ -230,12 +349,18 @@ def _formed(generator, n, chunk, unitary):
     """The solve of a run of output intervals, exponentials formed: per
     interval the products of ``coarse`` steps, of twice as many and their
     extrapolation, chained from ``y``; a refinement forms them again for
-    the intervals in ``redo`` and chains the extrapolations only."""
-    if not unitary:
+    the intervals in ``redo`` and chains the extrapolations only.  The
+    Omega of anti-Hermitian terms comes from their assembly, any other
+    from the generator at the nodes."""
+    if callable(generator):
+        omegas = _node_omegas(generator)
+    elif unitary:
+        omegas = _assembled(generator, n)
+    else:
         factor, weights, parts, _ = generator
-
-        def generator(s):
-            return factor * _weighted_sum(s, weights(s), parts, n)
+        omegas = _node_omegas(lambda s: factor * _weighted_sum(
+            s, weights(s), parts, n))
+    kernel = _kernel(n, unitary)
 
     P = None
 
@@ -245,8 +370,8 @@ def _formed(generator, n, chunk, unitary):
         if redo is None:
             P = np.empty((coarse.size, 3, n, n), dtype=complex)
         for q in range(2):
-            P[j, q] = _products(generator, starts[j], lengths[j],
-                                (q + 1) * coarse[j], n, chunk, unitary)
+            P[j, q] = _products(omegas, kernel, starts[j], lengths[j],
+                                (q + 1) * coarse[j], n, chunk)
         X = (16.0 * P[j, 1] - P[j, 0]) / _RICHARDSON
         if unitary:     # one Newton-Schulz step
             X = 1.5 * X - 0.5 * _mul(X, _mul(X.conj().swapaxes(1, 2), X))
@@ -262,13 +387,14 @@ def _formed(generator, n, chunk, unitary):
     return solve
 
 
-def _omegas(factor, weights, parts, fixed, n):
-    """The map from steps of length ``h`` from ``t`` to their Omega / s,
-    Taylor degree m and scaling s (the fewest products m s for a bound on
-    the 1-norm of Omega), stacked, for A(s) = factor sum_k w_k(s) P_k.
-    The parts in ``fixed`` fold into one first.  [A2, A1] is sum_{k,l}
-    (w_k(s2) w_l(s1) - w_k(s1) w_l(s2)) P_k P_l, so Omega is one weighted
-    sum of the parts and their products, which are formed here once."""
+def _assembly(factor, weights, parts, fixed, n):
+    """Omega of steps of A(s) = factor sum_k w_k(s) P_k as one weighted
+    sum.  The parts in ``fixed`` fold into one first.  [A2, A1] is
+    sum_{k,l} (w_k(s2) w_l(s1) - w_k(s1) w_l(s2)) P_k P_l, so Omega weights
+    the parts and their products, which are formed here once.  Returns
+    the map from steps of length ``h`` from ``t`` to their real weight
+    rows and a bound on the 1-norm of their Omega, and the weighted
+    basis, one row of n * n entries per matrix."""
     first = weights(np.zeros(1))
     moving = [k for k in range(len(parts)) if k not in fixed]
     folded = _weighted_sum(0.0, [w[0] if k in fixed else 0.0
@@ -277,9 +403,8 @@ def _omegas(factor, weights, parts, fixed, n):
     K = len(P)
     B = np.concatenate([P, (P[:, None] @ P[None]).reshape(K * K, n, n)])
     norms = np.abs(B).sum(axis=1).max(axis=1)
-    B = B.reshape(len(B), n * n)
 
-    def plan(t, h):
+    def rows(t, h):
         m = t.size
         nodes = weights(np.concatenate([t + (0.5 - _NODE) * h,
                                         t + (0.5 + _NODE) * h]))
@@ -295,11 +420,41 @@ def _omegas(factor, weights, parts, fixed, n):
         if not np.isfinite(bound).all():
             raise StiffnessError("the generator is not finite at a Magnus "
                                  "node", s=float(t[0]))
+        return coef, bound
+
+    return rows, B.reshape(len(B), n * n)
+
+
+def _assembled(terms, n):
+    """The map from steps of length ``h`` from ``t`` to their Omega, the
+    real weight row of each step from ``_assembly`` times its basis.  One
+    small product per step: OpenBLAS splits one tall product over its
+    threads, which on a busy 2-vCPU box took 4-8 ms for 4,096 closed4
+    steps against 0.3 ms as a stack."""
+    rows, B = _assembly(*terms, n)
+    flat = B.view(float)
+
+    def omegas(t, h):
+        return np.matmul(rows(t, h)[0][:, None], flat).view(complex).reshape(
+            t.size, n, n)
+
+    return omegas
+
+
+def _omegas(factor, weights, parts, fixed, n):
+    """The map from steps of length ``h`` from ``t`` to their Omega / s,
+    Taylor degree m and scaling s (the fewest products m s for a bound on
+    the 1-norm of Omega), stacked, for A(s) = factor sum_k w_k(s) P_k,
+    from ``_assembly``."""
+    rows, B = _assembly(factor, weights, parts, fixed, n)
+
+    def plan(t, h):
+        coef, bound = rows(t, h)
         scaling = np.maximum(1.0, np.ceil(bound[:, None] / _TAYLOR_THETA))
         best = np.argmin(_DEGREES * scaling, axis=1)
-        scaling = scaling[np.arange(m), best]
-        return ((coef / scaling[:, None]) @ B).reshape(m, n, n), best + 1, \
-            scaling.astype(int)
+        scaling = scaling[np.arange(t.size), best]
+        return ((coef / scaling[:, None]) @ B).reshape(t.size, n, n), \
+            best + 1, scaling.astype(int)
 
     return plan
 
@@ -353,10 +508,13 @@ def propagate(generator, width: float, s_eval, y0, rtol: float,
 
     ``generator`` maps a 1-d array of s to the stack of A(s), each n x n
     and anti-Hermitian, ``width`` bounding the spectral width of i A(s);
-    or it is the terms ``(factor, weights, parts, fixed)`` of any other
-    A(s) = factor sum_k weights(s)[k] parts[k], ``fixed`` listing the k
-    whose weight is constant, ``width`` bounding its spectral norm.  ``y0``
-    is a state of shape (n,) or a block of columns, shape (n, k);
+    or it is the terms ``(factor, weights, parts, fixed)`` of A(s) =
+    factor sum_k weights(s)[k] parts[k] with real weights, ``fixed``
+    listing the k whose weight is constant.  An imaginary factor marks
+    Hermitian parts, so A(s) is anti-Hermitian and ``width`` bounds the
+    spectral width of i A(s) (a Schroedinger flow, -i T H(s)); any other
+    factor gives a general A(s), ``width`` bounding its spectral norm.
+    ``y0`` is a state of shape (n,) or a block of columns, shape (n, k);
     ``s_eval`` must be strictly increasing.
     """
     pts = np.asarray(s_eval, dtype=float)
@@ -369,7 +527,7 @@ def propagate(generator, width: float, s_eval, y0, rtol: float,
     share = (atol + rtol) * lengths / float(pts[-1] - pts[0])
     out = np.empty((pts.size, n, y0.size // n), dtype=complex)
     out[0] = y0.reshape(n, -1)
-    unitary = callable(generator)
+    unitary = callable(generator) or generator[0].real == 0
     chunk = max(1, _STACK_ENTRIES // (n * n))
     if unitary or n <= _PADE_MAX_DIM:
         solve, span = _formed(generator, n, chunk, unitary), chunk

@@ -46,7 +46,7 @@ __all__ = [
     "Trajectory", "integrate_schrodinger",
     "ConditionRatios", "adiabatic_condition_ratio",
     "PairEstimate", "ClosedTimeEstimate", "min_time_estimate",
-    "BerryCurve", "berry_phase_curve", "berry_phase", "adiabatic_state",
+    "BerryCurve", "berry_phase_curve", "adiabatic_state",
     "CoefficientTrajectory", "coefficient_dynamics",
     "WuExpansion", "wu_expansion", "instantaneous_propagator",
     "fidelity",
@@ -261,20 +261,22 @@ def integrate_schrodinger(spec: GeneratorSpec, T: float, psi0, grid=None,
 
 
 def _schrodinger_flow(spec: GeneratorSpec, T: float):
-    """The generator s -> -i T H(s), stacked over an array of s, and a
-    bound on the spectral width of T H(s) on [0, 1]: the sum over terms of
-    the width of the matrix times the largest modulus of the envelope."""
+    """The generator -i T H(s) as the terms ``(-i T, weights, parts,
+    fixed)`` of :func:`adiakit._magnus.propagate`, the parts the term
+    matrices made Hermitian to the bit and ``fixed`` those of constant
+    envelope, and a bound on the spectral width of T H(s) on [0, 1]: the
+    sum over terms of the width of the matrix times the largest modulus of
+    the envelope."""
     terms, D = spec.hamiltonian_terms, spec.dimension
-    parts = [-1j * T * M for M, _ in terms]
-    levels = np.linalg.eigvalsh(
-        np.array([M for M, _ in terms]).reshape(-1, D, D))
-    width = T * sum(float(w) * env.bound() for w, (_, env)
-                    in zip(levels[:, -1] - levels[:, 0], terms))
-
-    def generator(s):
-        return _weighted_sum(s, [env.value(s) for _, env in terms], parts, D)
-
-    return generator, width
+    envs = [env for _, env in terms]
+    parts = np.array([M for M, _ in terms], dtype=complex).reshape(-1, D, D)
+    parts = 0.5 * (parts + parts.conj().swapaxes(1, 2))
+    levels = np.linalg.eigvalsh(parts)
+    width = T * sum(float(w) * env.bound() for w, env
+                    in zip(levels[:, -1] - levels[:, 0], envs))
+    fixed = [k for k, env in enumerate(envs) if env.kind == "constant"]
+    return (-1j * T, lambda s: [env.value(s) for env in envs], parts,
+            fixed), width
 
 
 def _melements(track: SpectralTrack, spec: GeneratorSpec) -> np.ndarray:
@@ -461,15 +463,6 @@ def berry_phase_curve(track: SpectralTrack, level: int) -> BerryCurve:
     gamma = 1j * cumulative_trapezoid(conn, track.grid)
     return BerryCurve(level, track.grid, gamma.real,
                       float(np.max(np.abs(gamma.imag))))
-
-
-def berry_phase(track: SpectralTrack, level: int, s_end: float = None) -> float:
-    curve = berry_phase_curve(track, level)
-    if s_end is None:
-        return float(curve.gamma[-1])
-    if not (track.grid[0] <= s_end <= track.grid[-1]):
-        raise DomainError(f"s_end = {s_end} outside the tracked range")
-    return float(np.interp(s_end, curve.grid, curve.gamma))
 
 
 def adiabatic_state(track: SpectralTrack, T: float, s: float, n0: int) -> np.ndarray:

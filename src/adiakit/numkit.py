@@ -312,19 +312,12 @@ class JordanForm:
         return self.similarity.shape[0]
 
     @property
-    def block_count(self) -> int:
-        return len(self.blocks)
-
-    @property
     def sizes(self) -> tuple:
         return tuple(size for _, size in self.blocks)
 
     @property
     def eigenvalues(self) -> np.ndarray:
         return np.array([lam for lam, _ in self.blocks], dtype=complex)
-
-    def block_slice(self, alpha: int) -> slice:
-        return slice(self.offsets[alpha], self.offsets[alpha + 1])
 
     def jordan_matrix(self) -> np.ndarray:
         return jordan_matrix_from_blocks(self.blocks)

@@ -15,7 +15,6 @@ from adiakit.cli import parse_scenario
 from adiakit.closed import (
     adiabatic_condition_ratio,
     adiabatic_state,
-    berry_phase,
     berry_phase_curve,
     coefficient_dynamics,
     fidelity,
@@ -311,14 +310,14 @@ class TestMinTimeEstimate:
 class TestBerryPhase:
     def test_real_symmetric_path_has_zero_phase(self):
         track = track_spectrum(lz(), GRID)
-        assert berry_phase(track, 0) == 0.0
-        assert berry_phase(track, 1) == 0.0
+        assert berry_phase_curve(track, 0).gamma[-1] == 0.0
+        assert berry_phase_curve(track, 1).gamma[-1] == 0.0
 
     def test_rotating_field_equatorial_loop(self):
         """Half solid angle of the equator: gamma = -pi for the ground level."""
         spec = make_model("rotating_field", b=1.0, theta=np.pi / 2)
         track = track_spectrum(spec, GRID)
-        gamma = berry_phase(track, 0)
+        gamma = berry_phase_curve(track, 0).gamma[-1]
         assert gamma == pytest.approx(-np.pi, abs=1e-4)
 
     def test_rotating_field_tilted_cone_holonomy(self):
@@ -327,15 +326,15 @@ class TestBerryPhase:
         theta = 1.0
         spec = make_model("rotating_field", b=1.0, theta=theta)
         track = track_spectrum(spec, GRID)
-        gamma = berry_phase(track, 0)
+        gamma = berry_phase_curve(track, 0).gamma[-1]
         target = np.exp(1j * np.pi * (1.0 - np.cos(theta)))
         assert abs(np.exp(1j * gamma) - target) < 1e-4
 
     def test_ground_and_excited_phases_opposite(self):
         spec = make_model("rotating_field", b=1.0, theta=np.pi / 2)
         track = track_spectrum(spec, GRID)
-        g0 = berry_phase(track, 0)
-        g1 = berry_phase(track, 1)
+        g0 = berry_phase_curve(track, 0).gamma[-1]
+        g1 = berry_phase_curve(track, 1).gamma[-1]
         assert abs(np.exp(1j * (g0 + g1)) - 1.0) < 1e-4
 
     def test_curve_monotone_for_equator(self):
@@ -350,7 +349,8 @@ class TestBerryPhase:
     def test_partial_phase_interpolates(self):
         spec = make_model("rotating_field", b=1.0, theta=np.pi / 2)
         track = track_spectrum(spec, GRID)
-        half = berry_phase(track, 0, s_end=0.5)
+        curve = berry_phase_curve(track, 0)
+        half = np.interp(0.5, curve.grid, curve.gamma)
         assert half == pytest.approx(-np.pi / 2.0, abs=1e-4)
 
     def test_coarse_grid_rejected(self):

@@ -648,6 +648,12 @@ def test_flows_without_terms_are_zero():
                                                         np.array([0.1]))
     assert not omega.any()
     assert degree.tolist() == scaling.tolist() == [1]
+    # the assembled Omega of a closed flow without terms is 0, and its
+    # exponential the identity
+    terms = _schrodinger_flow(GeneratorSpec(4, "closed", []), 3.0)[0]
+    omega = _magnus._assembled(terms, 4)(np.array([0.4]), np.array([0.1]))
+    assert not omega.any()
+    assert np.array_equal(_magnus._unitary(omega)[0][0], np.eye(4))
 
 
 # ------------------------------------------------------- stepper counters
@@ -877,11 +883,13 @@ def test_lz_spectrum_is_one_stacked_eigh(monkeypatch, tmp_path):
 
 def closed_solve(job, spec, tmp_path):
     """One closed solve of the Magnus engine: a state, a coefficient flow,
-    the exact propagator on a track, or a sweep row of a bundled scenario
-    (``spec`` then names it)."""
+    the exact propagator on a track, or a sweep row of a scenario
+    (``spec`` then names a bundled one or is the path of one)."""
     grid = np.linspace(0.0, 1.0, 201)
     if job == "sweep":
-        assert cli.main(["sweep", str(SCENARIO_DIR / f"{spec}.json"),
+        path = spec if isinstance(spec, pathlib.Path) else (
+            SCENARIO_DIR / f"{spec}.json")
+        assert cli.main(["sweep", str(path),
                          "--T-min", "4", "--T-max", "64", "--points", "2",
                          "--jobs", "1", "--out", str(tmp_path / "s.csv")]) == 0
         return
@@ -898,7 +906,8 @@ def closed_solve(job, spec, tmp_path):
 
 def magnus_work(monkeypatch, run):
     """The ``np.linalg.eigh`` calls made from ``_magnus`` and the calls of
-    its two-level closed form while ``run()`` runs."""
+    its two-level closed form and its Taylor kernel for more levels while
+    ``run()`` runs."""
     counts = Counter()
     original = np.linalg.eigh
 
@@ -910,6 +919,7 @@ def magnus_work(monkeypatch, run):
     with monkeypatch.context() as patch:
         patch.setattr(np.linalg, "eigh", eigh)
         count_calls(patch, _magnus, "_two_level", counts)
+        count_calls(patch, _magnus, "_unitary", counts)
         run()
     return counts
 
@@ -926,14 +936,22 @@ def test_two_level_solves_take_no_eigh(monkeypatch, tmp_path, job):
                              lambda: closed_solve(job, spec, tmp_path))
         assert counts["eigh"] == 0
         assert counts["_two_level"] > 0
+        assert counts["_unitary"] == 0
 
 
-@pytest.mark.parametrize("job", CLOSED_JOBS[:3])
-def test_larger_closed_solves_keep_eigh(monkeypatch, tmp_path, job):
-    spec = parse_scenario(generated("closed4", 3)).spec
+@pytest.mark.parametrize("job", CLOSED_JOBS)
+def test_larger_closed_solves_take_no_eigh(monkeypatch, tmp_path, job):
+    # closed4 (n = 4): the real Taylor kernel, never LAPACK
+    doc = generated("closed4", 3)
+    if job == "sweep":
+        spec = tmp_path / "closed4.json"
+        spec.write_text(json.dumps(doc))
+    else:
+        spec = parse_scenario(doc).spec
     counts = magnus_work(monkeypatch,
                          lambda: closed_solve(job, spec, tmp_path))
-    assert counts["eigh"] > 0
+    assert counts["eigh"] == 0
+    assert counts["_unitary"] > 0
     assert counts["_two_level"] == 0
 
 

@@ -11,32 +11,38 @@ the norm or the trace to rounding, plan its work before it takes an
 exponential, and split long grids and long intervals into chunks without
 changing the answer.
 
-A two-level closed flow takes its exponential in closed form, checked
-against the ``eigh`` formula it replaces, and its 2 x 2 products entry by
-entry, checked against ``@``.  The master equation of a qubit takes the
-Pade exponential in place of ``eigh``; a larger one applies each step's
-exponential to the state by a Taylor polynomial, from an Omega assembled
-out of the parts of L(s) and their products, which is checked against
-the Omega of the generator at the Gauss nodes.  Both paths follow one
-step control: forced down either one, a master equation takes no more
-steps applied than formed, and the two solutions agree.
+A two-level closed flow takes its exponential in closed form, and any
+other closed flow a Taylor polynomial in real arithmetic; both are checked
+against the ``eigh`` formula they replace, and the two-level 2 x 2
+products, formed entry by entry, against ``@``.  A closed flow given by
+its terms takes Omega from the parts of H(s) and their products, checked
+against the Omega of the generator at the Gauss nodes.  The master
+equation of a qubit takes the Pade exponential; a larger one applies
+each step's exponential to the state by a Taylor polynomial, from an
+Omega assembled out of the parts of L(s) and their products, checked the
+same way.  Both paths follow one step control: forced down either one,
+a master equation takes no more steps applied than formed, and the two
+solutions agree.
 """
 
 import functools
+import json
 import pathlib
 
 import numpy as np
 import pytest
 
 from adiakit import _magnus, _rk45, cli
-from adiakit.closed import (_track_propagator, coefficient_dynamics,
-                            integrate_schrodinger, track_spectrum)
+from adiakit.closed import (_schrodinger_flow, _track_propagator,
+                            coefficient_dynamics, integrate_schrodinger,
+                            track_spectrum)
 from adiakit.cli import parse_scenario
 from adiakit.errors import StiffnessError
 from adiakit.open_system import SuperAssembler, integrate_master
-from adiakit.schedules import GeneratorSpec, constant, linear, make_model
+from adiakit.schedules import (GeneratorSpec, constant, eval_generator,
+                               linear, make_model)
 
-from test_hot_path import ENVELOPES, engine_rhs, open4_spec
+from test_hot_path import ENVELOPES, closed4_spec, engine_rhs, open4_spec
 from test_open_fast_path import generated
 
 TOL = (1e-8, 1e-10)
@@ -164,16 +170,19 @@ def test_lz_engine_counts(T):
 @pytest.mark.parametrize("points", [2, 201])
 def test_chunks_do_not_change_the_answer(monkeypatch, points):
     # chunks of two output intervals, or of two steps of a long interval,
-    # whose product then spans many chunks
-    spec, psi0 = spec_of("landau_zener"), ground("landau_zener")
-    grid = np.linspace(0.0, 1.0, points)
-    whole = integrate_schrodinger(spec, 64.0, psi0, grid, TOL)
-    monkeypatch.setattr(_magnus, "_STACK_ENTRIES", 8)
-    chunked = integrate_schrodinger(spec, 64.0, psi0, grid, TOL)
-    assert np.max(np.abs(chunked.states - whole.states)) <= BOUND
-    if points == 2:     # one interval: the same steps, other groupings
-        assert chunked.steps == whole.steps
-        assert np.max(np.abs(chunked.states - whole.states)) <= 1e-13
+    # whose product then spans many chunks; for closed4 chunks of one step
+    # and Taylor sub-chunks of one matrix
+    for name in ("landau_zener", "closed4_7"):
+        spec, psi0 = spec_of(name), ground(name)
+        grid = np.linspace(0.0, 1.0, points)
+        whole = integrate_schrodinger(spec, 64.0, psi0, grid, TOL)
+        with monkeypatch.context() as patch:
+            patch.setattr(_magnus, "_STACK_ENTRIES", 8)
+            chunked = integrate_schrodinger(spec, 64.0, psi0, grid, TOL)
+        assert np.max(np.abs(chunked.states - whole.states)) <= BOUND
+        if points == 2:     # one interval: the same steps, other groupings
+            assert chunked.steps == whole.steps
+            assert np.max(np.abs(chunked.states - whole.states)) <= 1e-13
 
 
 def test_step_demand_refused_before_any_exponential(monkeypatch):
@@ -220,11 +229,13 @@ def test_rf_engine_counts(T):
 
 def eigh_exponential(H):
     """exp(-i H) of a Hermitian stack by the eigh formula that the
-    two-level closed form replaces: I + V (exp(-i w) - 1) V^H."""
+    two-level closed form and the Taylor kernel replace:
+    I + V (exp(-i w) - 1) V^H."""
     w, V = np.linalg.eigh(H)
     E = (V * (-2.0 * np.sin(0.5 * w) ** 2 - 1j * np.sin(w))[:, None, :]
          ) @ V.conj().swapaxes(1, 2)
-    E[:, [0, 1], [0, 1]] += 1.0
+    n = H.shape[-1]
+    E[:, range(n), range(n)] += 1.0
     return E
 
 
@@ -278,6 +289,138 @@ def test_mul_matches_matmul(form):
     assert product.shape == (m, 2, 2)
     bound = 4 * np.finfo(float).eps * (np.abs(A) @ np.abs(B))
     assert np.all(np.abs(product - A @ B) <= bound)
+
+
+def unitary_stack(n, case):
+    """600 Hermitian n x n matrices i Omega: spectral widths log-spaced
+    from 1e-6 up to twice ``_THETA``, the widest phase of a step, and for
+    ``shifted`` trace shifts up to 1e4 of either sign."""
+    rng = np.random.default_rng(30 + n)
+    m = 600
+    A = rng.normal(size=(m, n, n)) + 1j * rng.normal(size=(m, n, n))
+    H = A + A.conj().swapaxes(1, 2)
+    w = np.linalg.eigvalsh(H)
+    H -= (w.mean(axis=1))[:, None, None] * np.eye(n)
+    width = np.ptp(w, axis=1) if n > 1 else np.ones(m)
+    H *= (np.geomspace(1e-6, 2 * _magnus._THETA, m) / width)[:, None, None]
+    if case == "shifted":
+        H += (rng.choice([-1.0, 1.0], m) * np.geomspace(1e-6, 1e4, m)
+              )[:, None, None] * np.eye(n)
+    return H
+
+
+@pytest.mark.parametrize("case", ["traceless", "shifted"])
+@pytest.mark.parametrize("n", [1, 3, 4, 6, 8])
+def test_unitary_matches_eigh(n, case):
+    H = unitary_stack(n, case)
+    fast, slow = _magnus._unitary(-1j * H)[0], eigh_exponential(H)
+    norm = np.max(np.abs(np.linalg.eigvalsh(H)), axis=1)
+    assert np.all(np.max(np.abs(fast - slow), axis=(1, 2))
+                  <= 1e-14 * np.maximum(1.0, norm))
+    unitarity = fast.conj().swapaxes(1, 2) @ fast - np.eye(n)
+    assert np.max(np.abs(unitarity)) <= 1e-14
+
+
+@pytest.mark.parametrize("n", [3, 4, 8])
+def test_unitary_stack_is_pointwise_bit_for_bit(monkeypatch, n):
+    # the stack spans many (degree, squarings) plans; sub-chunks of 7
+    # matrices split every plan, a workspace left over from another stack
+    # is reused, and no answer may move
+    omega = -1j * unitary_stack(n, "shifted")
+    whole, work = _magnus._unitary(omega)
+    monkeypatch.setattr(_magnus, "_STACK_ENTRIES", 7 * 4 * n * n)
+    assert np.array_equal(_magnus._unitary(omega)[0], whole)
+    for i in range(0, len(omega), 7):
+        alone, work = _magnus._unitary(omega[i:i + 1], work)
+        assert np.array_equal(alone[0], whole[i])
+
+
+def test_paterson_stockmeyer_is_the_taylor_sum():
+    # every degree the kernel picks, at norms where the top terms count
+    rng = np.random.default_rng(31)
+    X = rng.normal(size=(5, 8, 8)) * 0.25
+    work = np.empty(X.size * 20)
+    for m in _magnus._PS_DEGREES.tolist():
+        term, taylor = np.broadcast_to(np.eye(8), X.shape), np.eye(8)
+        for k in range(1, m + 1):
+            term = term @ X / k
+            taylor = taylor + term
+        got = _magnus._paterson_stockmeyer(X, m, work)[0]
+        assert np.max(np.abs(got - taylor)) <= 1e-13 * np.max(np.abs(taylor))
+
+
+def one_level_spec():
+    return GeneratorSpec(1, "closed", [
+        (np.array([[1.5]], dtype=complex), linear(0.0, 2.0)),
+        (np.array([[-0.5]], dtype=complex), constant(1.0))])
+
+
+@pytest.mark.parametrize("spec", [
+    pytest.param(lambda: spec_of("closed4_7"), id="closed4_7"),
+    pytest.param(closed4_spec, id="every_envelope"),
+    pytest.param(lambda: spec_of("landau_zener"), id="landau_zener"),
+    pytest.param(one_level_spec, id="one_level")])
+def test_closed_omega_matches_the_nodes(spec):
+    # Omega from the folded constant terms, the others and their products
+    # against the Omega of -i T H(s) at the two Gauss nodes
+    spec = spec()
+    T, n = 7.0, spec.dimension
+    terms = _schrodinger_flow(spec, T)[0]
+    t = np.linspace(0.0, 0.9, 7)
+    h = np.full(t.size, 0.1)
+    omega = _magnus._assembled(terms, n)(t, h)
+    nodes = np.concatenate([t + (0.5 - _magnus._NODE) * h,
+                            t + (0.5 + _magnus._NODE) * h])
+    A = -1j * T * eval_generator(spec, nodes)
+    A1, A2 = A[:t.size], A[t.size:]
+    hh = h[:, None, None]
+    direct = (0.5 * hh * (A1 + A2)
+              + _magnus._BRACKET * hh * hh * (A2 @ A1 - A1 @ A2))
+    assert np.max(np.abs(omega - direct)) <= 1e-14 * np.max(np.abs(direct))
+
+
+def test_one_level_flow_is_its_phase():
+    # a 1 x 1 H(s) = 1.5 * 2 s - 0.5: psi(1) = exp(-i T int_0^1 H) psi(0)
+    T = 40.0
+    traj = integrate_schrodinger(one_level_spec(), T, np.array([1.0 + 0j]),
+                                 np.linspace(0.0, 1.0, 11), TOL)
+    assert abs(traj.states[-1, 0] - np.exp(-1j * T * 1.0)) <= 1e-13
+
+
+# Magnus steps, generator evaluations and refined intervals of every row
+# of the closed4 (seed 7) sweep from T = 4 to 1024, 5 points, on its
+# 201-point grid, as the eigh kernel took them; the Taylor kernel takes
+# the same
+CLOSED4_SWEEP_COUNTS = [(400, 1200, 0), (400, 1200, 0), (800, 3600, 200),
+                        (2400, 10800, 200), (6000, 31200, 200)]
+
+
+def test_closed4_sweep_engine_counts(monkeypatch, tmp_path):
+    path = tmp_path / "closed4.json"
+    path.write_text(json.dumps(generated("closed4", 7)))
+    counts = []
+    original = cli.integrate_schrodinger
+
+    def counted(*args, **kwargs):
+        traj = original(*args, **kwargs)
+        counts.append((traj.steps, traj.rhs_evals, traj.rejected))
+        return traj
+
+    monkeypatch.setattr(cli, "integrate_schrodinger", counted)
+    assert cli.main(["sweep", str(path), "--T-min", "4", "--T-max", "1024",
+                     "--points", "5", "--out", str(tmp_path / "s.csv")]) == 0
+    assert counts == CLOSED4_SWEEP_COUNTS
+
+
+@pytest.mark.parametrize("T", [1024.0, 8192.0])
+def test_unitary_norm_drift_at_long_times(T):
+    # 8,000 and 40,000 steps (12,000 and 60,000 Taylor exponentials) of
+    # closed4 chained through 4001 points: the drift shows rounding only
+    # (the eigh kernel read 3.1e-14 and 2.9e-14, the Taylor one 2.9e-14 and
+    # 3.6e-14)
+    traj = integrate_schrodinger(spec_of("closed4_7"), T, ground("closed4_7"),
+                                 np.linspace(0.0, 1.0, 4001), TOL)
+    assert traj.norm_drift() <= 1e-12
 
 
 @pytest.mark.parametrize("T", [1024.0, 8192.0])

@@ -275,7 +275,7 @@ class TestJordanTrack:
         """Chain rephasing keeps consecutive leading vectors close."""
         track = jordan_track(driven_dephasing(), GRID)
         for b in range(track.nblocks):
-            cols = np.array([jf.similarity[:, jf.block_slice(b)][:, 0]
+            cols = np.array([jf.similarity[:, jf.offsets[b]]
                              for jf in track.forms])
             steps = np.linalg.norm(np.diff(cols, axis=0), axis=1)
             assert np.max(steps) < 0.05

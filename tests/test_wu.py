@@ -13,7 +13,7 @@ from scipy.integrate import quad
 
 from adiakit import cli, closed
 from adiakit.closed import (
-    berry_phase,
+    berry_phase_curve,
     coefficient_dynamics,
     instantaneous_propagator,
     track_spectrum,
@@ -111,7 +111,7 @@ class TestGeneratorStructure:
         spec = make_model("rotating_field", b=1.0, theta=np.pi / 2)
         grid = np.linspace(0.0, 1.0, 2001)
         wu = wu_expansion(spec, 2.0, 0, grid)
-        gamma = berry_phase(track_spectrum(spec, grid), 0)
+        gamma = berry_phase_curve(track_spectrum(spec, grid), 0).gamma[-1]
         assert wu.terms[0][-1, 0, 0] == pytest.approx(np.exp(1j * gamma),
                                                       abs=1e-9)
 
