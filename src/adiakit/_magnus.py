@@ -7,22 +7,20 @@ t + (1/2 -+ sqrt(3)/6) h and exponentiates
 
 (Blanes, Casas, Oteo & Ros, Phys. Rep. 470 (2009) 151, section 5;
 Iserles & Norsett, Phil. Trans. R. Soc. A 357 (1999) 983).  Where A(s)
-comes as terms factor sum_k w_k(s) P_k and is anti-Hermitian or too
-large to form, Omega is one weighted sum of the parts and their pairwise
-products, which are formed once per solve; otherwise A is evaluated at
-the nodes of a chunk of steps in one call.  The exponential takes four
-forms:
+comes as terms factor sum_k w_k(s) P_k, Omega is one weighted sum of the
+parts and their pairwise products, which are formed once per solve;
+otherwise A is evaluated at the nodes of a chunk of steps in one call.
+The exponential takes three forms:
 
 * an anti-Hermitian A(s), a Schroedinger flow, of two levels: the closed
   form in i Omega = a I + b.sigma;
-* an anti-Hermitian A(s) of one or three and more levels: the trace
-  phase split off and a Taylor polynomial of the traceless rest,
-  evaluated in real arithmetic on its 2n x 2n real embedding and squared
-  back, degree and squarings from a 1-norm bound (Al-Mohy & Higham, SIAM
-  J. Sci. Comput. 33 (2011) 488, whose table of bounds serves every
-  Taylor polynomial here); neither of these calls LAPACK;
-* any other A(s) up to size ``_PADE_MAX_DIM``, the T L(s) of a qubit:
-  the stacked Pade-13 exponential ``numkit.expm``;
+* an anti-Hermitian A(s) of one or three and more levels, and any A(s)
+  up to size ``_FORMED_MAX_DIM``, the T L(s) of a qubit: the phase of the
+  trace split off and a Taylor polynomial of the rest, evaluated in real
+  arithmetic on its 2n x 2n real embedding and squared back, degree and
+  squarings from a 1-norm bound (Al-Mohy & Higham, SIAM J. Sci. Comput.
+  33 (2011) 488, whose table of bounds serves every Taylor polynomial
+  here); neither of these calls LAPACK;
 * any larger A(s) never has its exponential formed: each step applies it
   to the state by a Taylor polynomial whose degree and scaling the norm
   bound fixes; the Omega of a chunk of steps, across output intervals,
@@ -73,7 +71,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StiffnessError
-from .numkit import _STACK_ENTRIES, expm
+from .numkit import _STACK_ENTRIES
 from .schedules import _weighted_sum
 
 # far above the ~12k steps of the largest solve in the benchmark
@@ -87,7 +85,7 @@ _THETA = 3.0
 # step-doubling estimate of the finer solution: (coarse - fine) / 15
 _RICHARDSON = 15.0
 # largest n whose general exponential is formed (README, "Integrators")
-_PADE_MAX_DIM = 4
+_FORMED_MAX_DIM = 4
 # Al-Mohy & Higham (2011), table 3.1: the largest norm of A for which the
 # Taylor polynomial of degree m = 1..55 meets exp(A) to a backward error
 # of the unit roundoff 2^-53
@@ -184,22 +182,23 @@ def _two_level(H):
     return E
 
 
-def _unitary(omega, work=None):
-    """exp(Omega) of a stack of anti-Hermitian n x n Omega without LAPACK,
-    and the workspace it used.
+def _taylor(omega, work=None):
+    """exp(Omega) of a stack of complex n x n Omega without LAPACK, and the
+    workspace it used.
 
-    The trace phase exp(tr Omega / n) splits off, as in ``_two_level``,
-    and the traceless rest X enters its real embedding R = [[Re X, -Im X],
-    [Im X, Re X]], whose products are those of X.  Each matrix takes the
-    Taylor polynomial of degree m of R / 2^j squared j times, with (m, j)
-    the fewest products for its own 1-norm bound within the table, the
-    polynomial by ``_paterson_stockmeyer``; so a matrix of a stack comes
-    out bit for bit as it would alone.  The matrices of one (m, j) go in
-    sub-chunks of ``_STACK_ENTRIES`` entries of R.  R and the stacks of
-    the polynomial live in ``work``, a flat buffer that grows when a
-    stack needs more; a solve hands it from chunk to chunk, since a fresh
-    one pays for mapping its pages every time (on a 2-vCPU x86_64 box 2.3
-    of the 6.7 ms that the polynomials of 4,096 closed4 steps took)."""
+    The phase exp(i Im tr Omega / n) splits off, as in ``_two_level``, and
+    the rest X, whose real part is that of Omega, enters its real
+    embedding R = [[Re X, -Im X], [Im X, Re X]], whose products are those
+    of X.  Each matrix takes the Taylor polynomial of degree m of R / 2^j
+    squared j times, with (m, j) the fewest products for its own 1-norm
+    bound within the table, the polynomial by ``_paterson_stockmeyer``; so
+    a matrix of a stack comes out bit for bit as it would alone.  The
+    matrices of one (m, j) go in sub-chunks of ``_STACK_ENTRIES`` entries
+    of R.  R and the stacks of the polynomial live in ``work``, a flat
+    buffer that grows when a stack needs more; a solve hands it from
+    chunk to chunk, since a fresh one pays for mapping its pages every
+    time (on a 2-vCPU x86_64 box 2.3 of the 6.7 ms that the polynomials
+    of 4,096 closed4 steps took)."""
     k, n = omega.shape[:2]
     N = 2 * n
     tau = np.trace(omega, axis1=1, axis2=2).imag / n
@@ -270,18 +269,15 @@ def _paterson_stockmeyer(X, m, work):
 
 def _kernel(n, unitary):
     """The exponential of a stack of Omega for one solve: for an
-    anti-Hermitian generator the two-level closed form (n = 2) or
-    ``_unitary``, which keeps one workspace for the solve; for any other
-    the Pade kernel."""
-    if not unitary:
-        return expm
-    if n == 2:
+    anti-Hermitian generator of two levels the closed form, for any other
+    ``_taylor``, which keeps one workspace for the solve."""
+    if unitary and n == 2:
         return lambda omega: _two_level(1j * omega)
     work = None
 
     def taylor(omega):
         nonlocal work
-        E, work = _unitary(omega, work)
+        E, work = _taylor(omega, work)
         return E
 
     return taylor
@@ -350,16 +346,10 @@ def _formed(generator, n, chunk, unitary):
     interval the products of ``coarse`` steps, of twice as many and their
     extrapolation, chained from ``y``; a refinement forms them again for
     the intervals in ``redo`` and chains the extrapolations only.  The
-    Omega of anti-Hermitian terms comes from their assembly, any other
-    from the generator at the nodes."""
-    if callable(generator):
-        omegas = _node_omegas(generator)
-    elif unitary:
-        omegas = _assembled(generator, n)
-    else:
-        factor, weights, parts, _ = generator
-        omegas = _node_omegas(lambda s: factor * _weighted_sum(
-            s, weights(s), parts, n))
+    Omega of terms comes from their assembly, that of a callable
+    generator from its values at the nodes."""
+    omegas = (_node_omegas(generator) if callable(generator)
+              else _assembled(generator, n))
     kernel = _kernel(n, unitary)
 
     P = None
@@ -529,7 +519,7 @@ def propagate(generator, width: float, s_eval, y0, rtol: float,
     out[0] = y0.reshape(n, -1)
     unitary = callable(generator) or generator[0].real == 0
     chunk = max(1, _STACK_ENTRIES // (n * n))
-    if unitary or n <= _PADE_MAX_DIM:
+    if unitary or n <= _FORMED_MAX_DIM:
         solve, span = _formed(generator, n, chunk, unitary), chunk
     else:   # a run holds states only, so one run takes the whole grid
         solve, span = _applied(generator, out.shape[1:], chunk), lengths.size

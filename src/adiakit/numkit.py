@@ -1,10 +1,8 @@
 """Dense complex linear algebra underpinning the rest of the package.
 
 Provides square-matrix coercion, the finite-number check and the
-nested ``[re, im]`` matrix parser used at the scenario boundary, a
-scaling-and-squaring matrix exponential of one matrix or a stack (the
-Magnus steps of a qubit's master equation, and the tests' reference),
-the cumulative trapezoid and the minimum-cost assignment the trackers
+nested ``[re, im]`` matrix parser used at the scenario boundary, the
+cumulative trapezoid and the minimum-cost assignment the trackers
 share, the coefficient flow's cubic spline, and a numerical Jordan
 canonical form with explicit dual left/right bases.
 
@@ -39,7 +37,6 @@ from .errors import ConditioningError, InputError, NumericalError, ShapeError
 __all__ = [
     "as_square_matrix",
     "is_hermitian",
-    "expm",
     "cumulative_trapezoid",
     "min_cost_assignment",
     "matrix_from_json",
@@ -63,46 +60,6 @@ def as_square_matrix(M, name: str = "matrix") -> np.ndarray:
 def is_hermitian(M, tol: float = 1e-12) -> bool:
     A = as_square_matrix(M)
     return float(np.max(np.abs(A - A.conj().T))) <= tol
-
-
-# Pade-13 numerator coefficients for the scaling-and-squaring exponential.
-_PADE13_B = (
-    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-    1187353796428800.0, 129060195264000.0, 10559470521600.0,
-    670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
-    960960.0, 16380.0, 182.0, 1.0,
-)
-_PADE13_THETA = 5.371920351148152
-
-
-def expm(M) -> np.ndarray:
-    """Matrix exponential by scaling-and-squaring with a degree-13 Pade
-    kernel; for a stack of shape (..., n, n), of every matrix in it.
-
-    Each matrix is scaled by its own power of two and squared back as often,
-    so a matrix of a stack gets the same result as on its own."""
-    A = np.asarray(M, dtype=complex)
-    if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
-        raise ShapeError(f"matrix must be a square matrix, got shape {A.shape}",
-                         shape=list(A.shape))
-    norm = np.abs(A).sum(axis=-2).max(axis=-1)
-    squarings = np.where(norm > _PADE13_THETA, np.ceil(np.log2(
-        np.maximum(norm, _PADE13_THETA) / _PADE13_THETA)), 0.0)
-    A = A / (2.0 ** squarings)[..., None, None]
-    b = _PADE13_B
-    eye = np.eye(A.shape[-1], dtype=complex)
-    A2 = A @ A
-    A4 = A2 @ A2
-    A6 = A2 @ A4
-    U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
-             + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * eye)
-    V = (A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
-         + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * eye)
-    X = np.linalg.solve(V - U, V + U)
-    for k in range(int(squarings.max(initial=0.0))):
-        more = squarings > k
-        X[more] = X[more] @ X[more]
-    return X
 
 
 def cumulative_trapezoid(y, x) -> np.ndarray:

@@ -9,6 +9,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from adiakit import closed
 from adiakit.cli import parse_scenario
@@ -28,7 +29,6 @@ from adiakit.errors import (
     InputError,
     ResolutionError,
 )
-from adiakit.numkit import expm
 from adiakit.schedules import SIGMA_X, SIGMA_Z, eval_generator, make_model
 
 from test_open_fast_path import generated

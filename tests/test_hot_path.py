@@ -14,7 +14,8 @@ transport matches the per-point track, its energies bit for bit and its
 vectors to rounding; the Jordan track's stacked stitch matches the
 per-point assignment and rephasing loop it replaced.  The work of two
 open and two closed commands, and of both tracks, is counted, and so are
-the ``eigh`` calls of the engine's closed flows: none for two levels.
+the ``eigh`` calls of the engine's closed flows, none, and the LAPACK
+solves of a qubit's master equation, none either.
 """
 
 import functools
@@ -653,7 +654,7 @@ def test_flows_without_terms_are_zero():
     terms = _schrodinger_flow(GeneratorSpec(4, "closed", []), 3.0)[0]
     omega = _magnus._assembled(terms, 4)(np.array([0.4]), np.array([0.1]))
     assert not omega.any()
-    assert np.array_equal(_magnus._unitary(omega)[0][0], np.eye(4))
+    assert np.array_equal(_magnus._taylor(omega)[0][0], np.eye(4))
 
 
 # ------------------------------------------------------- stepper counters
@@ -919,7 +920,7 @@ def magnus_work(monkeypatch, run):
     with monkeypatch.context() as patch:
         patch.setattr(np.linalg, "eigh", eigh)
         count_calls(patch, _magnus, "_two_level", counts)
-        count_calls(patch, _magnus, "_unitary", counts)
+        count_calls(patch, _magnus, "_taylor", counts)
         run()
     return counts
 
@@ -936,7 +937,7 @@ def test_two_level_solves_take_no_eigh(monkeypatch, tmp_path, job):
                              lambda: closed_solve(job, spec, tmp_path))
         assert counts["eigh"] == 0
         assert counts["_two_level"] > 0
-        assert counts["_unitary"] == 0
+        assert counts["_taylor"] == 0
 
 
 @pytest.mark.parametrize("job", CLOSED_JOBS)
@@ -951,7 +952,7 @@ def test_larger_closed_solves_take_no_eigh(monkeypatch, tmp_path, job):
     counts = magnus_work(monkeypatch,
                          lambda: closed_solve(job, spec, tmp_path))
     assert counts["eigh"] == 0
-    assert counts["_unitary"] > 0
+    assert counts["_taylor"] > 0
     assert counts["_two_level"] == 0
 
 
@@ -1000,6 +1001,36 @@ def test_open8_evolve_master_counts(monkeypatch, tmp_path):
                            ["evolve", "--format", "csv",
                             "--out", str(tmp_path / "evolve.csv")])
     assert counts == {doc["total_time"]: OPEN8_EVOLVE_COUNTS}
+
+
+# the master solves of `check` and of `sweep` on the generated qubits of
+# seed 7, by T: each takes (steps, generator evaluations, refined
+# intervals) = QUBIT_SOLVE_COUNTS, as with the Pade exponential
+QUBIT_COMMANDS = {"check": ["check"],
+                  "sweep": ["sweep", "--T-min", "1", "--T-max", "100",
+                            "--points", "5"]}
+QUBIT_SOLVES = {("qubit_static", "check"): [1.0, 5.0, 10.0, 50.0],
+                ("qubit_driven", "check"): [1.0, 5.0, 10.0, 50.0, 100.0],
+                ("qubit_static", "sweep"): np.geomspace(1.0, 100.0, 5).tolist(),
+                ("qubit_driven", "sweep"): np.geomspace(1.0, 100.0, 5).tolist()}
+QUBIT_SOLVE_COUNTS = (400, 1200, 0)
+
+
+@pytest.mark.parametrize("family, command", sorted(QUBIT_SOLVES))
+def test_qubit_master_solves_take_the_assembly(monkeypatch, tmp_path, family,
+                                               command):
+    # Omega from the term assembly, once per solve, and its exponential
+    # from the Taylor kernel: no generator at the nodes, no LAPACK solve
+    calls = Counter()
+    count_calls(monkeypatch, np.linalg, "solve", calls)
+    count_calls(monkeypatch, _magnus, "_node_omegas", calls)
+    count_calls(monkeypatch, _magnus, "_assembly", calls)
+    counts = master_counts(monkeypatch, tmp_path, generated(family, 7),
+                           QUBIT_COMMANDS[command]
+                           + ["--out", str(tmp_path / "out")])
+    assert counts == dict.fromkeys(QUBIT_SOLVES[family, command],
+                                   QUBIT_SOLVE_COUNTS)
+    assert calls == {"_assembly": len(counts)}
 
 
 # `check` on the generated open4 scenario of seed 3 (16 singleton blocks,

@@ -12,17 +12,17 @@ exponential, and split long grids and long intervals into chunks without
 changing the answer.
 
 A two-level closed flow takes its exponential in closed form, and any
-other closed flow a Taylor polynomial in real arithmetic; both are checked
-against the ``eigh`` formula they replace, and the two-level 2 x 2
-products, formed entry by entry, against ``@``.  A closed flow given by
-its terms takes Omega from the parts of H(s) and their products, checked
-against the Omega of the generator at the Gauss nodes.  The master
-equation of a qubit takes the Pade exponential; a larger one applies
-each step's exponential to the state by a Taylor polynomial, from an
-Omega assembled out of the parts of L(s) and their products, checked the
-same way.  Both paths follow one step control: forced down either one,
-a master equation takes no more steps applied than formed, and the two
-solutions agree.
+other closed flow and the master equation of a qubit a Taylor polynomial
+in real arithmetic; both are checked against the ``eigh`` formula they
+replace, the Taylor one also against ``scipy.linalg.expm`` on Lindbladian
+steps and non-normal matrices, and the two-level 2 x 2 products, formed
+entry by entry, against ``@``.  A flow given by its terms takes Omega
+from the parts of H(s) or L(s) and their products, checked against the
+Omega of the generator at the Gauss nodes.  A master equation larger
+than a qubit applies each step's exponential to the state by a Taylor
+polynomial instead of forming it.  Both paths follow one step control:
+forced down either one, a master equation takes no more steps applied
+than formed, and the two solutions agree.
 """
 
 import functools
@@ -31,6 +31,7 @@ import pathlib
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from adiakit import _magnus, _rk45, cli
 from adiakit.closed import (_schrodinger_flow, _track_propagator,
@@ -313,7 +314,7 @@ def unitary_stack(n, case):
 @pytest.mark.parametrize("n", [1, 3, 4, 6, 8])
 def test_unitary_matches_eigh(n, case):
     H = unitary_stack(n, case)
-    fast, slow = _magnus._unitary(-1j * H)[0], eigh_exponential(H)
+    fast, slow = _magnus._taylor(-1j * H)[0], eigh_exponential(H)
     norm = np.max(np.abs(np.linalg.eigvalsh(H)), axis=1)
     assert np.all(np.max(np.abs(fast - slow), axis=(1, 2))
                   <= 1e-14 * np.maximum(1.0, norm))
@@ -321,17 +322,51 @@ def test_unitary_matches_eigh(n, case):
     assert np.max(np.abs(unitarity)) <= 1e-14
 
 
-@pytest.mark.parametrize("n", [3, 4, 8])
-def test_unitary_stack_is_pointwise_bit_for_bit(monkeypatch, n):
+def general_stack(case):
+    """600 Omega that are not anti-Hermitian, 1-norms log-spaced from 1e-6
+    up to twice ``_THETA``: the steps h T L(s) of the driven qubit along
+    s, or random non-normal n x n matrices, complex for n = 4 and real
+    for n = 9, whose 1-norm bound then rests on Re Omega alone."""
+    rng = np.random.default_rng(40)
+    m = 600
+    if case == "lindbladian":
+        A = SuperAssembler(qubit("driven").spec).matrix(
+            np.linspace(0.0, 1.0, m))
+    else:
+        n = int(case.removeprefix("nonnormal"))
+        A = rng.normal(size=(2, m, n, n)) + 4.0 * np.triu(
+            rng.normal(size=(2, m, n, n)), 1)
+        A = A[0] + 1j * A[1] if n == 4 else A[0] + 0j
+    norm = np.abs(A).sum(axis=1).max(axis=1)
+    return A * (np.geomspace(1e-6, 2 * _magnus._THETA, m) / norm)[:, None, None]
+
+
+@pytest.mark.parametrize("case", ["lindbladian", "nonnormal4", "nonnormal9"])
+def test_taylor_matches_scipy(case):
+    omega = general_stack(case)
+    fast, slow = _magnus._taylor(omega)[0], scipy.linalg.expm(omega)
+    assert np.all(np.max(np.abs(fast - slow), axis=(1, 2))
+                  <= 1e-14 * np.max(np.abs(slow), axis=(1, 2)))
+    if case == "lindbladian":
+        # <<I| Omega = 0, so <<I| exp(Omega) = <<I|: the trace is kept
+        row = np.eye(2).reshape(-1)
+        assert np.max(np.abs(row @ fast - row)) <= 10 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("case", [3, 4, 8, "lindbladian", "nonnormal4",
+                                  "nonnormal9"])
+def test_unitary_stack_is_pointwise_bit_for_bit(monkeypatch, case):
     # the stack spans many (degree, squarings) plans; sub-chunks of 7
     # matrices split every plan, a workspace left over from another stack
-    # is reused, and no answer may move
-    omega = -1j * unitary_stack(n, "shifted")
-    whole, work = _magnus._unitary(omega)
-    monkeypatch.setattr(_magnus, "_STACK_ENTRIES", 7 * 4 * n * n)
-    assert np.array_equal(_magnus._unitary(omega)[0], whole)
+    # is reused, and no answer may move; the same for general Omega
+    omega = (-1j * unitary_stack(case, "shifted") if isinstance(case, int)
+             else general_stack(case))
+    whole, work = _magnus._taylor(omega)
+    monkeypatch.setattr(_magnus, "_STACK_ENTRIES",
+                        7 * 4 * omega.shape[1] ** 2)
+    assert np.array_equal(_magnus._taylor(omega)[0], whole)
     for i in range(0, len(omega), 7):
-        alone, work = _magnus._unitary(omega[i:i + 1], work)
+        alone, work = _magnus._taylor(omega[i:i + 1], work)
         assert np.array_equal(alone[0], whole[i])
 
 
@@ -465,6 +500,20 @@ def test_qubit_master_matches_runge_kutta(name, T):
     assert traj.steps >= 2 * (grid.size - 1)
 
 
+@pytest.mark.parametrize("T", [1.0, 10.0, 100.0])
+@pytest.mark.parametrize("family", ["qubit_static", "qubit_driven"])
+def test_qubit_master_keeps_the_trace(family, T):
+    # every Taylor power of Omega annihilates the trace row, so the steps,
+    # their products and the extrapolation keep tr rho to the rounding of
+    # a few sums; the Pade exponential's solve did not, and read 3.3e-14
+    # on qubit_static
+    sc = parse_scenario(generated(family, 7))
+    traj = integrate_master(sc.spec, T, sc.initial_state,
+                            np.linspace(0.0, 1.0, 201))
+    trace = traj.states.reshape(-1, 2, 2).trace(axis1=1, axis2=2)
+    assert np.max(np.abs(trace - 1.0)) <= 1e-14
+
+
 # open4 (n = 16, 41 points) and open8 (n = 64, 101 points) as the benchmark
 # solves them; the Runge-Kutta reference runs at (1e-13, 1e-15)
 LARGER = [("open4", 3, 2.0), ("open4", 3, 5.0), ("open4", 3, 20.0),
@@ -534,8 +583,9 @@ def test_applied_omega_matches_the_nodes(spec):
 
 @pytest.mark.parametrize("case", ["open4", "ladder"])
 def test_both_exponential_paths_share_one_control_rule(monkeypatch, case):
-    # the same solve forced down the formed (Pade) and the applied (Taylor)
-    # path: one control rule, so the same answer and no more steps applied;
+    # the same solve forced down the formed and the applied path, both
+    # Taylor polynomials: one control rule, so the same answer and no more
+    # steps applied;
     # controlled one interval at a time the applied path took 380 steps
     # against 160 on open4
     if case == "open4":
@@ -547,7 +597,7 @@ def test_both_exponential_paths_share_one_control_rule(monkeypatch, case):
     grid = np.linspace(0.0, 1.0, 41)
     runs = {}
     for path, limit in (("formed", spec.dimension ** 2), ("applied", 0)):
-        monkeypatch.setattr(_magnus, "_PADE_MAX_DIM", limit)
+        monkeypatch.setattr(_magnus, "_FORMED_MAX_DIM", limit)
         runs[path] = integrate_master(spec, 20.0, rho0, grid, TOL)
     formed, applied = runs["formed"], runs["applied"]
     assert np.max(np.abs(applied.states - formed.states)) <= BOUND

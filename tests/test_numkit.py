@@ -1,66 +1,18 @@
-"""Matrix exponential, of one matrix or a stack, the JSON matrix format,
-and the numpy forms of the cumulative trapezoid, the not-a-knot spline and
-the assignment, with scipy as their oracle."""
+"""The JSON matrix format, and the numpy forms of the cumulative
+trapezoid, the not-a-knot spline and the assignment, with scipy as their
+oracle."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from adiakit import numkit as nk
-from adiakit.errors import InputError, ShapeError
+from adiakit.errors import InputError
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 
 
 def random_matrix(rng, n, scale=1.0):
     return scale * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-
-
-class TestExpm:
-    def test_pi_half_rotation(self):
-        got = nk.expm(-1j * np.pi / 2 * SX)
-        assert np.allclose(got, -1j * SX, atol=1e-14)
-
-    def test_diagonal(self):
-        got = nk.expm(np.diag([1.0, -2.0, 0.0]))
-        assert np.allclose(np.diag(got), np.exp([1.0, -2.0, 0.0]), rtol=1e-14)
-        assert np.allclose(got - np.diag(np.diag(got)), 0.0)
-
-    def test_matches_scipy_across_scales(self):
-        import scipy.linalg as sla
-        rng = np.random.default_rng(0)
-        for scale in (0.01, 1.0, 25.0):
-            A = random_matrix(rng, 5, scale)
-            ref = sla.expm(A)
-            assert np.allclose(nk.expm(A), ref,
-                               atol=1e-12 * max(1.0, np.max(np.abs(ref))))
-
-    @given(st.integers(min_value=1, max_value=5), st.integers(min_value=0, max_value=2**32 - 1))
-    @settings(max_examples=30, deadline=None)
-    def test_inverse_property(self, dim, seed):
-        A = random_matrix(np.random.default_rng(seed), dim)
-        prod = nk.expm(A) @ nk.expm(-A)
-        assert np.allclose(prod, np.eye(dim), atol=1e-9 * max(1.0, np.max(np.abs(prod))))
-
-    def test_stack_equals_each_matrix_bit_for_bit(self):
-        # norms from 0 to about 500: no scaling for some, up to seven
-        # squarings for others, in one stack of shape (3, 4, 4, 4)
-        rng = np.random.default_rng(5)
-        scales = np.repeat([0.0, 0.01, 1.0, 3.0, 20.0, 100.0], 2)
-        stack = np.array([random_matrix(rng, 4, scale) for scale in scales])
-        got = nk.expm(stack.reshape(3, 4, 4, 4)).reshape(stack.shape)
-        for A, X in zip(stack, got):
-            assert np.array_equal(X, nk.expm(A))
-        with pytest.raises(ShapeError):
-            nk.expm(np.zeros((2, 3, 4)))
-
-    def test_hermitian_generator_gives_unitary(self):
-        rng = np.random.default_rng(11)
-        H = random_matrix(rng, 4)
-        H = H + H.conj().T
-        U = nk.expm(-1j * H)
-        assert np.allclose(U.conj().T @ U, np.eye(4), atol=1e-12)
 
 
 def matrix_json(A):
