@@ -163,15 +163,16 @@ def _stitch_clear_prefix(lam, size, S, Si, orders, clusters, a, step):
     return N
 
 
-def _stitch(g, blocks, S, Si):
-    """Align every point of ``blocks`` to its predecessor, rewriting ``S``
-    and ``Si`` in place.
+def _stitch(g, lam, size, S, Si):
+    """Align every point of the blocks ``lam``, ``size`` (n, nb) to its
+    predecessor, rewriting ``S`` and ``Si`` in place.
 
-    All points hold as many blocks as point 0.  Returns the block orders
-    (row i: the blocks of point i that continue blocks 0, 1, ... of point
-    0), the aligned eigenvalue curves, and the :class:`CrossingError` of the
-    first point whose aligned block signature differs from point 0's, the
-    rows stopping before it, or None.
+    Row i holds the eigenvalues and sizes of point i's nb blocks in
+    storage order, so all points hold as many blocks.  Returns the block
+    orders (row i: the blocks of point i that continue blocks 0, 1, ... of
+    point 0), the aligned eigenvalue curves, and the
+    :class:`CrossingError` of the first point whose aligned block signature
+    differs from point 0's, the rows stopping before it, or None.
 
     Runs of clear points are matched and transported stacked
     (:func:`_stitch_clear_prefix`, the first run in chunks as large as
@@ -179,8 +180,6 @@ def _stitch(g, blocks, S, Si):
     assignment against its aligned predecessor, and the run after it
     starts again at 16 points, as such points may come in numbers.
     """
-    lam = np.array([[value for value, _ in b] for b in blocks])
-    size = np.array([[k for _, k in b] for b in blocks])
     sizes = size[0]
     same, _ = _semisimple_groups(lam[:1], size[:1])
     clusters = [np.array(m) for m in
@@ -188,9 +187,8 @@ def _stitch(g, blocks, S, Si):
                         if row.any()})]
     orders = np.empty(lam.shape, dtype=int)
     orders[0] = np.arange(lam.shape[1])
-    i = _stitch_clear_prefix(lam, size, S, Si, orders, clusters, 1,
-                             len(blocks))
-    while i < len(blocks):
+    i = _stitch_clear_prefix(lam, size, S, Si, orders, clusters, 1, len(lam))
+    while i < len(lam):
         pair = np.array([sizes, size[i]])
         offsets = np.cumsum(pair, axis=1) - pair
         cost = _match(np.array([lam[i - 1, orders[i - 1]], lam[i]]), pair,

@@ -340,10 +340,9 @@ def _require_time(sc, T_flag):
 
 
 def _open_track(sc, grid):
-    if not sc.spec.lindblad_terms:
-        return jordan_track(sc.spec, grid,
-                            analytic=unitary_embedding_jordan(sc.spec))
-    return jordan_track(sc.spec, grid)
+    analytic = (None if sc.spec.lindblad_terms
+                else unitary_embedding_jordan(sc.spec))
+    return jordan_track(sc.spec, grid, analytic=analytic)
 
 
 # ----------------------------------------------------------------- pipelines
@@ -459,14 +458,9 @@ def _pipe_jordan(sc, T, order):
         raise ConfigError("the block-structure pipeline needs an open "
                           "system")
     track = _open_track(sc, sc.grid())
-    payload = track.export()
-    return None, {
-        "block_sizes": list(track.sizes),
-        "signature": payload["signature"],
-        "clusters": list(track.clusters),
-        "residual_max": track.residual_max,
-        "points": payload["points"],
-    }
+    return None, {**track.export(), "block_sizes": list(track.sizes),
+                  "clusters": list(track.clusters),
+                  "residual_max": track.residual_max}
 
 
 def _pipe_consistency(sc, T, order):

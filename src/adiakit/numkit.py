@@ -567,11 +567,10 @@ def _assemble_stack(A, C, col_lam, col_pos, col_len, cond_cap, errors):
     and ``col_lam``, ``col_pos``, ``col_len`` (N, n) give each column's
     eigenvalue, position in its chain and chain length.  ``errors`` holds
     one entry per point, None or the exception already met there; this
-    adds the failures found here.  Returns ``(blocks, S, Si, residual,
-    errors)``.
+    adds the failures found here.  Returns ``(lam, size, S, Si, residual,
+    errors)`` as :func:`_decompose_stack` does.
     """
-    N, n = col_lam.shape
-    cols = np.arange(n)
+    cols = np.arange(col_lam.shape[1])
     base = cols - col_pos            # the eigenvector column of each chain
     # deterministic chain normalization: unit eigenvector with a real
     # positive largest-magnitude component; the norm is that of
@@ -605,38 +604,50 @@ def _assemble_stack(A, C, col_lam, col_pos, col_len, cond_cap, errors):
     Si = np.linalg.inv(S)
     core = np.max(np.abs(Si @ A @ S - J), axis=(1, 2))
     residual = np.maximum(core, np.max(_basis_residuals(A, S, Si, J), axis=0))
-    first = pos == 0
-    blocks = [tuple(zip(lam[i, first[i]].tolist(), size[i, first[i]].tolist()))
-              for i in range(N)]
+    # a point's blocks are its chains' eigenvector columns, moved first
+    first = np.argsort(pos != 0, axis=1, kind="stable")
+    lead = np.take_along_axis(pos == 0, first, axis=1)
+    blam = np.where(lead, np.take_along_axis(lam, first, axis=1), 0.0)
+    bsize = np.where(lead, np.take_along_axis(size, first, axis=1), 0)
     for i in np.flatnonzero(cond > cond_cap):
         errors[i] = errors[i] or ConditioningError(
             f"similarity condition {cond[i]:.3e} exceeds cap {cond_cap:.3e}",
-            result=JordanForm(blocks[i], S[i], Si[i], float(residual[i])),
+            result=JordanForm(_block_pairs(blam[i], bsize[i]), S[i], Si[i],
+                              float(residual[i])),
             condition=float(cond[i]))
-    return blocks, S, Si, residual, errors
+    return blam, bsize, S, Si, residual, errors
+
+
+def _block_pairs(lam, size) -> tuple:
+    """The ``(eigenvalue, size)`` pairs of one point's block arrays."""
+    nb = np.count_nonzero(size)
+    return tuple(zip(lam[:nb].tolist(), size[:nb].tolist()))
 
 
 def _decompose_stack(A: np.ndarray, cluster_tol: float, rank_tol: float,
                      cond_cap: float):
     """:func:`jordan_decompose` of every matrix of the stack ``A``.
 
-    Returns ``(blocks, S, Si, residual, errors)``: per point the block
-    tuple, S and S^-1 stacked, the residuals, and the exception
-    :func:`jordan_decompose` raises at that point, or None.  The points
-    are taken in chunks of at most ``_STACK_ENTRIES`` matrix entries, so
-    the temporaries of a long grid stay small beside the result.
+    Returns ``(lam, size, S, Si, residual, errors)``: the blocks of every
+    point as arrays ``lam`` (N, n) and ``size`` (N, n), each point's blocks
+    first in storage order and ``size`` 0 past its block count; S and S^-1
+    stacked; the residuals; and the exception :func:`jordan_decompose`
+    raises at each point, or None.  The points are taken in chunks of at
+    most ``_STACK_ENTRIES`` matrix entries, so the temporaries of a long
+    grid stay small beside the result.
     """
     N, n = A.shape[:2]
     S, Si, residual = np.empty_like(A), np.empty_like(A), np.empty(N)
-    blocks, errors = [], []
+    lam, size = np.empty((N, n), dtype=complex), np.empty((N, n), dtype=int)
+    errors = []
     step = max(1, _STACK_ENTRIES // (n * n))
     for k in range(0, N, step):
         part = _decompose_chunk(A[k:k + step], cluster_tol, rank_tol,
                                 cond_cap)
-        blocks += part[0]
-        S[k:k + step], Si[k:k + step], residual[k:k + step] = part[1:4]
-        errors += part[4]
-    return blocks, S, Si, residual, errors
+        (lam[k:k + step], size[k:k + step], S[k:k + step], Si[k:k + step],
+         residual[k:k + step]) = part[:5]
+        errors += part[5]
+    return lam, size, S, Si, residual, errors
 
 
 def _decompose_chunk(A, cluster_tol, rank_tol, cond_cap):
@@ -714,8 +725,9 @@ def jordan_decompose(M, cluster_tol: float = 1e-7, rank_tol: float = 1e-9,
     checks and the condition cap.
     """
     A = as_square_matrix(M)
-    blocks, S, Si, residual, errors = _decompose_stack(
+    lam, size, S, Si, residual, errors = _decompose_stack(
         A[None], cluster_tol, rank_tol, cond_cap)
     if errors[0] is not None:
         raise errors[0]
-    return JordanForm(blocks[0], S[0], Si[0], float(residual[0]))
+    return JordanForm(_block_pairs(lam[0], size[0]), S[0], Si[0],
+                      float(residual[0]))

@@ -33,13 +33,11 @@ from .errors import (
     InputError,
 )
 from .numkit import (
-    JordanForm,
     _cluster_labels,
     _decompose_stack,
     _stack_labels,
     cumulative_trapezoid,
     is_hermitian,
-    jordan_matrix_from_blocks,
 )
 from ._jordan_stitch import _stitch
 from .schedules import GeneratorSpec, _weighted_sum, eval_generator
@@ -204,12 +202,15 @@ def integrate_master(spec: GeneratorSpec, T: float, rho0, grid=None,
 
 
 def unitary_embedding_jordan(spec: GeneratorSpec):
-    """Analytic Jordan factory for a generator with no jump terms.
+    """Analytic Jordan decomposition for a generator with no jump terms.
 
     The supermatrix of a closed system is normal, with eigenvalues
     -i (E_n - E_k) and orthonormal eigenvectors vec(|n><k|), so the
     decomposition can be written down from one Hermitian eigenproblem.
-    Returns a callable s -> JordanForm for :func:`jordan_track`.
+    Returns the ``analytic`` callable of :func:`jordan_track`, which
+    decomposes a whole grid from one stacked ``eigh`` of H and takes the
+    residuals from one stacked L: singleton blocks sorted by (Re lam,
+    Im lam) descending, ties in (n, k) order, and S^-1 = S^H.
     """
     if spec.kind != "open" or spec.lindblad_terms:
         raise ConfigError(
@@ -217,22 +218,24 @@ def unitary_embedding_jordan(spec: GeneratorSpec):
     asm = SuperAssembler(spec)
     D = spec.dimension
 
-    def factory(s: float) -> JordanForm:
-        energies, vecs = np.linalg.eigh(eval_generator(spec, s))
-        entries = []
-        for n in range(D):
-            for k in range(D):
-                lam = -1j * (energies[n] - energies[k])
-                entries.append((lam, np.kron(vecs[:, n], vecs[:, k].conj())))
-        entries.sort(key=lambda e: (-e[0].real, -e[0].imag))
-        S = np.column_stack([col for _, col in entries])
-        blocks = tuple((lam, 1) for lam, _ in entries)
-        Sinv = S.conj().T
-        J = jordan_matrix_from_blocks(blocks)
-        resid = float(np.max(np.abs(Sinv @ asm.matrix(s) @ S - J)))
-        return JordanForm(blocks, S, Sinv, resid)
+    def decompose(g):
+        N, n = g.size, D * D
+        energies, vecs = np.linalg.eigh(eval_generator(spec, g))
+        lam = (-1j * (energies[:, :, None] - energies[:, None, :])).reshape(
+            N, n)
+        # column (n, k) is vec(|n><k|) = kron(v_n, conj(v_k))
+        S = (vecs[:, :, None, :, None]
+             * vecs.conj()[:, None, :, None, :]).reshape(N, n, n)
+        order = np.lexsort((-lam.imag, -lam.real), axis=-1)
+        lam = np.take_along_axis(lam, order, axis=1)
+        S = np.take_along_axis(S, order[:, None, :], axis=2)
+        Si = S.conj().transpose(0, 2, 1)
+        R = Si @ asm.matrix(g) @ S
+        R[:, np.arange(n), np.arange(n)] -= lam
+        return (lam, np.ones((N, n), dtype=int), S, Si,
+                np.max(np.abs(R), axis=(1, 2)), [None] * N)
 
-    return factory
+    return decompose
 
 
 @dataclass(frozen=True)
@@ -240,30 +243,34 @@ class JordanTrack:
     """Jordan structure of L(s) stitched into continuous curves.
 
     Block b keeps the same index at every grid point: ``lambdas[i, b]`` is
-    its eigenvalue curve, ``similarity`` and ``similarity_inv`` stack the
-    aligned S and S^-1 of every point, shape (N, n, n), ``forms[i]`` is the
-    decomposition at point i on views of those stacks, and ``lamint``
-    accumulates the eigenvalue integrals over s.  ``clusters`` groups
-    blocks that share an eigenvalue everywhere; adiabaticity statements
-    only compare blocks from different groups.
+    its eigenvalue curve and ``sizes[b]`` its size, ``similarity`` and
+    ``similarity_inv`` stack the aligned S and S^-1 of every point, shape
+    (N, n, n), ``residuals[i]`` is the decomposition residual at point i,
+    and ``lamint`` accumulates the eigenvalue integrals over s.
+    ``clusters`` groups blocks that share an eigenvalue everywhere;
+    adiabaticity statements only compare blocks from different groups.
 
     Derived: block b spans the columns ``offsets[b]:offsets[b + 1]`` of S
-    (rows of S^-1) at every point.
+    (rows of S^-1) at every point, and ``residual_max`` is the largest
+    residual.
     """
 
     grid: np.ndarray
-    forms: tuple
     lambdas: np.ndarray
     sizes: tuple
     clusters: tuple
     lamint: np.ndarray
-    residual_max: float
+    residuals: np.ndarray = field(repr=False, compare=False)
     similarity: np.ndarray = field(repr=False, compare=False)
     similarity_inv: np.ndarray = field(repr=False, compare=False)
-    offsets: tuple = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "offsets", self.forms[0].offsets)
+    @property
+    def offsets(self) -> tuple:
+        return (0, *np.cumsum(self.sizes).tolist())
+
+    @property
+    def residual_max(self) -> float:
+        return float(np.max(self.residuals))
 
     @property
     def nblocks(self) -> int:
@@ -278,15 +285,13 @@ class JordanTrack:
         return tuple(sorted(self.sizes, reverse=True))
 
     def export(self) -> dict:
-        points = []
-        for i, s in enumerate(self.grid):
-            points.append({
-                "s": float(s),
-                "eigenvalues": [[float(l.real), float(l.imag)]
-                                for l in self.lambdas[i]],
-                "block_sizes": list(self.sizes),
-                "residual": float(self.forms[i].residual),
-            })
+        sizes = list(self.sizes)
+        pairs = np.stack([self.lambdas.real, self.lambdas.imag], axis=-1)
+        points = [{"s": s, "eigenvalues": eigenvalues, "block_sizes": sizes,
+                   "residual": residual}
+                  for s, eigenvalues, residual in zip(
+                      self.grid.tolist(), pairs.tolist(),
+                      self.residuals.tolist())]
         return {"signature": list(self.signature), "points": points}
 
 
@@ -340,45 +345,35 @@ def jordan_track(spec: GeneratorSpec, grid, cluster_tol: float = 1e-7,
     that, any close approach of curves from different groups raises
     :class:`CrossingError`.
 
-    ``analytic`` may supply a callable s -> JordanForm to replace the
-    numerical decomposition, for generators whose structure is known in
-    closed form; it is called at every grid point before the stitching.
+    ``analytic`` may replace the numerical decomposition for a generator
+    whose structure is known in closed form, as
+    :func:`unitary_embedding_jordan` does: a callable that maps the grid
+    to ``(lam, size, S, Si, residual, errors)`` as
+    :func:`adiakit.numkit._decompose_stack` returns them.  Either way the
+    grid is decomposed in one call.
     """
     g = _validate_grid(grid)
     if analytic is None:
-        blocks, S, Si, residual, errors = _decompose_stack(
+        lam, size, S, Si, residual, errors = _decompose_stack(
             SuperAssembler(spec).matrix(g), cluster_tol, rank_tol, cond_cap)
     else:
-        forms, errors = [], []
-        for s in g:
-            try:
-                forms.append(analytic(s))
-                errors.append(None)
-            except Exception as exc:
-                # kept for its grid point, like a failed decomposition; the
-                # stitching stops before the stand-in form
-                if not forms:
-                    raise
-                forms.append(forms[0])
-                errors.append(exc)
-        blocks = [jf.blocks for jf in forms]
-        S = np.array([jf.similarity for jf in forms])
-        Si = np.array([jf.similarity_inv for jf in forms])
-        residual = np.array([jf.residual for jf in forms])
+        lam, size, S, Si, residual, errors = analytic(g)
     if errors[0] is not None:
         raise errors[0]
-    sizes = tuple(size for _, size in blocks[0])
-    nb = len(sizes)
-    clusters = _cluster_labels([lam for lam, _ in blocks[0]], cluster_tol)
+    count = np.count_nonzero(size, axis=1)
+    nb = int(count[0])
+    sizes = tuple(size[0, :nb].tolist())
+    clusters = _cluster_labels(lam[0, :nb], cluster_tol)
 
-    end = next((i for i in range(1, g.size)
-                if errors[i] is not None or len(blocks[i]) != nb), g.size)
+    bad = (count != nb) | np.not_equal(errors, None)
+    end = int(np.argmax(bad[1:])) + 1 if bad[1:].any() else g.size
     failure = None
     if end < g.size:
         failure = errors[end] or CrossingError(
-            f"block count changed from {nb} to {len(blocks[end])} at "
+            f"block count changed from {nb} to {count[end]} at "
             f"s = {g[end]:.6f}", s=float(g[end]))
-    orders, lambdas, mismatch = _stitch(g, blocks[:end], S, Si)
+    _, lambdas, mismatch = _stitch(g, lam[:end, :nb], size[:end, :nb], S,
+                                   Si)
     failure = mismatch or failure
 
     # grouping is checked on the aligned points before the first failure,
@@ -406,12 +401,8 @@ def jordan_track(spec: GeneratorSpec, grid, cluster_tol: float = 1e-7,
             f"within {dist:.2e} near s = {s_hit:.6f}",
             s=s_hit, pair=(a, b), distance=dist)
 
-    lamint = cumulative_trapezoid(lambdas, g)
-    forms = tuple(JordanForm(tuple(blocks[i][b] for b in order), S[i], Si[i],
-                             float(residual[i]))
-                  for i, order in enumerate(orders))
-    return JordanTrack(g, forms, lambdas, sizes, clusters, lamint,
-                       float(np.max(residual)), S, Si)
+    return JordanTrack(g, lambdas, sizes, clusters,
+                       cumulative_trapezoid(lambdas, g), residual, S, Si)
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,10 @@ transport matches the per-point track, its energies bit for bit and its
 vectors to rounding; the Jordan track's stacked stitch matches the
 per-point assignment and rephasing loop it replaced.  The work of two
 open and two closed commands, and of both tracks, is counted, and so are
-the ``eigh`` calls of the engine's closed flows, none, and the LAPACK
-solves of a qubit's master equation, none either.
+the ``eigh`` calls of the engine's closed flows, none, the LAPACK solves
+of a qubit's master equation, none either, the ``eigh`` and L(s) calls
+of a jump-free Jordan track, one each, and the per-point ``JordanForm``s
+of the open commands, none.
 """
 
 import functools
@@ -329,7 +331,7 @@ def test_coarse_step_takes_one_per_point_step(monkeypatch):
 
 # ------------------------------------------------------ the Jordan stitch
 
-def pointwise_stitch(g, blocks, S, Si):
+def pointwise_stitch(g, lam, size, S, Si):
     """The Jordan track's stitch as a per-point loop does it, rewriting
     ``S`` and ``Si`` in place: at every point an assignment against the
     aligned predecessor, a phase for every chain, and the polar factor for
@@ -360,14 +362,12 @@ def pointwise_stitch(g, blocks, S, Si):
         S[:, cols] = S[:, cols] @ W
         Si[cols, :] = W.conj().T @ Si[cols, :]
 
-    lam = np.array([[value for value, _ in b] for b in blocks])
-    size = np.array([[k for _, k in b] for b in blocks])
     sizes = tuple(size[0].tolist())
     starts = np.cumsum(size[0]) - size[0]
-    semisimple = semisimple_clusters(blocks[0])
+    semisimple = semisimple_clusters(lam[0], size[0])
     orders = np.empty(lam.shape, dtype=int)
     orders[0] = np.arange(lam.shape[1])
-    for i in range(1, len(blocks)):
+    for i in range(1, len(lam)):
         order = orders[i] = align(lam[i - 1, orders[i - 1]],
                                   S[i - 1][:, starts], size[0], lam[i],
                                   size[i], S[i], Si[i])
@@ -383,28 +383,31 @@ def pointwise_stitch(g, blocks, S, Si):
     return orders, np.take_along_axis(lam, orders, axis=1), None
 
 
-def semisimple_clusters(blocks):
+def semisimple_clusters(lam, size):
     """Blocks of size 1 sharing one eigenvalue, which no larger block
     shares."""
     shared = {}
-    for b, (value, _) in enumerate(blocks):
+    for b, value in enumerate(lam.tolist()):
         shared.setdefault(value, []).append(b)
     return [np.array(m) for m in shared.values()
-            if len(m) > 1 and all(blocks[b][1] == 1 for b in m)]
+            if len(m) > 1 and all(size[b] == 1 for b in m)]
 
 
 def decomposed(spec, grid, cluster_tol=1e-7, rank_tol=1e-9):
-    """L(s) on the grid decomposed in one stacked pass, as
-    ``jordan_track`` takes it."""
-    blocks, S, Si, _, errors = nk._decompose_stack(
+    """L(s) on the grid decomposed in one stacked pass, cut to the blocks
+    of point 0 as ``jordan_track`` takes it."""
+    lam, size, S, Si, _, errors = nk._decompose_stack(
         SuperAssembler(spec).matrix(grid), cluster_tol, rank_tol, 1e12)
     assert errors == [None] * grid.size
-    return grid, blocks, S, Si
+    nb = np.count_nonzero(size[0])
+    assert np.all(np.count_nonzero(size, axis=1) == nb)
+    return grid, lam[:, :nb], size[:, :nb], S, Si
 
 
 def planted_stack(grid, curves, sizes, seed=0):
-    """Jordan forms with eigenvalue curves ``curves(s)`` and block sizes
-    ``sizes(s)``, their blocks sorted as the decomposition sorts them, on
+    """Jordan blocks with eigenvalue curves ``curves(s)`` and sizes
+    ``sizes(s)``, as the arrays ``(grid, lam, size, S, S^-1)``, their
+    blocks sorted as the decomposition sorts them, on
     columns of V(s) = exp(sK) B that turn smoothly; every chain carries a
     random phase at every point."""
     rng = np.random.default_rng(seed)
@@ -414,7 +417,7 @@ def planted_stack(grid, curves, sizes, seed=0):
     K = 0.5 * (A - A.conj().T)
     B = (np.linalg.qr(Qa)[0] @ np.diag(np.linspace(1.0, 3.0, n))
          @ np.linalg.qr(Qb)[0])
-    blocks, S = [], []
+    lam_rows, size_rows, S = [], [], []
     for s in grid:
         lam, size = np.asarray(curves(s)), np.asarray(sizes(s))
         order = np.lexsort((-size, -lam.imag, -lam.real))
@@ -423,22 +426,24 @@ def planted_stack(grid, curves, sizes, seed=0):
                                for b in order])
         phase = np.exp(2j * np.pi * rng.uniform(size=order.size))
         S.append((expm(s * K) @ B)[:, cols] * np.repeat(phase, size[order]))
-        blocks.append(tuple(zip(lam[order].tolist(), size[order].tolist())))
+        lam_rows.append(lam[order])
+        size_rows.append(size[order])
     S = np.array(S)
-    return np.asarray(grid), blocks, S, np.linalg.inv(S)
+    return (np.asarray(grid), np.array(lam_rows, dtype=complex),
+            np.array(size_rows), S, np.linalg.inv(S))
 
 
 def spun(stack, cols, seed=1):
     """A planted stack with its columns ``cols`` (the blocks of one
     semisimple cluster) mixed by a random unitary at every point."""
-    g, blocks, S, Si = stack
+    g, lam, size, S, Si = stack
     rng = np.random.default_rng(seed)
     for i in range(len(S)):
         U = np.linalg.qr(rng.normal(size=(len(cols),) * 2)
                          + 1j * rng.normal(size=(len(cols),) * 2))[0]
         S[i][:, cols] = S[i][:, cols] @ U
         Si[i][cols, :] = U.conj().T @ Si[i][cols, :]
-    return g, blocks, S, Si
+    return g, lam, size, S, Si
 
 
 def generated_spec(family, seed):
@@ -489,19 +494,19 @@ STITCH_CASES = {
 }
 
 
-def canonical_orders(orders, blocks0):
+def canonical_orders(orders, lam0, size0):
     """``orders`` with each semisimple cluster's entries sorted."""
     out = orders.copy()
-    for members in semisimple_clusters(blocks0):
+    for members in semisimple_clusters(lam0, size0):
         out[:, members] = np.sort(out[:, members], axis=1)
     return out
 
 
-def stitch_both(g, blocks, S, Si):
+def stitch_both(g, lam, size, S, Si):
     """The stacked stitch and the per-point loop, each on its own copy."""
     S1, Si1, S2, Si2 = S.copy(), Si.copy(), S.copy(), Si.copy()
-    return (_jordan_stitch._stitch(g, blocks, S1, Si1), S1, Si1,
-            pointwise_stitch(g, blocks, S2, Si2), S2, Si2)
+    return (_jordan_stitch._stitch(g, lam, size, S1, Si1), S1, Si1,
+            pointwise_stitch(g, lam, size, S2, Si2), S2, Si2)
 
 
 @pytest.mark.parametrize("name", list(STITCH_CASES))
@@ -510,33 +515,34 @@ def test_stacked_stitch_matches_pointwise_loop(name):
     rephasing and polar rotation they replace: the same eigenvalue curves
     and blocks, the same orders up to order within a semisimple cluster,
     S and S^-1 equal to rounding, and the same error at the same point."""
-    g, blocks, S, Si = STITCH_CASES[name]()
+    g, lam, size, S, Si = STITCH_CASES[name]()
     (orders, lambdas, error), S1, Si1, want, S2, Si2 = stitch_both(
-        g, blocks, S, Si)
+        g, lam, size, S, Si)
     assert str(error) == str(want[2])
     if error is not None:
         assert error.details == want[2].details
     rows = len(want[0])
     assert np.array_equal(lambdas, want[1])
-    assert np.array_equal(canonical_orders(orders, blocks[0]),
-                          canonical_orders(want[0], blocks[0]))
-    assert [[blocks[i][b] for b in orders[i]] for i in range(rows)] == \
-        [[blocks[i][b] for b in want[0][i]] for i in range(rows)]
+    assert np.array_equal(canonical_orders(orders, lam[0], size[0]),
+                          canonical_orders(want[0], lam[0], size[0]))
+    for blocks in (lam, size):
+        assert np.array_equal(np.take_along_axis(blocks[:rows], orders, 1),
+                              np.take_along_axis(blocks[:rows], want[0], 1))
     assert np.max(np.abs(S1[:rows] - S2[:rows])) <= 1e-13
     assert np.max(np.abs(Si1[:rows] - Si2[:rows])) <= 1e-13
 
 
 def test_stitch_cases_cover_their_paths():
     """The planted cases do what they are named for."""
-    _, blocks, _, _ = STITCH_CASES["raw_order_swap"]()
-    assert blocks[0][0][0] == -0.25 - 0.3j and blocks[-1][0][0] == 0.3j
+    _, lam, _, _, _ = STITCH_CASES["raw_order_swap"]()
+    assert lam[0, 0] == -0.25 - 0.3j and lam[-1, 0] == 0.3j
     error = stitch_both(*STITCH_CASES["signature_change"]())[0][2]
     assert str(error) == \
         "block signature changed from (3, 1) to (2, 2) at s = 0.500000"
-    _, blocks, _, _ = STITCH_CASES["defective_schur"]()
-    assert sorted(k for _, k in blocks[0]) == [1, 1, 2]
-    _, blocks, _, _ = STITCH_CASES["dephasing"]()
-    assert [len(m) for m in semisimple_clusters(blocks[0])] == [2]
+    _, _, size, _, _ = STITCH_CASES["defective_schur"]()
+    assert sorted(size[0].tolist()) == [1, 1, 2]
+    _, lam, size, _, _ = STITCH_CASES["dephasing"]()
+    assert [len(m) for m in semisimple_clusters(lam[0], size[0])] == [2]
 
 
 def count_stitch_work(monkeypatch):
@@ -562,8 +568,7 @@ def test_clear_open_tracks_take_no_per_point_step(name, points, monkeypatch):
 
 def test_unclear_point_takes_one_per_point_step(monkeypatch):
     counts = count_stitch_work(monkeypatch)
-    g, blocks, S, Si = STITCH_CASES["unclear_step"]()
-    assert _jordan_stitch._stitch(g, blocks, S, Si)[2] is None
+    assert _jordan_stitch._stitch(*STITCH_CASES["unclear_step"]())[2] is None
     assert counts == {"min_cost_assignment": 1, "_stitch_clear_prefix": 2}
 
 
@@ -573,13 +578,13 @@ def test_unclear_point_takes_one_per_point_step(monkeypatch):
 def test_stitch_chunks_do_not_change_the_answer(name, monkeypatch):
     """Chunks of 3 points: the running products restart at every chunk
     boundary from the point before as it stands."""
-    g, blocks, S, Si = STITCH_CASES[name]()
+    g, lam, size, S, Si = STITCH_CASES[name]()
     S1, Si1 = S.copy(), Si.copy()
-    want = _jordan_stitch._stitch(g, blocks, S1, Si1)
+    want = _jordan_stitch._stitch(g, lam, size, S1, Si1)
     monkeypatch.setattr(_jordan_stitch, "_STACK_ENTRIES",
                         3 * S.shape[1] ** 2)
     counts = count_stitch_work(monkeypatch)
-    got = _jordan_stitch._stitch(g, blocks, S, Si)
+    got = _jordan_stitch._stitch(g, lam, size, S, Si)
     assert counts["_stitch_clear_prefix"] == 1 + counts["min_cost_assignment"]
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
     assert np.max(np.abs(S - S1)) <= 1e-14
@@ -865,6 +870,57 @@ def test_dephasing_jordan_is_one_stacked_pass(monkeypatch, tmp_path):
     assert cli.main(["jordan", str(SCENARIO_DIR / "dephasing_qubit.json"),
                      "--out", str(tmp_path / "jordan.json")]) == 0
     assert counts == {"matrix": 1, "eig": 1}
+
+
+def embedded_lz_scenario(tmp_path):
+    """Landau-Zener, sigma_z linear(-1, 1) + 0.25 sigma_x, as an open
+    scenario without jump terms on 201 points."""
+    real = lambda M: [[[float(x), 0.0] for x in row] for row in M]
+    doc = {"schema": 1, "kind": "open", "dimension": 2,
+           "hamiltonian_terms": [
+               {"matrix": real([[1, 0], [0, -1]]),
+                "envelope": {"kind": "linear", "start": -1.0, "end": 1.0}},
+               {"matrix": real([[0, 1], [1, 0]]),
+                "envelope": {"kind": "constant", "value": 0.25}}],
+           "initial_state": [[[0.6, 0.0], [0.25, 0.1]],
+                             [[0.25, -0.1], [0.4, 0.0]]],
+           "total_time": 10.0, "T_grid": [1.0, 10.0], "grid_points": 201,
+           "output": {"format": "json"}}
+    path = tmp_path / "embedded_lz.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_jump_free_jordan_is_one_stacked_pass(monkeypatch, tmp_path):
+    """The unitary embedding of a 201-point jump-free track: one eigh of
+    H and one L(s) assembly for the residuals, for the whole grid."""
+    path = embedded_lz_scenario(tmp_path)
+    counts = Counter()
+    count_calls(monkeypatch, SuperAssembler, "matrix", counts)
+    count_calls(monkeypatch, np.linalg, "eigh", counts)
+    assert cli.main(["jordan", str(path),
+                     "--out", str(tmp_path / "jordan.json")]) == 0
+    assert counts == {"matrix": 1, "eigh": 1}
+
+
+@pytest.mark.parametrize("verb", ["jordan", "check", "sweep"])
+@pytest.mark.parametrize("name", ["qubit_driven_7", "embedded_lz"])
+def test_open_commands_build_no_jordan_form(monkeypatch, tmp_path, verb,
+                                            name):
+    """The Jordan track stays in arrays from the decomposition to the
+    report: a successful command builds no per-point ``JordanForm``."""
+    if name == "embedded_lz":
+        path = embedded_lz_scenario(tmp_path)
+    else:
+        path = tmp_path / "qubit_driven_7.json"
+        path.write_text(json.dumps(generated("qubit_driven", 7)))
+    argv = [verb, str(path), "--out", str(tmp_path / "out")]
+    if verb == "sweep":
+        argv += ["--T-min", "1", "--T-max", "100", "--points", "3"]
+    counts = Counter()
+    count_calls(monkeypatch, nk.JordanForm, "__post_init__", counts)
+    assert cli.main(argv) == 0
+    assert counts == {}
 
 
 # Envelope.value and .derivative calls of `check` on the Landau-Zener

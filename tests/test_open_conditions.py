@@ -23,7 +23,6 @@ from adiakit.closed import (
     track_spectrum,
 )
 from adiakit.errors import ConditioningError, InputError
-from adiakit.numkit import JordanForm
 from adiakit.open_system import (
     JordanCoefficients,
     JordanTrack,
@@ -127,11 +126,9 @@ def synthetic_track(lams, grid, sizes=None, clusters=None):
     clusters = tuple(range(nblocks)) if clusters is None else tuple(clusters)
     dim = sum(sizes)
     eye = np.broadcast_to(np.eye(dim, dtype=complex), (grid.size, dim, dim))
-    jf = JordanForm(tuple((lams[0, b], sizes[b]) for b in range(nblocks)),
-                    eye[0], eye[0], 0.0)
-    return JordanTrack(grid, (jf,) * grid.size, lams, sizes, clusters,
+    return JordanTrack(grid, lams, sizes, clusters,
                        cumulative_trapezoid(lams, grid, axis=0, initial=0.0),
-                       0.0, eye, eye)
+                       np.zeros(grid.size), eye, eye)
 
 
 class TestTermCounts:

@@ -43,10 +43,14 @@ def schur_path(M, cluster_tol=1e-7, rank_tol=1e-9):
         entries += nk._cluster_chains(A, eigs, np.flatnonzero(labels == k),
                                       rank_tol)
     columns = [x[None] for x in nk._chain_columns(entries)]
-    blocks, S, Si, residual, errors = nk._assemble_stack(
+    lam, size, S, Si, residual, errors = nk._assemble_stack(
         A[None], *columns, cond_cap=math.inf, errors=[None])
     assert errors == [None]
-    return nk.JordanForm(blocks[0], S[0], Si[0], float(residual[0]))
+    # the blocks first, then zero sizes up to the dimension
+    nb = len(entries)
+    assert size[0].sum() == A.shape[0] and np.all(size[0, nb:] == 0)
+    return nk.JordanForm(nk._block_pairs(lam[0], size[0]), S[0], Si[0],
+                         float(residual[0]))
 
 
 def assert_same_form(fast, slow, eig_rel=1e-12, vec_tol=1e-10):
@@ -254,11 +258,10 @@ def generated(family, seed):
 def pair_elements(jtrack, dLs, a, b):
     """B[i][r, c] = (left chain r of block a) dL/ds (right chain c of b)."""
     out = []
+    at = jtrack.offsets
     for i in range(jtrack.grid.size):
-        jf = jtrack.forms[i]
-        at = jf.offsets
-        out.append(jf.similarity_inv[at[a]:at[a + 1], :] @ dLs[i]
-                   @ jf.similarity[:, at[b]:at[b + 1]])
+        out.append(jtrack.similarity_inv[i][at[a]:at[a + 1], :] @ dLs[i]
+                   @ jtrack.similarity[i][:, at[b]:at[b + 1]])
     return np.array(out)
 
 
@@ -287,17 +290,25 @@ class TestBlockAlgebra:
                 got = C[:, at[a]:at[a + 1], at[b]:at[b + 1]]
                 assert np.max(np.abs(got - want)) <= 1e-13 * scale
 
-    def test_stacks_and_offsets_match_forms(self, open_case):
-        _, track = open_case
-        for i, jf in enumerate(track.forms):
-            assert np.array_equal(track.similarity[i], jf.similarity)
-            assert np.array_equal(track.similarity_inv[i],
-                                  jf.similarity_inv)
-            assert jf.offsets == track.offsets
-            for b in range(track.nblocks):
-                start = sum(track.sizes[:b])
-                assert track.offsets[b:b + 2] == (start,
-                                                  start + track.sizes[b])
+    def test_stacks_and_offsets_decompose_the_generator(self, open_case):
+        """Block b spans the columns its size gives it, and at every point
+        the aligned stacks still take L(s) to the Jordan matrix of the
+        aligned curves, within the residual of that point's
+        decomposition."""
+        sc, track = open_case
+        for b in range(track.nblocks):
+            start = sum(track.sizes[:b])
+            assert track.offsets[b:b + 2] == (start, start + track.sizes[b])
+        assert track.offsets[-1] == track.dim
+        assert track.residuals.shape == track.grid.shape
+        assert track.residual_max == float(np.max(track.residuals))
+        L = osys.SuperAssembler(sc.spec).matrix(track.grid)
+        for i in range(track.grid.size):
+            J = nk.jordan_matrix_from_blocks(
+                list(zip(track.lambdas[i], track.sizes)))
+            S, Si = track.similarity[i], track.similarity_inv[i]
+            assert np.max(np.abs(Si @ L[i] @ S - J)) \
+                <= track.residuals[i] + 1e-13
 
     def test_expansion_and_reconstruction_match_loops(self, open_case):
         sc, track = open_case
@@ -308,16 +319,15 @@ class TestBlockAlgebra:
         scale = float(np.max(np.abs(traj.states)))
         for b in range(track.nblocks):
             for j in range(track.sizes[b]):
-                loop = np.array([jf.similarity_inv[jf.offsets[b] + j]
-                                 @ traj.states[i]
-                                 for i, jf in enumerate(track.forms)])
+                loop = np.array([Si[track.offsets[b] + j] @ traj.states[i]
+                                 for i, Si in enumerate(
+                                     track.similarity_inv)])
                 assert np.max(np.abs(co.raw[(b, j)] - loop)) \
                     <= 1e-13 * scale
         rebuilt = np.zeros_like(traj.states)
         for (b, j), proj in co.raw.items():
-            for i, jf in enumerate(track.forms):
-                column = jf.similarity[:, jf.offsets[b] + j]
-                rebuilt[i] += proj[i] * column
+            for i, S in enumerate(track.similarity):
+                rebuilt[i] += proj[i] * S[:, track.offsets[b] + j]
         assert np.max(np.abs(co.reconstruct() - rebuilt)) <= 1e-13 * scale
         assert np.max(np.abs(co.reconstruct() - traj.states)) < 1e-10
 
@@ -379,7 +389,10 @@ class TestStitching:
         asm = osys.SuperAssembler(sc.spec)
         rng = np.random.default_rng(3)
         for i in range(1, track.grid.size, 7):
-            prev = track.forms[i - 1]
+            prev = nk.JordanForm(
+                tuple(zip(track.lambdas[i - 1].tolist(), track.sizes)),
+                track.similarity[i - 1], track.similarity_inv[i - 1],
+                float(track.residuals[i - 1]))
             jf = nk.jordan_decompose(asm.matrix(track.grid[i]))
             jf = permuted(jf, rng.permutation(len(jf.blocks)))
             got, want = align(prev, jf), align_loop(prev, jf)
@@ -425,7 +438,8 @@ def align(prev, jf):
     S = np.array([prev.similarity, jf.similarity])
     Si = np.array([prev.similarity_inv, jf.similarity_inv])
     orders, _, error = _jordan_stitch._stitch(
-        np.array([0.0, 1.0]), [prev.blocks, jf.blocks], S, Si)
+        np.array([0.0, 1.0]), np.array([prev.eigenvalues, jf.eigenvalues]),
+        np.array([prev.sizes, jf.sizes]), S, Si)
     assert error is None
     return nk.JordanForm(tuple(jf.blocks[b] for b in orders[1]), S[1], Si[1],
                          jf.residual)

@@ -15,7 +15,7 @@ from scipy.integrate import cumulative_trapezoid
 
 from adiakit.errors import (ConditioningError, ConfigError, CrossingError,
                             InputError)
-from adiakit.numkit import JordanForm, jordan_decompose
+from adiakit.numkit import _decompose_stack, jordan_decompose
 from adiakit.open_system import (
     JordanCoefficients,
     JordanTrack,
@@ -32,6 +32,7 @@ from adiakit.schedules import (
     SIGMA_Z,
     GeneratorSpec,
     constant,
+    eval_generator,
     linear,
     make_model,
     polynomial,
@@ -66,6 +67,46 @@ def embedded_two_level(delta=0.25):
     closed = make_model("landau_zener", a=1.0, delta=delta)
     return GeneratorSpec(dimension=2, kind="open",
                          hamiltonian_terms=closed.hamiltonian_terms)
+
+
+def jump_free_three_level():
+    """H(s) = (1 - s) H0 + s H1, H0 and H1 each (A + A^H) / 2 of a complex
+    normal 3 x 3 A, scaled to spectral norm 1, and no jump terms."""
+    rng = np.random.default_rng(1)
+    parts = []
+    for _ in range(2):
+        A = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        H = 0.5 * (A + A.conj().T)
+        parts.append(H / np.linalg.norm(H, 2))
+    return GeneratorSpec(dimension=3, kind="open", hamiltonian_terms=(
+        (parts[0], linear(1.0, 0.0)), (parts[1], linear(0.0, 1.0))))
+
+
+def pointwise_embedding(spec, s):
+    """The embedding as a per-point factory built it: one eigh of H(s),
+    the columns kron(v_n, conj(v_k)) with eigenvalues -i (E_n - E_k),
+    sorted by (-Re, -Im) of the eigenvalue, S^-1 = S^H, and the residual
+    of S^-1 L(s) S against the diagonal of the eigenvalues."""
+    D = spec.dimension
+    energies, vecs = np.linalg.eigh(eval_generator(spec, s))
+    entries = []
+    for n in range(D):
+        for k in range(D):
+            lam = -1j * (energies[n] - energies[k])
+            entries.append((lam, np.kron(vecs[:, n], vecs[:, k].conj())))
+    entries.sort(key=lambda e: (-e[0].real, -e[0].imag))
+    S = np.column_stack([col for _, col in entries])
+    lams = np.array([lam for lam, _ in entries])
+    Sinv = S.conj().T
+    L = SuperAssembler(spec).matrix(s)
+    return lams, S, Sinv, float(np.max(np.abs(Sinv @ L @ S - np.diag(lams))))
+
+
+def same_bits(a, b):
+    """Equal dtype, shape and bytes: the sign of a zero counts."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and a.tobytes() == b.tobytes())
 
 
 def scaled_damped_qubit():
@@ -211,15 +252,37 @@ class TestIntegrateMaster:
 class TestUnitaryEmbedding:
     def test_pointwise_form(self):
         spec = embedded_two_level()
-        factory = unitary_embedding_jordan(spec)
-        jf = factory(0.5)
-        lams = sorted(jf.eigenvalues, key=lambda z: -z.imag)
+        lam, size, S, Si, residual, errors = unitary_embedding_jordan(spec)(
+            np.array([0.5]))
+        assert errors == [None] and size.tolist() == [[1, 1, 1, 1]]
+        lams = sorted(lam[0], key=lambda z: -z.imag)
         assert lams[0] == pytest.approx(0.5j, abs=1e-12)
         assert abs(lams[1]) < 1e-12 and abs(lams[2]) < 1e-12
         assert lams[3] == pytest.approx(-0.5j, abs=1e-12)
-        assert jf.residual < 1e-12
-        S = jf.similarity
-        assert np.max(np.abs(S.conj().T @ S - np.eye(4))) < 1e-12
+        assert residual[0] < 1e-12
+        assert np.max(np.abs(S[0].conj().T @ S[0] - np.eye(4))) < 1e-12
+        assert np.array_equal(Si[0], S[0].conj().T)
+
+    @pytest.mark.parametrize("make", [embedded_two_level,
+                                      jump_free_three_level],
+                             ids=["two_level", "three_level"])
+    def test_stacked_matches_pointwise_bit_for_bit(self, make):
+        """One stacked eigh, the broadcast kron columns, the stable lexsort
+        and one stacked L against the per-point factory they replaced: S,
+        S^-1, the eigenvalues (signs of zeros included) and the residuals
+        are the same bits at every point."""
+        spec = make()
+        grid = np.linspace(0.0, 1.0, 201)
+        lam, size, S, Si, residual, errors = unitary_embedding_jordan(spec)(
+            grid)
+        assert errors == [None] * grid.size
+        assert np.all(size == 1) and size.shape == lam.shape
+        for i, s in enumerate(grid):
+            want = pointwise_embedding(spec, s)
+            assert same_bits(lam[i], want[0])
+            assert same_bits(S[i], want[1])
+            assert same_bits(Si[i], want[2])
+            assert same_bits(residual[i], np.float64(want[3]))
 
     def test_track_structure(self):
         spec = embedded_two_level()
@@ -275,8 +338,7 @@ class TestJordanTrack:
         """Chain rephasing keeps consecutive leading vectors close."""
         track = jordan_track(driven_dephasing(), GRID)
         for b in range(track.nblocks):
-            cols = np.array([jf.similarity[:, jf.offsets[b]]
-                             for jf in track.forms])
+            cols = track.similarity[:, :, track.offsets[b]]
             steps = np.linalg.norm(np.diff(cols, axis=0), axis=1)
             assert np.max(steps) < 0.05
 
@@ -306,15 +368,18 @@ class TestJordanTrack:
         assert exc.value.details == {"s": 0.5}
 
     def test_factory_failure_after_block_count_change(self):
-        """An ``analytic`` factory that raises at a later point than a
+        """An ``analytic`` factory that fails at a later point than a
         block-count change does not pre-empt the change either."""
         spec = crossing_damped_qubit()
         tols = dict(cluster_tol=1e-5, rank_tol=1e-7)
 
-        def factory(s):
-            if s > 0.75:
-                raise RuntimeError("no closed form past s = 0.75")
-            return jordan_decompose(SuperAssembler(spec).matrix(s), **tols)
+        def factory(g):
+            *arrays, errors = _decompose_stack(
+                SuperAssembler(spec).matrix(g), tols["cluster_tol"],
+                tols["rank_tol"], 1e12)
+            return (*arrays, [
+                RuntimeError("no closed form past s = 0.75") if s > 0.75
+                else error for s, error in zip(g, errors)])
 
         with pytest.raises(CrossingError) as exc:
             jordan_track(spec, np.linspace(0.0, 1.0, 9), analytic=factory,
@@ -349,15 +414,16 @@ class TestJordanTrack:
         exact = unitary_embedding_jordan(spec)
         rng = np.random.default_rng(5)
 
-        def spun(s):
-            jf = exact(s)
-            cols = [b for b, (lam, _) in enumerate(jf.blocks) if lam == 0]
-            U, _ = np.linalg.qr(rng.normal(size=(2, 2))
-                                + 1j * rng.normal(size=(2, 2)))
-            S, Si = jf.similarity.copy(), jf.similarity_inv.copy()
-            S[:, cols] = S[:, cols] @ U
-            Si[cols, :] = U.conj().T @ Si[cols, :]
-            return JordanForm(jf.blocks, S, Si, jf.residual)
+        def spun(g):
+            lam, size, S, Si, residual, errors = exact(g)
+            S, Si = S.copy(), Si.copy()
+            for i in range(g.size):
+                cols = np.flatnonzero(lam[i] == 0)
+                U, _ = np.linalg.qr(rng.normal(size=(2, 2))
+                                    + 1j * rng.normal(size=(2, 2)))
+                S[i][:, cols] = S[i][:, cols] @ U
+                Si[i][cols, :] = U.conj().T @ Si[i][cols, :]
+            return lam, size, S, Si, residual, errors
 
         track = jordan_track(spec, GRID, analytic=spun)
         zero = [b for b in range(track.nblocks) if track.lambdas[0, b] == 0]
@@ -367,7 +433,7 @@ class TestJordanTrack:
             overlap = S[i - 1][:, zero].conj().T @ S[i][:, zero]
             assert np.max(np.abs(overlap - overlap.conj().T)) < 1e-12
             assert np.min(np.linalg.eigvalsh(overlap)) > 0.0
-        J = np.array([jf.jordan_matrix() for jf in track.forms])
+        J = track.lambdas[:, :, None] * np.eye(4)
         L = SuperAssembler(spec).matrix(GRID)
         assert np.max(np.abs(Si @ L @ S - J)) < 1e-12
         assert np.max(np.abs(Si @ S - np.eye(4))) < 1e-12
@@ -498,11 +564,10 @@ class TestClassifyRegime:
         lams[:, 2] = -0.5
         lams[:, 3] = 1.0j
         eye = np.broadcast_to(np.eye(4, dtype=complex), (5, 4, 4))
-        jf = JordanForm(tuple((lams[0, b], 1) for b in range(4)),
-                        eye[0], eye[0], 0.0)
-        track = JordanTrack(g, (jf,) * 5, lams, (1, 1, 1, 1), (0, 1, 2, 3),
+        track = JordanTrack(g, lams, (1, 1, 1, 1), (0, 1, 2, 3),
                             cumulative_trapezoid(lams, g, axis=0,
-                                                 initial=0.0), 0.0, eye, eye)
+                                                 initial=0.0), np.zeros(5),
+                            eye, eye)
         ones = np.ones(5, dtype=complex)
         co = JordanCoefficients(g, 10.0, {(b, 0): ones for b in range(4)},
                                 {(b, 0): ones for b in range(4)}, track)
