@@ -137,14 +137,15 @@ def _check_budget(starts, counts, done=0):
 
 
 def _mul(A, B):
-    """A @ B for stacks of n x n matrices; for n = 2 entry by entry, eight
-    products of whole stacks where a stacked matmul pays a call per
-    matrix."""
+    """A @ B for stacks of n x n matrices A and n x m matrices B; for n = 2
+    entry by entry, 4m products of whole stacks where a stacked matmul
+    pays a call per matrix."""
     if A.shape[-1] != 2:
         return A @ B
-    C = np.empty(np.broadcast_shapes(A.shape, B.shape), dtype=complex)
+    C = np.empty(np.broadcast_shapes(A.shape[:-2], B.shape[:-2])
+                 + (2, B.shape[-1]), dtype=complex)
     for i in range(2):
-        for k in range(2):
+        for k in range(B.shape[-1]):
             C[..., i, k] = (A[..., i, 0] * B[..., 0, k]
                             + A[..., i, 1] * B[..., 1, k])
     return C

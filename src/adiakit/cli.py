@@ -67,7 +67,6 @@ from .schedules import (
 __all__ = [
     "Scenario",
     "parse_scenario",
-    "run_scenario",
     "sweep_total_time",
     "emit_report",
     "main",
@@ -437,10 +436,10 @@ def _pipe_wu(sc, T, order):
     if sc.kind != "closed":
         raise ConfigError("the expansion pipeline needs a closed system")
     order = 2 if order is None else order
-    if not (_is_integer(order) and 0 <= order <= 3):
+    if not 0 <= order <= 3:
         raise InputError(f"order must be an integer in 0..3, got {order!r}",
                          field="order")
-    T, order = _require_time(sc, T), int(order)
+    T = _require_time(sc, T)
     expansion = wu_expansion(sc.spec, T, order, sc.grid())
     exact = _track_propagator(sc.spec, T, expansion.track)
     errors = [float(np.linalg.norm(expansion.partial_sum(m)[-1] - exact[-1]))
@@ -610,13 +609,6 @@ def _execute(path, verb, T, grid_points, order, out, fmt):
     raw, sc = _load_scenario(path, grid_points)
     if T is not None:
         T = _finite_number(T, "--T", "T", positive=True)
-    verb = verb or sc.pipeline
-    if verb is None:
-        raise InputError("scenario names no pipeline and none was given "
-                         "on the command line", field="pipeline")
-    if verb == "sweep":
-        raise InputError("use the sweep subcommand for total-time sweeps",
-                         field="pipeline")
     fmt = fmt or sc.out_format
     table, report = _PIPELINE_FUNCS[verb](sc, T, order)
     out = _resolve_out(out, sc.out_path, f"{verb}.{fmt}")
@@ -628,14 +620,6 @@ def _execute(path, verb, T, grid_points, order, out, fmt):
     _write_text(out, emit_report(report, raw,
                                  {"rtol": sc.rtol, "atol": sc.atol}))
     return out
-
-
-def run_scenario(path, pipeline: str = None, T: float = None,
-                 grid: int = None, order: int = None, out: str = None,
-                 fmt: str = None) -> int:
-    """Execute one scenario end to end; returns the process exit code."""
-    return _exit_code(lambda: _execute(path, pipeline, T, grid, order, out,
-                                       fmt))
 
 
 class _Parser(argparse.ArgumentParser):

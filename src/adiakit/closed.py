@@ -81,13 +81,15 @@ class SpectralTrack:
     ``energies[i, n]`` and ``vectors[i, :, n]`` belong to level n at
     ``grid[i]``.  Levels are ordered by energy at the first point and then
     followed by overlap, so curves may exchange energy order along the way
-    but never swap identity.
+    but never swap identity.  ``derivative[i]`` is dH/ds at ``grid[i]``;
+    every coupling and frame derivative is formed from it exactly.
     """
 
     grid: np.ndarray
     energies: np.ndarray
     vectors: np.ndarray
     min_gap: float
+    derivative: np.ndarray = field(repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -109,13 +111,14 @@ def track_spectrum(spec: GeneratorSpec, grid, gap_floor: float = 1e-9) -> Spectr
     either below ``gap_floor`` at a grid point or by changing sign between
     two points, raises :class:`DegeneracyError` locating the crossing.
 
-    The eigenpairs come from one stacked ``eigh``.  Where every level
-    overlaps its predecessor by more than ``_CLEAR_OVERLAP``, eigh's own
-    order is the assignment and the transport is stacked over the run of
-    such points (:func:`_transport_clear_prefix`, a running product of
-    the unit overlap phases renormalised to unit modulus, so the column
-    norms do not drift).  Only a point where some overlap is smaller goes
-    through the per-point assignment; the stacked transport resumes after it.
+    The eigenpairs come from one stacked ``eigh``, dH/ds from one stacked
+    evaluation.  Where every level overlaps its predecessor by more than
+    ``_CLEAR_OVERLAP``, eigh's own order is the assignment and the
+    transport is stacked over the run of such points
+    (:func:`_transport_clear_prefix`, a running product of the unit
+    overlap phases renormalised to unit modulus, so the column norms do
+    not drift).  Only a point where some overlap is smaller goes through
+    the per-point assignment; the stacked transport resumes after it.
     """
     _require_closed(spec)
     g = _validate_grid(grid)
@@ -162,7 +165,8 @@ def track_spectrum(spec: GeneratorSpec, grid, gap_floor: float = 1e-9) -> Spectr
                     f"s = {s_cross:.6f}", s=float(s_cross), pair=(n, k),
                     gap=0.0)
             min_gap = min(min_gap, float(adiff[j]))
-    return SpectralTrack(g, energies, vectors, min_gap)
+    return SpectralTrack(g, energies, vectors, min_gap,
+                         eval_generator_derivative(spec, g))
 
 
 def _transport_clear_prefix(vectors: np.ndarray) -> int:
@@ -279,11 +283,10 @@ def _schrodinger_flow(spec: GeneratorSpec, T: float):
             fixed), width
 
 
-def _melements(track: SpectralTrack, spec: GeneratorSpec) -> np.ndarray:
+def _melements(track: SpectralTrack) -> np.ndarray:
     """<k(s)|dH/ds|n(s)> on the track grid, indexed [i, k, n]."""
     V = track.vectors
-    return (V.conj().transpose(0, 2, 1)
-            @ eval_generator_derivative(spec, track.grid) @ V)
+    return V.conj().transpose(0, 2, 1) @ track.derivative @ V
 
 
 @dataclass(frozen=True)
@@ -311,7 +314,7 @@ def adiabatic_condition_ratio(track: SpectralTrack, spec: GeneratorSpec,
     """
     if not T > 0:
         raise InputError(f"total time must be positive, got {T}")
-    mel = _melements(track, spec)
+    mel = _melements(track)
     pair = {}
     worst, worst_pair = 0.0, None
     for n in range(track.dim):
@@ -370,7 +373,7 @@ def min_time_estimate(track: SpectralTrack, spec: GeneratorSpec, m: int,
         weights = np.abs(np.asarray(initial_amplitudes, dtype=complex))
         if weights.shape != (D,):
             raise InputError(f"initial_amplitudes must have shape ({D},)")
-    mel = _melements(track, spec)
+    mel = _melements(track)
 
     rows, integrand = [], {}
     for k in range(D):
@@ -388,13 +391,12 @@ def min_time_estimate(track: SpectralTrack, spec: GeneratorSpec, m: int,
                               integrand)
 
 
-def _reference_frame(track: SpectralTrack, level: int) -> np.ndarray:
-    """Single-valued gauge for one level, anchored to the track at grid[0].
-
-    Picks the component with the largest worst-case magnitude along the
-    track and zeroes its phase everywhere; fails if no component stays
-    bounded away from zero, because then no single-chart gauge exists.
-    """
+def _reference_frame(track: SpectralTrack, level: int):
+    """One level in a single-valued gauge, equal to the track at grid[0],
+    and the component c it pins: the one with the largest worst-case
+    magnitude along the track, its phase held fixed everywhere.  Fails if
+    no component stays bounded away from zero, because then no
+    single-chart gauge exists."""
     vs = track.level_vectors(level)
     support = np.min(np.abs(vs), axis=0)
     c = int(np.argmax(support))
@@ -403,35 +405,48 @@ def _reference_frame(track: SpectralTrack, level: int) -> np.ndarray:
             f"no component of level {level} stays nonzero along the track; "
             "reference gauge is undefined", level=level)
     phases = vs[:, c] / np.abs(vs[:, c])
-    return vs * np.conj(phases)[:, None] * phases[0]
+    return vs * np.conj(phases)[:, None] * phases[0], c
 
 
-def _frames(track: SpectralTrack):
-    """Reference frames of every level and their dynamical phases.
+def _frame_derivatives(track: SpectralTrack, level: int = None,
+                       gauge: bool = True):
+    """Reference frames and <m|d_s n> in their gauge, exactly, from dH/ds.
 
-    ``frames[i, :, n]`` is level n at ``grid[i]`` in the gauge of
-    :func:`_reference_frame`; ``phi[i, n]`` is the trapezoid integral of
-    E_n from the first grid point to ``grid[i]``.
+    Off the diagonal <m|d_s n> = <m|dH/ds|n> / (E_n - E_m) (Messiah, ch.
+    XVII).  The gauge of :func:`_reference_frame` fixes the phase of
+    component c of v = |n>, so the diagonal is i alpha_n, alpha_n =
+    -Im(w_c / v_c) with w = sum_{m != n} |m><m|d_s n>; without ``gauge``
+    the track's vectors serve and it is 0.  Returns ``frames[i, :, n]``
+    and ``conn[i, m, n]`` of every level, or of one ``level`` its frame
+    and column at n = 0, the other levels m in the track's gauge.
     """
-    frames = np.stack([_reference_frame(track, n) for n in range(track.dim)],
-                      axis=2)
-    phi = cumulative_trapezoid(track.energies, track.grid)
-    return frames, phi
-
-
-def _grid_derivative(values: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """Central differences along axis 0, one-sided at the ends."""
-    out = np.empty_like(values)
-    denom = (grid[2:] - grid[:-2]).reshape((-1,) + (1,) * (values.ndim - 1))
-    out[1:-1] = (values[2:] - values[:-2]) / denom
-    out[0] = (values[1] - values[0]) / (grid[1] - grid[0])
-    out[-1] = (values[-1] - values[-2]) / (grid[-1] - grid[-2])
-    return out
+    if level is not None and not (0 <= level < track.dim):
+        raise InputError(f"level index {level} outside 0..{track.dim - 1}")
+    E = track.energies
+    levels = np.arange(track.dim) if level is None else np.array([level])
+    basis = track.vectors.copy()
+    pins = []
+    for n in levels if gauge else ():
+        basis[:, :, n], c = _reference_frame(track, n)
+        pins.append(c)
+    frames = basis[:, :, levels]
+    from . import _magnus
+    mel = _magnus._mul(basis.conj().swapaxes(1, 2),
+                       _magnus._mul(track.derivative, frames))
+    conn = np.divide(mel, E[:, None, levels] - E[:, :, None],
+                     out=np.zeros_like(mel),
+                     where=np.arange(track.dim)[:, None] != levels)
+    if gauge:
+        cols = np.arange(levels.size)
+        w = np.einsum("ilm,iml->il", basis[:, pins, :], conn)
+        conn[:, levels, cols] = -1j * (w / frames[:, pins, cols]).imag
+    return frames, conn
 
 
 @dataclass(frozen=True)
 class BerryCurve:
-    """Accumulated geometric phase of one level along the track grid."""
+    """Accumulated geometric phase of one level along the track grid; the
+    connection is exactly imaginary, so ``imag_residual`` is 0."""
 
     level: int
     grid: np.ndarray
@@ -440,18 +455,16 @@ class BerryCurve:
 
 
 def berry_phase_curve(track: SpectralTrack, level: int) -> BerryCurve:
-    """gamma(s) = i * integral of <n|dn/ds'> in the reference gauge.
+    """gamma(s) = i * integral of <n|dn/ds'> in the reference gauge: a
+    cumulative trapezoid, on the track grid, of the exact connection
+    <n|d_s n> = i alpha_n of :func:`_frame_derivatives`."""
+    _, conn = _frame_derivatives(track, level)
+    return _berry_curve(track, level, conn[:, level, 0])
 
-    The connection comes from central differences of the gauge-fixed
-    vectors and the integral is a cumulative trapezoid on the track grid.
-    The exact curve is real; the numerical imaginary part is returned as
-    ``imag_residual`` instead of being silently discarded.
-    """
-    if not (0 <= level < track.dim):
-        raise InputError(f"level index {level} outside 0..{track.dim - 1}")
-    frame = _reference_frame(track, level)
-    conn = np.einsum("ij,ij->i", frame.conj(),
-                     _grid_derivative(frame, track.grid))
+
+def _berry_curve(track: SpectralTrack, level: int, conn) -> BerryCurve:
+    """The Berry curve of ``level`` from its connection ``conn``, refused
+    where the gauge phase advances more than pi/4 across one grid step."""
     steps = np.diff(track.grid)
     local = np.maximum(np.abs(conn[:-1]), np.abs(conn[1:])) * steps
     if np.any(local > np.pi / 4):
@@ -460,9 +473,8 @@ def berry_phase_curve(track: SpectralTrack, level: int) -> BerryCurve:
             f"gauge phase advances {local[j]:.3f} rad across one grid step "
             f"near s = {track.grid[j]:.4f}; refine the grid",
             s=float(track.grid[j]))
-    gamma = 1j * cumulative_trapezoid(conn, track.grid)
-    return BerryCurve(level, track.grid, gamma.real,
-                      float(np.max(np.abs(gamma.imag))))
+    return BerryCurve(level, track.grid,
+                      -cumulative_trapezoid(conn.imag, track.grid), 0.0)
 
 
 def adiabatic_state(track: SpectralTrack, T: float, s: float, n0: int) -> np.ndarray:
@@ -477,10 +489,10 @@ def adiabatic_state(track: SpectralTrack, T: float, s: float, n0: int) -> np.nda
     i = int(np.argmin(np.abs(track.grid - s)))
     if abs(track.grid[i] - s) > 1e-12:
         raise DomainError(f"s = {s} is not a point of the track grid")
-    curve = berry_phase_curve(track, n0)
-    frame = _reference_frame(track, n0)
+    frames, conn = _frame_derivatives(track, n0)
+    gamma = _berry_curve(track, n0, conn[:, n0, 0]).gamma
     dyn = cumulative_trapezoid(track.energies[:, n0], track.grid)
-    return np.exp(-1j * T * dyn[i]) * np.exp(1j * curve.gamma[i]) * frame[i]
+    return np.exp(-1j * T * dyn[i]) * np.exp(1j * gamma[i]) * frames[i, :, 0]
 
 
 @dataclass(frozen=True)
@@ -518,8 +530,9 @@ def coefficient_dynamics(spec: GeneratorSpec, T: float, a0, grid=None,
               - sum_{n != k} a_n <k|dH/ds|n> / g_nk * exp(-i T Phi_nk)
 
     with Phi_nk the running integral of the gap.  The energies, couplings
-    and connections are sampled on the track grid and interpolated by one
-    set of not-a-knot cubic splines.  The dynamical phases Phi_n are the
+    and connections are sampled on the track grid, the last two exactly
+    from dH/ds (:func:`_frame_derivatives`), and interpolated by one set
+    of not-a-knot cubic splines.  The dynamical phases Phi_n are the
     exact integrals of the energy cubics, and b = exp(-i T Phi) a obeys
     the non-oscillatory linear flow b' = -(i T E + <k|dk/ds> + couplings) b,
     which :func:`adiakit._magnus.propagate` solves through the grid points
@@ -536,21 +549,12 @@ def coefficient_dynamics(spec: GeneratorSpec, T: float, a0, grid=None,
         raise InputError("initial coefficients must have unit total weight")
     g = _validate_grid(grid if grid is not None else np.linspace(0.0, 1.0, 2001))
     track = track_spectrum(spec, g, gap_floor)
-    D = track.dim
+    frames, offdiag = _frame_derivatives(track)
+    m = np.arange(track.dim)    # the diagonal is the connection
+    conn, offdiag[:, m, m] = offdiag[:, m, m], 0.0
 
-    frames, _ = _frames(track)
-    dframes = _grid_derivative(frames, g)
-    # <k|dk/ds> is purely imaginary for unit-norm vectors; the real part
-    # produced by finite differencing is an O(h^2) artifact and would leak
-    # probability, so only the imaginary part enters the flow
-    conn = 1j * np.einsum("ijn,ijn->in", frames.conj(), dframes).imag
-    mel = np.einsum("ijk,ijn->ikn", frames.conj(),
-                    eval_generator_derivative(spec, g) @ frames)
-    E = track.energies   # gap g_nk = E_n - E_k divides coupling [:, k, n]
-    offdiag = np.divide(mel, E[:, None, :] - E[:, :, None],
-                        out=np.zeros_like(mel), where=~np.eye(D, dtype=bool))
-
-    generator, width, phi = _coefficient_flow(g, E, conn, offdiag, T)
+    generator, width, phi = _coefficient_flow(g, track.energies, conn,
+                                              offdiag, T)
     from . import _magnus
     res = _magnus.propagate(generator, width, g, a0, float(tol[0]),
                             float(tol[1]))
@@ -632,8 +636,9 @@ def wu_expansion(spec: GeneratorSpec, T: float, order: int, grid,
     """Build K(s) = D(s) + O(s) and the recurrence for U^(0)..U^(order).
 
     K_mn(s) = -<m|dn/ds> exp(i T Phi_mn(s)) with Phi_mn the running gap
-    integral; U^(0) solves the diagonal flow (it carries exactly the
-    geometric phases), and each higher term is the cumulative trapezoid of
+    integral and <m|dn/ds> the exact matrix of :func:`_frame_derivatives`;
+    U^(0) solves the diagonal flow (it carries exactly the geometric
+    phases), and each higher term is the cumulative trapezoid of
     U^(0) O U^(n-1).  A grid whose spacing lets the oscillation advance
     more than pi/4 between points raises :class:`ResolutionError`.
     """
@@ -658,26 +663,22 @@ def wu_expansion(spec: GeneratorSpec, T: float, order: int, grid,
                     f"per grid step near s = {g[j]:.4f}; refine the grid",
                     pair=(n, k), s=float(g[j]))
 
-    frames, phi = _frames(track)
-    dframes = _grid_derivative(frames, g)
-    conn = np.einsum("ijm,ijn->imn", frames.conj(), dframes)
-    osc = np.exp(1j * T * (phi[:, :, None] - phi[:, None, :]))
-    K = -conn * osc
-    # the diagonal connection is purely imaginary for unit-norm vectors;
-    # drop the finite-differencing real part so U^(0) stays unimodular
+    _, conn = _frame_derivatives(track)
+    wave = np.exp(1j * T * cumulative_trapezoid(track.energies, g))
+    K = -conn * wave[:, :, None] * wave.conj()[:, None, :]
     m = np.arange(D)
-    K[:, m, m] = 1j * K[:, m, m].imag
-    diag = K[:, m, m]
+    K[:, m, m] = diag = -conn[:, m, m]
     O = K.copy()
     O[:, m, m] = 0.0
 
     U0diag = np.exp(cumulative_trapezoid(diag, g))
     U0 = np.zeros((g.size, D, D), dtype=complex)
     U0[:, m, m] = U0diag
+    A = U0diag[:, :, None] * O
     terms = [U0]
+    from . import _magnus
     for _ in range(order):
-        integrand = (U0diag[:, :, None] * O) @ terms[-1]
-        terms.append(cumulative_trapezoid(integrand, g))
+        terms.append(cumulative_trapezoid(_magnus._mul(A, terms[-1]), g))
     return WuExpansion(order, float(T), g, K, diag, O, tuple(terms), track)
 
 
@@ -703,7 +704,9 @@ def _track_propagator(spec: GeneratorSpec, T: float, track: SpectralTrack,
     _require_closed(spec)
     if not T > 0:
         raise InputError(f"total time must be positive, got {T}")
-    frames, phi = _frames(track)
+    frames = np.stack([_reference_frame(track, n)[0]
+                       for n in range(track.dim)], axis=2)
+    phi = cumulative_trapezoid(track.energies, track.grid)
     from . import _magnus
     states = _magnus.propagate(*_schrodinger_flow(spec, T), track.grid,
                                frames[0], float(tol[0]), float(tol[1])).y

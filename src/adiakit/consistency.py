@@ -24,9 +24,8 @@ import numpy as np
 
 from .closed import (
     SpectralTrack,
-    _grid_derivative,
-    _reference_frame,
-    berry_phase_curve,
+    _berry_curve,
+    _frame_derivatives,
     integrate_schrodinger,
     track_spectrum,
 )
@@ -80,28 +79,27 @@ def inconsistency_witness(track: SpectralTrack, s: float = None,
     enters, so no amount of slowing down can reduce it.  Returns the whole
     curve when ``s`` is omitted, otherwise an interpolated point value.
     """
-    curve = berry_phase_curve(track, level)
-    frame = _reference_frame(track, level)
+    frames, conn = _frame_derivatives(track, level)
+    gamma = _berry_curve(track, level, conn[:, level, 0]).gamma
+    return _interp_or_curve(_witness(gamma, frames[:, :, 0]), track, s)
+
+
+def _witness(gamma, frame):
+    """|e^{i gamma} <n(0)|n(s)> - 1| from the curve and the level's frame."""
     overlap = frame.conj() @ frame[0]
-    w = np.abs(np.exp(1j * curve.gamma) * overlap.conj() - 1.0)
-    return _interp_or_curve(w, track, s)
+    return np.abs(np.exp(1j * gamma) * overlap.conj() - 1.0)
 
 
 def projector_residual(track: SpectralTrack, s: float = None,
                        level: int = 0):
     """Norm of the eigenvector velocity orthogonal to the eigenvector.
 
-    Computed by central differences in the transport gauge; projecting out
-    the parallel component makes the result gauge independent, so this is
-    the honest turning rate the frozen shortcut discards.
+    That is the norm of the off-diagonal column <m|d_s n>, m != n, of
+    :func:`adiakit.closed._frame_derivatives`, exact from dH/ds and gauge
+    independent: the honest turning rate the frozen shortcut discards.
     """
-    if not (0 <= level < track.dim):
-        raise InputError(f"level index {level} outside 0..{track.dim - 1}")
-    vs = track.level_vectors(level)
-    dv = _grid_derivative(vs, track.grid)
-    par = np.einsum("ij,ij->i", vs.conj(), dv)
-    resid = np.linalg.norm(dv - par[:, None] * vs, axis=1)
-    return _interp_or_curve(resid, track, s)
+    _, conn = _frame_derivatives(track, level, gauge=False)
+    return _interp_or_curve(np.linalg.norm(conn[:, :, 0], axis=1), track, s)
 
 
 class ConsistencyReport:
@@ -163,21 +161,21 @@ def consistency_report(spec: GeneratorSpec, T: float, grid=None,
     The exact state starts in the tracked eigenvector of ``level``; the
     proper reference multiplies the moving eigenvector by dynamical and
     geometric phases, the frozen one multiplies the initial eigenvector by
-    the dynamical phase alone.
+    the dynamical phase alone.  The frame, its connection and its turning
+    rate come from one column of :func:`adiakit.closed._frame_derivatives`.
     """
     g = np.linspace(0.0, 1.0, 512) if grid is None else np.asarray(grid,
                                                                    dtype=float)
     track = track_spectrum(spec, g, gap_floor)
-    if not (0 <= level < track.dim):
-        raise InputError(f"level index {level} outside 0..{track.dim - 1}")
-    frame = _reference_frame(track, level)
-    curve = berry_phase_curve(track, level)
+    frames, conn = _frame_derivatives(track, level)
+    frame, conn = frames[:, :, 0], conn[:, :, 0]
+    gamma = _berry_curve(track, level, conn[:, level]).gamma
     exact = integrate_schrodinger(spec, T, frame[0], g, tol)
 
-    proper = np.exp(1j * curve.gamma)[:, None] * frame
+    proper = np.exp(1j * gamma)[:, None] * frame
     fid_proper = np.minimum(1.0, np.abs(np.einsum(
         "ij,ij->i", proper.conj(), exact.states)) ** 2)
     fid_illegal = np.minimum(1.0, np.abs(exact.states @ frame[0].conj()) ** 2)
-    w = inconsistency_witness(track, level=level)
-    r = projector_residual(track, level=level)
-    return ConsistencyReport(T, g, w, r, fid_proper, fid_illegal)
+    r = np.linalg.norm(np.delete(conn, level, axis=1), axis=1)
+    return ConsistencyReport(T, g, _witness(gamma, frame), r, fid_proper,
+                             fid_illegal)

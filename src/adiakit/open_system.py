@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .closed import Trajectory, _grid_derivative, _validate_grid
+from .closed import Trajectory, _validate_grid
 from .errors import (
     ConditioningError,
     ConfigError,
@@ -520,6 +520,16 @@ def _size_classes(jtrack, C, a, b):
         rows = offsets[a[pairs], None] + np.arange(na)
         cols = offsets[b[pairs], None] + np.arange(nb)
         yield pairs, rows, cols, C[:, rows[:, :, None], cols[:, None, :]]
+
+
+def _grid_derivative(values: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """Central differences along axis 0, one-sided at the ends."""
+    out = np.empty_like(values)
+    denom = (grid[2:] - grid[:-2]).reshape((-1,) + (1,) * (values.ndim - 1))
+    out[1:-1] = (values[2:] - values[:-2]) / denom
+    out[0] = (values[1] - values[0]) / (grid[1] - grid[0])
+    out[-1] = (values[-1] - values[-2]) / (grid[-1] - grid[-2])
+    return out
 
 
 def _chain_terms(B, omega, p=None, osc=None, grid=None):

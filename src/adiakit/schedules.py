@@ -264,10 +264,13 @@ def eval_generator(spec: GeneratorSpec, s):
 
 def eval_generator_derivative(spec: GeneratorSpec, s):
     """dH/ds, stacked like :func:`eval_generator` for an array of s, and
-    like it the Hamiltonian part only for an open spec."""
+    like it the Hamiltonian part only for an open spec.  The sum starts at
+    +0, so skipping a constant term, which adds only zeros, and weighting
+    a linear one by its slope alone leave it the same to the bit."""
     s = _check_s(s)
-    terms = spec.hamiltonian_terms
-    return _weighted_sum(s, [env.derivative(s) for _, env in terms],
+    terms = [t for t in spec.hamiltonian_terms if t[1].kind != "constant"]
+    return _weighted_sum(s, [env.derivative(0.0 if env.kind == "linear" else s)
+                             for _, env in terms],
                          [M for M, _ in terms], spec.dimension)
 
 

@@ -21,7 +21,6 @@ from adiakit.cli import (
     emit_report,
     main,
     parse_scenario,
-    run_scenario,
     sweep_total_time,
 )
 from adiakit.errors import InputError
@@ -152,8 +151,8 @@ class TestBundledScenarios:
 
     def test_landau_zener_runs(self, tmp_path):
         out = str(tmp_path / "traj.csv")
-        code = run_scenario(str(SCENARIO_DIR / "landau_zener.json"),
-                            out=out)
+        code = main(["evolve", str(SCENARIO_DIR / "landau_zener.json"),
+                     "--out", out])
         assert code == 0
         header = (tmp_path / "traj.csv").read_text().splitlines()[0]
         assert header.startswith("s,t,")
@@ -163,7 +162,7 @@ class TestRunScenario:
     def test_evolve_exit_zero_and_header(self, tmp_path):
         path = write_doc(tmp_path, "lz.json", LZ_DOC)
         out = str(tmp_path / "traj.csv")
-        assert run_scenario(path, out=out) == 0
+        assert main(["evolve", path, "--out", out]) == 0
         lines = (tmp_path / "traj.csv").read_text().splitlines()
         assert lines[0].startswith("s,t,")
         assert len(lines) == 202
@@ -174,7 +173,7 @@ class TestRunScenario:
         doc = dict(DEPHASING_DOC, output={"format": "csv"})
         path = write_doc(tmp_path, "deph.json", doc)
         out = str(tmp_path / "rho.csv")
-        assert run_scenario(path, "evolve", out=out) == 0
+        assert main(["evolve", path, "--out", out]) == 0
         header = (tmp_path / "rho.csv").read_text().splitlines()[0]
         assert header == "s,t,re00,im00,re01,im01,re10,im10,re11,im11"
 
@@ -185,7 +184,7 @@ class TestRunScenario:
             "envelope": {"kind": "constant", "value": 1.0},
         }]
         path = write_doc(tmp_path, "bad.json", doc)
-        assert run_scenario(path, "spectrum") == 2
+        assert main(["spectrum", path]) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "InputError"
         assert "Hermitian" in err["message"]
@@ -196,8 +195,7 @@ class TestRunScenario:
                         "params": {"a": 1.0, "delta": 0.0}}
         doc["grid_points"] = 1001
         path = write_doc(tmp_path, "lz0.json", doc)
-        assert run_scenario(path, "check",
-                            out=str(tmp_path / "x.json")) == 3
+        assert main(["check", path, "--out", str(tmp_path / "x.json")]) == 3
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "DegeneracyError"
         assert "0.5" in err["message"]
@@ -217,8 +215,8 @@ class TestRunScenario:
             "output": {"format": "json"},
         }
         path = write_doc(tmp_path, "cross.json", doc)
-        assert run_scenario(path, "jordan",
-                            out=str(tmp_path / "x.json")) == 3
+        assert main(["jordan", path,
+                     "--out", str(tmp_path / "x.json")]) == 3
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "CrossingError"
         assert "0.5" in err["message"]
@@ -226,7 +224,7 @@ class TestRunScenario:
     def test_static_check_reports_zero_ratio(self, tmp_path):
         path = write_doc(tmp_path, "static.json", STATIC_DOC)
         out = str(tmp_path / "check.json")
-        assert run_scenario(path, "check", out=out) == 0
+        assert main(["check", path, "--out", out]) == 0
         report = load_report(out)
         assert report["results"]["max_ratio"] == 0
         assert report["results"]["satisfied"] is True
@@ -234,7 +232,7 @@ class TestRunScenario:
     def test_jordan_dephasing_block_sizes(self, tmp_path):
         path = write_doc(tmp_path, "deph.json", DEPHASING_DOC)
         out = str(tmp_path / "jordan.json")
-        assert run_scenario(path, "jordan", out=out) == 0
+        assert main(["jordan", path, "--out", out]) == 0
         report = load_report(out)
         assert report["results"]["block_sizes"] == [1, 1, 1, 1]
         assert report["results"]["residual_max"] < 1e-10
@@ -243,7 +241,7 @@ class TestRunScenario:
         doc = dict(DEPHASING_DOC, T_grid=[1.0, 10.0])
         path = write_doc(tmp_path, "deph.json", doc)
         out = str(tmp_path / "check.json")
-        assert run_scenario(path, "check", out=out) == 0
+        assert main(["check", path, "--out", out]) == 0
         results = load_report(out)["results"]
         assert results["block_sizes"] == [1, 1, 1, 1]
         tc = results["time_condition"]
@@ -257,7 +255,8 @@ class TestRunScenario:
         doc = dict(LZ_DOC, grid_points=2001)
         path = write_doc(tmp_path, "lz.json", doc)
         out = str(tmp_path / "wu.json")
-        assert run_scenario(path, "wu", T=20.0, order=2, out=out) == 0
+        assert main(["wu", path, "--T", "20.0", "--order", "2",
+                     "--out", out]) == 0
         errors = load_report(out)["results"]["final_errors"]
         assert len(errors) == 3
         assert errors[0] > errors[1] > errors[2]
@@ -274,7 +273,7 @@ class TestRunScenario:
         }
         path = write_doc(tmp_path, "rot.json", doc)
         out = str(tmp_path / "cons.json")
-        assert run_scenario(path, "consistency", out=out) == 0
+        assert main(["consistency", path, "--out", out]) == 0
         results = load_report(out)["results"]
         assert results["max_witness"] > 0.99
         assert results["min_fid_proper"] > 0.99
@@ -287,19 +286,19 @@ class TestRunScenario:
                                 "check"),
                                (dephasing, "jordan"), (dephasing, "check")):
             out1, out2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
-            assert run_scenario(path, pipeline, out=out1) == 0
-            assert run_scenario(path, pipeline, out=out2) == 0
+            assert main([pipeline, path, "--out", out1]) == 0
+            assert main([pipeline, path, "--out", out2]) == 0
             assert (tmp_path / "a.json").read_bytes() == \
                 (tmp_path / "b.json").read_bytes()
 
     def test_missing_file_exit_two(self, tmp_path, capsys):
-        assert run_scenario(str(tmp_path / "nope.json")) == 2
+        assert main(["evolve", str(tmp_path / "nope.json")]) == 2
         json.loads(capsys.readouterr().err)
 
     def test_unparseable_json_exit_two(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
-        assert run_scenario(str(path)) == 2
+        assert main(["evolve", str(path)]) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "InputError"
 
@@ -310,23 +309,16 @@ class TestRunScenario:
                      "--points", "2", "--out", str(tmp_path / "s.csv")]) == 2
         assert json.loads(capsys.readouterr().err)["error"] == "InputError"
 
-    def test_no_pipeline_anywhere(self, tmp_path, capsys):
-        doc = dict(STATIC_DOC)
-        path = write_doc(tmp_path, "static.json", doc)
-        assert run_scenario(path) == 2
-        err = json.loads(capsys.readouterr().err)
-        assert "pipeline" in err["message"]
-
     def test_grid_override(self, tmp_path):
         path = write_doc(tmp_path, "lz.json", LZ_DOC)
         out = str(tmp_path / "traj.csv")
-        assert run_scenario(path, "spectrum", grid=11, out=out) == 0
+        assert main(["spectrum", path, "--grid", "11", "--out", out]) == 0
         assert len((tmp_path / "traj.csv").read_text().splitlines()) == 12
 
     def test_csv_uses_lf_and_dot_decimal(self, tmp_path):
         path = write_doc(tmp_path, "lz.json", LZ_DOC)
         out = str(tmp_path / "traj.csv")
-        run_scenario(path, "spectrum", out=out)
+        main(["spectrum", path, "--out", out])
         raw = (tmp_path / "traj.csv").read_bytes()
         assert b"\r" not in raw
         assert b"," in raw and b";" not in raw.splitlines()[1]

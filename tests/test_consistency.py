@@ -110,7 +110,7 @@ class TestProjectorResidual:
         track = track_spectrum(spec, GRID)
         resid = projector_residual(track)
         want = np.pi * np.sin(theta)
-        assert np.max(np.abs(resid - want)) < 0.01 * want
+        assert np.max(np.abs(resid - want)) <= 1e-12 * want
 
     def test_gauge_independent_across_levels(self):
         track = track_spectrum(equator(), GRID)

@@ -12,12 +12,14 @@ dL/ds of a whole grid are checked bit for bit against the per-point
 forms; the spectral track built from one stacked eigh and a stacked
 transport matches the per-point track, its energies bit for bit and its
 vectors to rounding; the Jordan track's stacked stitch matches the
-per-point assignment and rephasing loop it replaced.  The work of two
-open and two closed commands, and of both tracks, is counted, and so are
-the ``eigh`` calls of the engine's closed flows, none, the LAPACK solves
-of a qubit's master equation, none either, the ``eigh`` and L(s) calls
-of a jump-free Jordan track, one each, and the per-point ``JordanForm``s
-of the open commands, none.
+per-point assignment and rephasing loop it replaced; the exact frame
+derivatives from dH/ds are the limit of central differences of the
+frames.  The work of two open and two closed commands, and of both
+tracks, is counted, and so are the dH/ds samples of each closed command,
+one, the ``eigh`` calls of the engine's closed flows, none, the LAPACK
+solves of a qubit's master equation, none either, the ``eigh`` and L(s)
+calls of a jump-free Jordan track, one each, and the per-point
+``JordanForm``s of the open commands, none.
 """
 
 import functools
@@ -280,11 +282,30 @@ def test_stacked_track_is_pointwise_bit_for_bit(name, points):
     energies, vectors = pointwise_track(spec, grid)
     assert np.array_equal(track.energies, energies)
     assert np.max(np.abs(track.vectors - vectors)) <= 1e-13
-    mel = _melements(track, spec)
+    mel = _melements(track)
     for i, s in enumerate(grid):
         V = track.vectors[i]
         assert np.array_equal(
             mel[i], V.conj().T @ eval_generator_derivative(spec, s) @ V)
+
+
+@pytest.mark.parametrize("name", ["landau_zener", "generated_closed4_7"])
+def test_exact_frame_derivatives_are_the_difference_limit(name):
+    """<m|d_s n> from dH/ds against central differences of the reference
+    frames (second order at the ends as well): the difference falls as h^2,
+    by a factor 4 from 8001 to 16001 points, where it is below 1e-7 of the
+    largest entry (96 h^2 on Landau-Zener, 0.01 h^2 on closed4)."""
+    spec = (STACKED_SPECS[name]() if name in STACKED_SPECS
+            else parse_scenario(generated("closed4", 7)).spec)
+    misfit = []
+    for points in (8001, 16001):
+        grid = np.linspace(0.0, 1.0, points)
+        frames, conn = closed._frame_derivatives(track_spectrum(spec, grid))
+        moved = np.gradient(frames, grid, axis=0, edge_order=2)
+        differenced = np.einsum("ijm,ijn->imn", frames.conj(), moved)
+        misfit.append(np.max(np.abs(differenced - conn)))
+    assert 3.5 <= misfit[0] / misfit[1] <= 4.5
+    assert misfit[1] <= 1e-7 * np.max(np.abs(conn))
 
 
 @pytest.mark.parametrize("name", ["landau_zener", "generated_closed4_3",
@@ -924,10 +945,42 @@ def test_open_commands_build_no_jordan_form(monkeypatch, tmp_path, verb,
 
 
 # Envelope.value and .derivative calls of `check` on the Landau-Zener
-# scenario: one per term for the stacked H of the track and one per term
-# for each of the two stacked dH/ds (condition ratio, time estimate), at
-# any grid size; the count may only go down
-LZ_CHECK_ENVELOPE_EVALS = 6
+# scenario: one per term for the stacked H of the track and one for its
+# stacked dH/ds, which the condition ratio and the time estimate share
+# (the constant term adds nothing to it), at any grid size; the count may
+# only go down
+LZ_CHECK_ENVELOPE_EVALS = 3
+
+
+# closed.eval_generator_derivative calls per closed command: the track
+# samples dH/ds once, and every coupling and frame derivative reads it.
+# Differencing the frames instead, `check` took 2, a five-row sweep 5,
+# `wu` and `consistency` none, and the coefficient flow 1.
+CLOSED_DERIVATIVE_CALLS = {"check": 1, "sweep": 1, "wu": 1, "consistency": 1,
+                           "coefficient_dynamics": 1}
+
+
+@pytest.mark.parametrize("job", list(CLOSED_DERIVATIVE_CALLS))
+def test_closed_commands_sample_dH_once(monkeypatch, tmp_path, job):
+    lz = str(SCENARIO_DIR / "landau_zener.json")
+    argv = {"check": ["check", lz, "--T", "100"],
+            "sweep": ["sweep", lz, "--T-min", "4", "--T-max", "64",
+                      "--points", "5"],
+            "wu": ["wu", lz, "--T", "20", "--order", "3", "--grid", "1001"],
+            "consistency": ["consistency",
+                            str(SCENARIO_DIR / "rotating_field.json")]}
+    counts = Counter()
+    count_calls(monkeypatch, closed, "eval_generator_derivative", counts)
+    if job == "coefficient_dynamics":
+        closed.coefficient_dynamics(bundled_spec("landau_zener"), 40.0,
+                                    [1.0, 0.0], np.linspace(0.0, 1.0, 401))
+    else:
+        assert cli.main(argv[job] + ["--out", str(tmp_path / "out")]) == 0
+    assert counts == {"eval_generator_derivative":
+                      CLOSED_DERIVATIVE_CALLS[job]}
+    # the open time bracket keeps the one finite-difference rule
+    assert not hasattr(closed, "_grid_derivative")
+    assert callable(osys._grid_derivative)
 
 
 def test_lz_spectrum_is_one_stacked_eigh(monkeypatch, tmp_path):

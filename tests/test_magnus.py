@@ -276,18 +276,21 @@ def test_two_level_closed_form_matches_eigh(case):
     assert np.max(np.abs(unitarity)) <= 1e-14
 
 
-@pytest.mark.parametrize("form", ["stack", "single", "adjoint"])
+@pytest.mark.parametrize("form", ["stack", "single", "adjoint", "column"])
 def test_mul_matches_matmul(form):
     # the commutator and the pairwise products multiply stacks, a run of
-    # one interval a single matrix; Newton-Schulz also takes an adjoint view
+    # one interval a single matrix; Newton-Schulz also takes an adjoint view,
+    # and the moving frame's couplings of one level a column
     rng = np.random.default_rng(21)
     m = 1 if form == "single" else 300
     A, B = (rng.normal(size=(2, m, 2, 2))
             + 1j * rng.normal(size=(2, m, 2, 2)))
     if form == "adjoint":
         A = A.conj().swapaxes(1, 2)
+    if form == "column":
+        B = B[..., 1:]
     product = _magnus._mul(A, B)
-    assert product.shape == (m, 2, 2)
+    assert product.shape == (m, 2, B.shape[-1])
     bound = 4 * np.finfo(float).eps * (np.abs(A) @ np.abs(B))
     assert np.all(np.abs(product - A @ B) <= bound)
 

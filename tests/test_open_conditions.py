@@ -17,16 +17,13 @@ import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid
 
-from adiakit.closed import (
-    _grid_derivative,
-    adiabatic_condition_ratio,
-    track_spectrum,
-)
+from adiakit.closed import adiabatic_condition_ratio, track_spectrum
 from adiakit.errors import ConditioningError, InputError
 from adiakit.open_system import (
     JordanCoefficients,
     JordanTrack,
     _chain_terms,
+    _grid_derivative,
     condition_term_count,
     expand_jordan_coefficients,
     classify_regime,
